@@ -1,10 +1,10 @@
 #!/bin/sh
 # Regenerate every committed figure dataset into out/ (or $1 if given).
-# Maps take a few minutes single-threaded; pass THREADS=N to parallelize.
+# Maps run one worker thread per core unless THREADS=N says otherwise.
 set -e
 
 out="${1:-out}"
-threads="${THREADS:-1}"
+threads="${THREADS:-$(nproc 2>/dev/null || echo 1)}"
 cd "$(dirname "$0")/.."
 
 for cfg in configs/fig2.cfg configs/fig3.cfg configs/fig4.cfg; do

@@ -277,7 +277,8 @@ def _run_rates(cfg: RunConfig, out_dir: str) -> int:
     base = cfg.field_config()
     vs = solve_vertical(mat, base.e_perp, max(cfg.n_max, 2), cfg.grid())
     report = strong_coupling_report(vs, base, pair=cfg.rates_pair,
-                                    nu_0=cfg.nu_0)
+                                    nu_0=cfg.nu_0,
+                                    include_occupation=cfg.include_occupation)
     path = os.path.join(out_dir, f"{cfg.prefix}_rates.json")
     _write_sidecar(path, cfg, {"report": {
         "g_over_h_ghz": report.g_ghz,
@@ -359,12 +360,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"output directory (default ${OUT_DIR_ENV} "
                             "or ./out)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for map pixels")
+                       help="worker threads for map pixels (at least 1; "
+                            "up to one per core helps). A map pins OpenBLAS "
+                            "to one thread, process-wide, for its duration, "
+                            "so its bytes do not depend on --threads or BLAS "
+                            "settings")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, not {args.threads}",
+              file=sys.stderr)
+        return 2
 
     if args.task == "validate":
         try:

@@ -13,6 +13,7 @@ off-diagonal renormalization matters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,73 @@ def _landau_ladder(l_max: int) -> np.ndarray:
     return s
 
 
+class HamiltonianBlocks:
+    """The field-independent pieces of the Hamiltonian at one vertical solve.
+
+    The diagonal E_n + hbar w_c l needs only b_z, and the diamagnetic and
+    coupling blocks kron(z^2, 1_l) and kron(z, a + a^dagger) need no field at
+    all, so a column of field points at fixed E_perp builds the two Kronecker
+    products once (on first use) and every matrix from them.
+    assemble_hamiltonian goes through the same code, so both routes give
+    bit-identical matrices.
+    """
+
+    def __init__(
+        self,
+        vs: VerticalSpectrum,
+        basis: ProductBasis = ProductBasis(),
+        diamagnetic: str = "full",
+    ):
+        if basis.n_max > vs.n_max:
+            raise BasisMismatch(
+                f"basis wants n_max={basis.n_max}, spectrum has {vs.n_max}"
+            )
+        if diamagnetic not in ("full", "diagonal", "none"):
+            raise ValueError(f"unknown diamagnetic mode {diamagnetic!r}")
+        nb, lb = basis.n_max, basis.l_max
+        self.vs = vs
+        self.basis = basis
+        self.diamagnetic = diamagnetic
+        self._energies = np.repeat(vs.energies[:nb], lb + 1)
+        self._landau = np.tile(np.arange(lb + 1.0), nb)
+
+    @functools.cached_property
+    def _diamagnetic_block(self) -> np.ndarray:
+        nb = self.basis.n_max
+        z2 = self.vs.z2_matrix[:nb, :nb]
+        if self.diamagnetic == "diagonal":
+            z2 = np.diag(np.diag(z2))
+        return np.kron(z2, np.eye(self.basis.l_max + 1))
+
+    @functools.cached_property
+    def _coupling_block(self) -> np.ndarray:
+        nb = self.basis.n_max
+        return np.kron(self.vs.z_matrix[:nb, :nb],
+                       _landau_ladder(self.basis.l_max))
+
+    def hamiltonian(self, cfg: FieldConfiguration) -> np.ndarray:
+        """Dense symmetric Hamiltonian in J at cfg."""
+        vs = self.vs
+        if abs(cfg.e_perp - vs.e_perp) > 1e-9 * max(1.0, abs(vs.e_perp)):
+            raise BasisMismatch(
+                "field configuration e_perp differs from the vertical solve"
+            )
+        omega_c = cyclotron_frequency(cfg.b_z)
+        h = np.diag(self._energies + HBAR * omega_c * self._landau)
+
+        if cfg.b_y != 0.0:
+            _, omega_y, l_b = derived_frequencies(cfg)
+            if self.diamagnetic != "none":
+                h += 0.5 * ELECTRON_MASS * omega_y**2 * self._diamagnetic_block
+            coupling = HBAR * omega_y / (np.sqrt(2.0) * l_b)
+            h += coupling * self._coupling_block
+
+        return 0.5 * (h + h.T)
+
+    def solve(self, cfg: FieldConfiguration) -> CoupledSpectrum:
+        return diagonalize(self.hamiltonian(cfg), self.basis, cfg)
+
+
 def assemble_hamiltonian(
     vs: VerticalSpectrum,
     cfg: FieldConfiguration,
@@ -109,36 +177,7 @@ def assemble_hamiltonian(
     diamagnetic: "full" keeps the whole (z^2)_nn' block, "diagonal" its
     diagonal only (lower-fidelity comparison mode), "none" drops it.
     """
-    if basis.n_max > vs.n_max:
-        raise BasisMismatch(
-            f"basis wants n_max={basis.n_max}, spectrum has {vs.n_max}"
-        )
-    if diamagnetic not in ("full", "diagonal", "none"):
-        raise ValueError(f"unknown diamagnetic mode {diamagnetic!r}")
-    if abs(cfg.e_perp - vs.e_perp) > 1e-9 * max(1.0, abs(vs.e_perp)):
-        raise BasisMismatch(
-            "field configuration e_perp differs from the vertical solve"
-        )
-
-    nb, lb = basis.n_max, basis.l_max
-    omega_c = cyclotron_frequency(cfg.b_z)
-    eye_n = np.eye(nb)
-    eye_l = np.eye(lb + 1)
-
-    h = np.kron(np.diag(vs.energies[:nb]), eye_l)
-    h += np.kron(eye_n, HBAR * omega_c * np.diag(np.arange(lb + 1.0)))
-
-    if cfg.b_y != 0.0:
-        _, omega_y, l_b = derived_frequencies(cfg)
-        z2 = vs.z2_matrix[:nb, :nb]
-        if diamagnetic == "diagonal":
-            z2 = np.diag(np.diag(z2))
-        if diamagnetic != "none":
-            h += 0.5 * ELECTRON_MASS * omega_y**2 * np.kron(z2, eye_l)
-        coupling = HBAR * omega_y / (np.sqrt(2.0) * l_b)
-        h += coupling * np.kron(vs.z_matrix[:nb, :nb], _landau_ladder(lb))
-
-    return 0.5 * (h + h.T)
+    return HamiltonianBlocks(vs, basis, diamagnetic).hamiltonian(cfg)
 
 
 def diagonalize(

@@ -166,8 +166,13 @@ def strong_coupling_report(
     pair: tuple[int, int] = (2, 1),
     nu_0: float = 1e6,
     temperature: float | None = None,
+    include_occupation: bool = False,
 ) -> StrongCouplingReport:
-    """Compare the sideband coupling of a level pair with its decay rates."""
+    """Compare the sideband coupling of a level pair with its decay rates.
+
+    include_occupation applies the thermal-ripplon factor (1 + N)^2 of
+    two_ripplon_rate to both rates.
+    """
     from .analytics import coupling_constant
 
     n_hi, n_lo = max(pair), min(pair)
@@ -178,8 +183,10 @@ def strong_coupling_report(
         cfg.temperature if temperature is None else temperature,
     )
     g = abs(coupling_constant(vs, cfg, n_hi, n_lo))
-    rate_v = two_ripplon_rate(vs, bath, cfg, (n_hi, 0), (n_lo, 0))
-    rate_l = two_ripplon_rate(vs, bath, cfg, (n_lo, 1), (n_lo, 0))
+    rate_v = two_ripplon_rate(vs, bath, cfg, (n_hi, 0), (n_lo, 0),
+                              include_occupation)
+    rate_l = two_ripplon_rate(vs, bath, cfg, (n_lo, 1), (n_lo, 0),
+                              include_occupation)
     return StrongCouplingReport(
         g_ghz=g / GHZ,
         rate_vertical=rate_v,

@@ -11,13 +11,16 @@ tests pin.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .coupled import CoupledSpectrum, ProductBasis, solve_coupled
+from .coupled import CoupledSpectrum, HamiltonianBlocks, ProductBasis
 from .errors import DegenerateField, HeliumJcmError
 from .materials import (
     BOLTZMANN,
@@ -126,6 +129,67 @@ def _moments_from(spec: CoupledSpectrum, z_matrix: np.ndarray,
     return spec.eigenvectors.T @ zc
 
 
+class _Lines(NamedTuple):
+    """Transition catalog of one spectrum as parallel arrays, one entry per
+    line, in catalog order: by initial Landau index, then by final state."""
+
+    initial_l: np.ndarray       # Landau index of the initial label (1, l)
+    initial_index: np.ndarray   # eigenstate index of the initial state
+    final_index: np.ndarray
+    final_n: np.ndarray         # dominant product label of the final state
+    final_l: np.ndarray
+    weight: np.ndarray          # thermal weight of the initial label
+    frequency_ghz: np.ndarray
+    moment_sq: np.ndarray       # m^2
+
+
+def _catalog(
+    spec: CoupledSpectrum,
+    vs: VerticalSpectrum,
+    populations: np.ndarray,
+    mw_band_ghz: tuple[float, float],
+) -> _Lines:
+    """All lines out of the thermally occupied (1,l) states inside the band.
+
+    Every eigenstate is labeled in one pass: the initial state of (1,l) is
+    the eigenstate with the largest weight on |1,l>, and a final state is
+    labeled by its strongest product component.
+    """
+    f_min, f_max = mw_band_ghz
+    lb = spec.basis.l_max
+    sq = spec.eigenvectors ** 2
+    dominant = np.argmax(sq, axis=0)
+    n_init = min(len(populations), lb + 1)
+    starts = np.argmax(sq[:n_init], axis=1)    # the flat index of (1,l) is l
+    no_int, no_float = np.empty(0, dtype=int), np.empty(0)
+    parts = [(no_int, no_int, no_int, no_float, no_float)]
+    for l0 in range(n_init):
+        k_init = int(starts[l0])
+        freqs = (spec.eigenvalues - spec.eigenvalues[k_init]) / GHZ
+        ks = np.nonzero((freqs >= f_min) & (freqs <= f_max))[0]
+        ks = ks[ks != k_init]
+        if not ks.size:
+            continue
+        moments = _moments_from(spec, vs.z_matrix, k_init)[ks]
+        # float_power squares through libm pow, as a float's ** does;
+        # np.square rounds differently in about one value in a thousand
+        parts.append((np.full(ks.size, l0), np.full(ks.size, k_init), ks,
+                      freqs[ks], np.float_power(moments, 2)))
+    initial_l, initial_index, final_index, freqs, moment_sq = map(
+        np.concatenate, zip(*parts))
+    final_n, final_l = np.divmod(dominant[final_index], lb + 1)
+    return _Lines(
+        initial_l=initial_l,
+        initial_index=initial_index,
+        final_index=final_index,
+        final_n=final_n + 1,
+        final_l=final_l,
+        weight=np.asarray(populations, dtype=float)[initial_l],
+        frequency_ghz=freqs,
+        moment_sq=moment_sq,
+    )
+
+
 def transition_catalog(
     spec: CoupledSpectrum,
     vs: VerticalSpectrum,
@@ -137,28 +201,22 @@ def transition_catalog(
     f_min, f_max = mw_band_ghz
     if f_min >= f_max:
         raise ValueError("empty frequency band")
-    lines: list[TransitionLine] = []
-    for l0, weight in enumerate(populations):
-        if l0 > spec.basis.l_max:
-            break
-        k_init = spec.locate(1, l0)
-        e_init = spec.eigenvalues[k_init]
-        moments = _moments_from(spec, vs.z_matrix, k_init)
-        freqs = (spec.eigenvalues - e_init) / GHZ
-        for k in np.nonzero((freqs >= f_min) & (freqs <= f_max))[0]:
-            if k == k_init:
-                continue
-            n_f, l_f, _ = spec.dominant(int(k))
-            lines.append(TransitionLine(
-                initial_label=(1, l0),
-                weight=float(weight),
-                final_index=int(k),
-                final_label=(n_f, l_f),
-                frequency_ghz=float(freqs[k]),
-                moment_sq=float(moments[k] ** 2),
-                sideband_order=l_f - l0,
-            ))
-    return lines
+    t = _catalog(spec, vs, populations, mw_band_ghz)
+    return [
+        TransitionLine(
+            initial_label=(1, l0),
+            weight=weight,
+            final_index=k,
+            final_label=(n_f, l_f),
+            frequency_ghz=freq,
+            moment_sq=moment_sq,
+            sideband_order=l_f - l0,
+        )
+        for l0, weight, k, n_f, l_f, freq, moment_sq in zip(
+            t.initial_l.tolist(), t.weight.tolist(), t.final_index.tolist(),
+            t.final_n.tolist(), t.final_l.tolist(), t.frequency_ghz.tolist(),
+            t.moment_sq.tolist())
+    ]
 
 
 def line_profile(
@@ -215,40 +273,110 @@ def _auto_l_cut(cfg: FieldConfiguration, l_max: int) -> int:
     return int(min(l_max, max(5, math.ceil(8.0 / max(x, 1e-6)))))
 
 
-def _pixel_intensity(
+def _deposit(
     spec: CoupledSpectrum,
     vs: VerticalSpectrum,
-    populations: np.ndarray,
+    lines: _Lines,
     mw_frequency_ghz: float,
     width_ghz: float,
-    band_ghz: float,
-) -> tuple[float, list[TransitionLine]]:
-    """Deposit of all in-band lines at one pixel plus the raw catalog.
+) -> float:
+    """Absorption at one pixel: the sum over lines within 8 widths of the
+    drive of area x Gaussian(frequency detuning) x |local Stark slope|.
 
-    Each line contributes area x Gaussian(frequency detuning) x |local Stark
-    slope|; the slope is the Hellmann-Feynman diagonal form
+    The slope is the Hellmann-Feynman diagonal form
     e (zbar_final - zbar_initial) / h with zbar the eigenstate-weighted z_nn.
     """
-    band = (mw_frequency_ghz - band_ghz, mw_frequency_ghz + band_ghz)
-    lines = transition_catalog(spec, vs, populations, band)
-    if not lines:
-        return 0.0, lines
-
+    if not lines.final_index.size:
+        return 0.0
     nb, lb = spec.basis.n_max, spec.basis.l_max
     weights_n = (spec.eigenvectors.T.reshape(-1, nb, lb + 1) ** 2).sum(axis=2)
     zbar = weights_n @ np.diag(vs.z_matrix)[:nb]    # m, per eigenstate
 
+    detuning = (lines.frequency_ghz - mw_frequency_ghz) / width_ghz
+    near = np.abs(detuning) <= 8.0
+    slope = np.abs(ELEMENTARY_CHARGE
+                   * (zbar[lines.final_index[near]]
+                      - zbar[lines.initial_index[near]])
+                   * V_PER_CM) / GHZ          # GHz per V/cm
+    area = lines.weight[near] * lines.moment_sq[near]
     total = 0.0
-    for line in lines:
-        k_init = spec.locate(1, line.initial_label[1])
-        slope = abs(ELEMENTARY_CHARGE * (zbar[line.final_index] - zbar[k_init])
-                    * V_PER_CM) / GHZ          # GHz per V/cm
-        detuning = (line.frequency_ghz - mw_frequency_ghz) / width_ghz
-        if abs(detuning) > 8.0:
+    for a, d, k in zip(area.tolist(), detuning[near].tolist(), slope.tolist()):
+        gaussian = math.exp(-0.5 * d**2) / (width_ghz * SQRT_2PI)
+        total += a * gaussian * k
+    return total
+
+
+# (get, set) thread-count symbols: numpy's bundled OpenBLAS (64-bit integer
+# interface), scipy's, and an unprefixed system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
+    process; empty where none is loaded or /proc is unavailable."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
             continue
-        gaussian = math.exp(-0.5 * detuning**2) / (width_ghz * SQRT_2PI)
-        total += line.weight * line.moment_sq * gaussian * slope
-    return total, lines
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            getter = getattr(lib, get_name, None)
+            setter = getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                controls.append((getter, setter))
+                break
+    return controls
+
+
+class _SingleThreadedBlas:
+    """Context manager pinning every loaded OpenBLAS to one thread and
+    restoring each library's previous count on exit.
+
+    The setting is process-wide, so nested or concurrent entries share one
+    pin: the first entry sets it and the last exit restores it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list[tuple] = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [
+                    (setter, getter())
+                    for getter, setter in _openblas_thread_controls()]
+                for setter, _ in self._saved:
+                    setter(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for setter, count in self._saved:
+                    setter(count)
+                self._saved = []
+
+
+_single_threaded_blas = _SingleThreadedBlas()
 
 
 def absorption_map(
@@ -268,83 +396,99 @@ def absorption_map(
     """Simulate a 2D absorption map over a magnetic-field axis x E_perp.
 
     sweep_name must be "b_y" or "b_z"; the tuning axis is always E_perp, so
-    sweeping it as the outer axis too is rejected. Vertical solves are shared
-    across the whole sweep column at fixed E_perp. Pixels are independent;
-    threads > 1 distributes them without changing the result.
+    sweeping it as the outer axis too is rejected. The map is computed one
+    E_perp column at a time: one vertical solve and one set of
+    field-independent Hamiltonian blocks serve every pixel of the column.
+
+    threads is the number of worker threads, each taking whole columns; up
+    to one per core helps. For the whole call, and process-wide, every loaded
+    OpenBLAS runs on one thread (the previous count is restored on return),
+    so the result is bit-identical for any threads value and any BLAS
+    thread setting of the environment.
     """
     if sweep_name not in ("b_y", "b_z"):
         raise ValueError(
             f"sweep axis must be b_y or b_z, not {sweep_name!r}; the second "
             "axis is already e_perp"
         )
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     sweep_values = np.asarray(sweep_values, dtype=float)
     e_grid = np.asarray(e_perp_values_v_cm, dtype=float)
     if sweep_values.size == 0 or e_grid.size == 0:
         raise ValueError("sweep and e_perp axes must be non-empty")
+    band = (mw_frequency_ghz - band_ghz, mw_frequency_ghz + band_ghz)
+    if band[0] >= band[1]:
+        raise ValueError("empty frequency band")
 
-    verticals: list[VerticalSpectrum | Exception] = []
-    for e_v_cm in e_grid:
-        try:
-            verticals.append(
-                solve_vertical(mat, e_v_cm * V_PER_CM, basis.n_max, grid))
-        except HeliumJcmError as exc:
-            verticals.append(exc)
-
-    intensity = np.full((sweep_values.size, e_grid.size), np.nan)
-    failures: list[tuple[int, int, str]] = []
-    traces: list[dict] = []
-
-    def run_pixel(i: int, j: int):
-        vs = verticals[j]
-        if isinstance(vs, Exception):
-            return i, j, vs, None
+    def run_pixel(blocks: HamiltonianBlocks, i: int, e_perp: float):
+        """(intensity, lines as (l, n_final, l_final, frequency, area)) at
+        pixel (i, column), or (error, None)."""
         cfg = base_cfg.replace(**{sweep_name: float(sweep_values[i]),
-                                  "e_perp": float(e_grid[j] * V_PER_CM)})
+                                  "e_perp": e_perp})
         try:
             cut = _auto_l_cut(cfg, basis.l_max) if l_cut is None else l_cut
             populations = thermal_populations(cfg, cut)
-            spec = solve_coupled(vs, cfg, basis)
+            spec = blocks.solve(cfg)
             width = broadening.width_ghz(cfg)
-            value, lines = _pixel_intensity(
-                spec, vs, populations, mw_frequency_ghz, width, band_ghz)
-            return i, j, value, lines
         except HeliumJcmError as exc:
-            return i, j, exc, None
+            return exc, None
+        lines = _catalog(spec, blocks.vs, populations, band)
+        value = _deposit(spec, blocks.vs, lines, mw_frequency_ghz, width)
+        area = lines.weight * lines.moment_sq
+        # The traces below drop lines under 1e-6 of the strongest area on
+        # the map; a line under 1e-6 of its own pixel's strongest is one.
+        keep = area >= 1e-6 * area.max(initial=0.0)
+        return value, list(zip(lines.initial_l[keep].tolist(),
+                               lines.final_n[keep].tolist(),
+                               lines.final_l[keep].tolist(),
+                               lines.frequency_ghz[keep].tolist(),
+                               area[keep].tolist()))
 
-    jobs = [(i, j) for i in range(sweep_values.size)
-            for j in range(e_grid.size)]
-    line_table: dict[tuple[int, int], list[TransitionLine]] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda ij: run_pixel(*ij), jobs))
-    else:
-        results = [run_pixel(i, j) for i, j in jobs]
+    def run_column(j: int):
+        e_perp = float(e_grid[j] * V_PER_CM)
+        try:
+            vs = solve_vertical(mat, e_perp, basis.n_max, grid)
+            blocks = HamiltonianBlocks(vs, basis)
+        except HeliumJcmError as exc:
+            return [(exc, None)] * sweep_values.size
+        return [run_pixel(blocks, i, e_perp) for i in range(sweep_values.size)]
 
-    for i, j, value, lines in results:
-        if isinstance(value, Exception):
-            failures.append((i, j, f"{type(value).__name__}: {value}"))
-            continue
-        intensity[i, j] = value
-        line_table[(i, j)] = lines
+    with _single_threaded_blas:
+        if threads > 1 and e_grid.size > 1:
+            with ThreadPoolExecutor(
+                    max_workers=min(threads, e_grid.size)) as pool:
+                columns = list(pool.map(run_column, range(e_grid.size)))
+        else:
+            columns = [run_column(j) for j in range(e_grid.size)]
+
+    intensity = np.full((sweep_values.size, e_grid.size), np.nan)
+    failures: list[tuple[int, int, str]] = []
+    for i in range(sweep_values.size):
+        for j in range(e_grid.size):
+            value, _ = columns[j][i]
+            if isinstance(value, Exception):
+                failures.append((i, j, f"{type(value).__name__}: {value}"))
+            else:
+                intensity[i, j] = value
 
     # Line-center traces: along E_perp at fixed sweep value, find where each
     # labeled line crosses the drive frequency. Lines carrying under 1e-6 of
     # the strongest area are invisible on any map and are dropped here.
     area_floor = 1e-6 * max(
-        (line.weight * line.moment_sq
-         for lines in line_table.values() for line in lines),
+        (line[4] for column in columns for _, lines in column if lines
+         for line in lines),
         default=0.0,
     )
+    traces: list[dict] = []
     for i in range(sweep_values.size):
         by_label: dict[tuple, list[tuple[float, float, float]]] = {}
         for j in range(e_grid.size):
-            for line in line_table.get((i, j), ()):
-                if line.weight * line.moment_sq < area_floor:
+            for l0, n_f, l_f, freq, area in columns[j][i][1] or ():
+                if area < area_floor:
                     continue
-                key = (line.initial_label, line.final_label)
-                by_label.setdefault(key, []).append(
-                    (float(e_grid[j]), line.frequency_ghz,
-                     line.weight * line.moment_sq))
+                by_label.setdefault(((1, l0), (n_f, l_f)), []).append(
+                    (float(e_grid[j]), freq, area))
         for (init_l, final_l), points in by_label.items():
             points.sort()
             for (e0, f0, a0), (e1, f1, _) in zip(points, points[1:]):

@@ -3,13 +3,23 @@ exit codes, and byte-level determinism."""
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from heliumjcm import cli
+import heliumjcm
+from heliumjcm import (
+    RipplonBath,
+    cli,
+    cyclotron_frequency,
+    resonant_wavenumber,
+    solve_vertical,
+)
 from heliumjcm.config import load_run_config
 from heliumjcm.errors import ConfigError
+from heliumjcm.materials import HBAR
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -262,6 +272,101 @@ prefix = t
     assert report["g_over_h_ghz"] == pytest.approx(12.218, abs=0.01)
     assert report["coherence_ratio"] > 1e4
     assert report["rate_ladder_per_s"] > report["rate_vertical_per_s"]
+
+
+RATES_CFG = """
+[run]
+task = rates
+[material]
+isotope = he3
+[fields]
+e_perp_v_cm = 15.0
+b_z = 2.8306
+b_y = 1.5
+temperature = 1.0
+[rates]
+pair = 2,1
+nu_0 = 1e6
+include_occupation = {occupation}
+[output]
+prefix = t
+"""
+
+
+def test_rates_include_occupation(tmp_path):
+    reports = {}
+    for flag in ("false", "true"):
+        path = _write(tmp_path, RATES_CFG.format(occupation=flag),
+                      f"{flag}.cfg")
+        out_dir = tmp_path / flag
+        assert cli.main(["rates", "--config", path,
+                         "--out", str(out_dir)]) == 0
+        body = json.loads((out_dir / "t_rates.json").read_text())
+        reports[flag] = body["report"]
+
+    cfg = load_run_config(path)
+    vs = solve_vertical(cfg.material(), cfg.field_config().e_perp,
+                        max(cfg.n_max, 2), cfg.grid())
+    bath = RipplonBath.from_material(vs.material, 1.0)
+    quantum = HBAR * cyclotron_frequency(2.8306)
+
+    def factor(delta_e):
+        omega = bath.omega(resonant_wavenumber(bath, delta_e))
+        return (1.0 + bath.occupation(omega)) ** 2
+
+    vertical = factor(vs.energy(2) - vs.energy(1))
+    ladder = factor(quantum)
+    assert vertical > 1.01 and ladder > 1.01
+    off, on = reports["false"], reports["true"]
+    assert on["rate_vertical_per_s"] / off["rate_vertical_per_s"] == \
+        pytest.approx(vertical, rel=1e-12)
+    assert on["rate_ladder_per_s"] / off["rate_ladder_per_s"] == \
+        pytest.approx(ladder, rel=1e-12)
+    assert on["g_over_h_ghz"] == off["g_over_h_ghz"]
+    assert on["elastic_rate_per_s"] == off["elastic_rate_per_s"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_rejected(tmp_path, capsys, threads):
+    path = _write(tmp_path, MAP_CFG)
+    out_dir = tmp_path / "o"
+    assert cli.main(["absorption-map", "--config", path,
+                     "--out", str(out_dir), "--threads", threads]) == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_absorption_map_bytes_independent_of_threads_and_blas(tmp_path):
+    # full basis, so the dense solves are large enough for BLAS threading
+    path = _write(tmp_path, MAP_CFG.replace("n_max = 4", "n_max = 6")
+                  .replace("l_max = 8", "l_max = 50")
+                  .replace("sweep_steps = 2", "sweep_steps = 3")
+                  .replace("e_perp_steps = 3", "e_perp_steps = 4"))
+    src = os.path.dirname(os.path.dirname(heliumjcm.__file__))
+    base_env = {k: v for k, v in os.environ.items()
+                if not k.endswith("_NUM_THREADS")}
+    base_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, base_env.get("PYTHONPATH")]))
+    blobs = {}
+    for threads in ("1", "2"):
+        for blas in (None, "1"):
+            env = dict(base_env)
+            if blas is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas
+            out_dir = tmp_path / f"t{threads}-b{blas}"
+            subprocess.run(
+                [sys.executable, "-m", "heliumjcm.cli", "absorption-map",
+                 "--config", path, "--out", str(out_dir),
+                 "--threads", threads],
+                env=env, check=True, capture_output=True)
+            blobs[(threads, blas)] = (
+                (out_dir / "t_map.csv").read_bytes(),
+                (out_dir / "t_map.json").read_bytes(),
+            )
+    first = blobs[("1", None)]
+    assert len(first[0].decode().splitlines()) == 1 + 3 * 4
+    for key, blob in blobs.items():
+        assert blob == first, key
 
 
 def test_absorption_map_thread_independent(tmp_path):

@@ -2,6 +2,9 @@
 absorption maps."""
 
 import math
+import sys
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -25,9 +28,12 @@ from heliumjcm import (
     line_profile,
     solve_coupled,
     solve_vertical,
+    spectroscopy,
     thermal_populations,
     transition_catalog,
 )
+from heliumjcm.materials import ELEMENTARY_CHARGE, GHZ, V_PER_CM
+from heliumjcm.spectroscopy import SQRT_2PI, TransitionLine
 
 
 def test_thermal_populations_boltzmann():
@@ -229,6 +235,89 @@ def test_map_threads_deterministic(he3):
     assert serial.lines == pooled.lines
 
 
+@dataclass(frozen=True)
+class _BlasProbe(BroadeningModel):
+    """Records the OpenBLAS thread counts seen while a pixel is computed."""
+
+    seen: list = field(default_factory=list, compare=False)
+
+    def width_ghz(self, cfg):
+        self.seen.append([get() for get, _ in
+                          spectroscopy._openblas_thread_controls()])
+        return super().width_ghz(cfg)
+
+
+def test_map_pins_blas_and_restores_thread_count(he3):
+    controls = spectroscopy._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    original = [get() for get, _ in controls]
+    base = FieldConfiguration.from_v_cm(15.0, 0.584, temperature=0.33)
+    probe = _BlasProbe()
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        absorption_map(he3, base, "b_y", np.array([0.0, 0.1]),
+                       np.array([28.0, 29.0, 30.0]), 90.0, probe,
+                       ProductBasis(4, 8), l_cut=5, threads=2)
+        after = [get() for get, _ in controls]
+    finally:
+        for (_, set_threads), count in zip(controls, original):
+            set_threads(count)
+    assert after == [2] * len(controls)
+    assert probe.seen == [[1] * len(controls)] * 6
+
+
+def test_concurrent_maps_share_one_pin(he3):
+    # overlapping maps in several threads: each pixel sees one BLAS thread,
+    # and the count in force before the first map is back after the last
+    controls = spectroscopy._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    original = [get() for get, _ in controls]
+    base = FieldConfiguration.from_v_cm(15.0, 0.584, temperature=0.33)
+    probes = [_BlasProbe() for _ in range(4)]
+    errors = []
+
+    def run(probe):
+        try:
+            for _ in range(3):
+                absorption_map(he3, base, "b_y", np.array([0.0, 0.1]),
+                               np.array([28.0, 29.0]), 90.0, probe,
+                               ProductBasis(2, 3), GridSpec(n_points=400),
+                               l_cut=2, threads=2)
+        except Exception as exc:   # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        sys.setswitchinterval(1e-6)
+        workers = [threading.Thread(target=run, args=(p,)) for p in probes]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+        alive = [w.is_alive() for w in workers]
+        after = [get() for get, _ in controls]
+    finally:
+        sys.setswitchinterval(interval)
+        for (_, set_threads), count in zip(controls, original):
+            set_threads(count)
+    assert not any(alive) and not errors
+    assert after == [2] * len(controls)
+    for probe in probes:
+        assert probe.seen == [[1] * len(controls)] * 12
+
+
+def test_map_rejects_threads_below_one(he3):
+    base = FieldConfiguration.from_v_cm(15.0, 0.584)
+    with pytest.raises(ValueError):
+        absorption_map(he3, base, "b_y", np.array([0.1]), np.array([29.0]),
+                       90.0, threads=0)
+
+
 def test_map_failed_pixels_recorded_as_nan(he3):
     # a degenerate pixel is recorded, not fatal
     base = FieldConfiguration.from_v_cm(15.0, 0.5, 0.1)
@@ -248,3 +337,86 @@ def test_map_rejects_bad_axis(he3):
     with pytest.raises(ValueError):
         absorption_map(he3, base, "b_y", np.array([]), np.array([29.0]),
                        90.0)
+
+
+# -- per-line reference for the vectorized catalog and deposit ---------------
+
+def _reference_catalog(spec, vs, populations, band):
+    """The catalog as one locate per initial label, one dominant and one
+    TransitionLine per line."""
+    nb, lb = spec.basis.n_max, spec.basis.l_max
+    lines = []
+    for l0, weight in enumerate(populations):
+        if l0 > lb:
+            break
+        k_init = spec.locate(1, l0)
+        c = spec.eigenvectors[:, k_init].reshape(nb, lb + 1)
+        moments = spec.eigenvectors.T @ (vs.z_matrix[:nb, :nb] @ c).reshape(-1)
+        freqs = (spec.eigenvalues - spec.eigenvalues[k_init]) / GHZ
+        for k in np.nonzero((freqs >= band[0]) & (freqs <= band[1]))[0]:
+            if k == k_init:
+                continue
+            n_f, l_f, _ = spec.dominant(int(k))
+            lines.append(TransitionLine(
+                initial_label=(1, l0),
+                weight=float(weight),
+                final_index=int(k),
+                final_label=(n_f, l_f),
+                frequency_ghz=float(freqs[k]),
+                moment_sq=float(moments[k] ** 2),
+                sideband_order=l_f - l0,
+            ))
+    return lines
+
+
+def _reference_pixel(spec, vs, populations, mw, width, band_ghz):
+    """(intensity, lines) of one pixel, depositing line by line in catalog
+    order."""
+    lines = _reference_catalog(spec, vs, populations,
+                               (mw - band_ghz, mw + band_ghz))
+    nb, lb = spec.basis.n_max, spec.basis.l_max
+    weights_n = (spec.eigenvectors.T.reshape(-1, nb, lb + 1) ** 2).sum(axis=2)
+    zbar = weights_n @ np.diag(vs.z_matrix)[:nb]
+    total = 0.0
+    for line in lines:
+        k_init = spec.locate(1, line.initial_label[1])
+        slope = abs(ELEMENTARY_CHARGE * (zbar[line.final_index] - zbar[k_init])
+                    * V_PER_CM) / GHZ
+        detuning = (line.frequency_ghz - mw) / width
+        if abs(detuning) > 8.0:
+            continue
+        gaussian = math.exp(-0.5 * detuning**2) / (width * SQRT_2PI)
+        total += line.weight * line.moment_sq * gaussian * slope
+    return total, lines
+
+
+@pytest.mark.parametrize("sweep, value, base, model, basis, want_cut", [
+    # fig6 regime: five thermal labels, coupling field swept
+    ("b_y", 0.3, FieldConfiguration.from_v_cm(29.0, 0.584, temperature=0.33),
+     BroadeningModel(areal_density_cm2=5e6), ProductBasis(6, 20), 5),
+    # fig8 low-field corner: the automatic cut reaches the top of the ladder
+    ("b_z", 0.05, FieldConfiguration.from_v_cm(29.0, 1.0, 0.2, 0.37),
+     BroadeningModel(areal_density_cm2=1e7), ProductBasis(4, 20), 20),
+])
+def test_vectorized_catalog_matches_per_line_reference(
+        he3, sweep, value, base, model, basis, want_cut):
+    amap = absorption_map(he3, base, sweep, np.array([value]),
+                          np.array([29.0]), 90.0, model, basis)
+    cfg = base.replace(**{sweep: value})
+    cut = spectroscopy._auto_l_cut(cfg, basis.l_max)
+    assert cut == want_cut
+    pops = thermal_populations(cfg, cut)
+    width = model.width_ghz(cfg)
+    # the map diagonalizes with single-threaded BLAS; so must the reference
+    with spectroscopy._single_threaded_blas:
+        vs = solve_vertical(he3, 2900.0, basis.n_max)
+        spec = solve_coupled(vs, cfg, basis)
+    want_value, want_lines = _reference_pixel(spec, vs, pops, 90.0, width,
+                                              30.0)
+    assert len(want_lines) > 10 and want_value > 0.0
+    assert transition_catalog(spec, vs, pops, (60.0, 120.0)) == want_lines
+    assert amap.peak_raw == want_value
+    # every line out of every initial state, the whole spectrum as band
+    everything = (-1e5, 1e5)
+    assert transition_catalog(spec, vs, pops, everything) == \
+        _reference_catalog(spec, vs, pops, everything)
