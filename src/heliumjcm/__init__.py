@@ -62,7 +62,6 @@ from .spectroscopy import (
     BroadeningModel,
     TransitionLine,
     absorption_map,
-    broadening_width,
     line_profile,
     thermal_populations,
     transition_catalog,
@@ -74,7 +73,6 @@ from .vertical import (
     solve_vertical,
     stark_slope,
     truncation_report,
-    write_wavefunctions_csv,
 )
 
 __version__ = "0.1.0"
@@ -108,7 +106,6 @@ __all__ = [
     "admixed_state",
     "assemble_hamiltonian",
     "bethe_cancellation_check",
-    "broadening_width",
     "coupling_constant",
     "cyclotron_frequency",
     "derived_frequencies",
@@ -136,5 +133,4 @@ __all__ = [
     "transition_shift_ghz",
     "truncation_report",
     "two_ripplon_rate",
-    "write_wavefunctions_csv",
 ]

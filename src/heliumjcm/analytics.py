@@ -8,6 +8,7 @@ diagonalization.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,15 +194,25 @@ def transition_shift_ghz(
 def full_transition_shift_ghz(
     vs: VerticalSpectrum,
     cfg: FieldConfiguration,
-    l: int,
-    basis: coupled.ProductBasis = coupled.ProductBasis(),
-) -> float:
+    l: int | Sequence[int],
+    basis: coupled.ProductBasis | coupled.HamiltonianBlocks
+    = coupled.ProductBasis(),
+) -> float | list[float]:
     """Same observable from the dense diagonalization, GHz: the b_y-induced
-    change of the (1,l) -> (2,l) transition frequency."""
-    spec = coupled.solve_coupled(vs, cfg, basis)
-    upper = spec.eigenvalues[spec.locate(2, l)]
-    lower = spec.eigenvalues[spec.locate(1, l)]
-    return float((upper - lower) / GHZ) - vs.transition_frequency_ghz(1, 2)
+    change of the (1,l) -> (2,l) transition frequency.
+
+    A sequence of l gives one shift per level, all read from one solve.
+    basis may be the HamiltonianBlocks of vs (see coupled.blocks_for).
+    """
+    spec = coupled.blocks_for(vs, basis).solve(cfg)
+    bare = vs.transition_frequency_ghz(1, 2)
+    single = isinstance(l, (int, np.integer))
+    shifts = [
+        float((spec.eigenvalues[spec.locate(2, m)]
+               - spec.eigenvalues[spec.locate(1, m)]) / GHZ) - bare
+        for m in ([l] if single else l)
+    ]
+    return shifts[0] if single else shifts
 
 
 def bethe_cancellation_check(

@@ -5,7 +5,9 @@ Usage: heliumjcm <task> --config <path> [--out <dir>] [--threads N]
 Artifacts are CSV (fixed number format, LF line endings, so identical
 inputs and version give identical bytes) plus a JSON sidecar that echoes
 everything needed to rerun: resolved config, physical constants, material
-calibration, and any per-point failures.
+calibration, and any per-point failures. Every computing task runs with
+OpenBLAS pinned to one thread, so the bytes do not depend on the BLAS thread
+setting of the environment either.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (artifacts still written, failures listed in the sidecar), 4 self-test
@@ -20,13 +22,19 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
 from . import __version__
 from .analytics import full_transition_shift_ghz, transition_shift_ghz
 from .config import RunConfig, load_run_config
-from .coupled import find_crossing, minimum_gap, solve_coupled
+from .coupled import (
+    HamiltonianBlocks,
+    _single_threaded_blas,
+    find_crossing,
+    minimum_gap,
+)
 from .dissipation import strong_coupling_report
 from .errors import ConfigError, HeliumJcmError
 from .materials import (
@@ -55,11 +63,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], rows: list) -> None:
+    """Header and rows, every value formatted by _fmt.
+
+    Each row goes through one printf template per sequence of value types:
+    %.10g for a float prints what _fmt does except "-0" for -0.0, so a row
+    with that token is formatted value by value instead; anything else is
+    %s, which is str().
+    """
+    templates: dict[tuple[type, ...], str] = {}
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds)
+            if template is None:
+                template = templates[kinds] = ",".join(
+                    "%.10g" if issubclass(kind, float) else "%s"
+                    for kind in kinds) + "\n"
+            line = template % row
+            if "-0" in line and "-0" in line[:-1].split(","):
+                line = ",".join(map(_fmt, row)) + "\n"
+            fh.write(line)
 
 
 def _jsonable(obj):
@@ -116,6 +142,7 @@ def _run_spectrum_sweep(cfg: RunConfig, out_dir: str) -> int:
     basis = cfg.basis()
     base = cfg.field_config()
     vs = solve_vertical(mat, base.e_perp, basis.n_max, cfg.grid())
+    blocks = HamiltonianBlocks(vs, basis)
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
     overlays = cfg.b_y_values if (cfg.sweep_axis == "b_z"
                                   and cfg.b_y_values) else (base.b_y,)
@@ -129,21 +156,21 @@ def _run_spectrum_sweep(cfg: RunConfig, out_dir: str) -> int:
             else:
                 point = base.replace(b_y=float(value))
             try:
-                spec = solve_coupled(vs, point, basis)
+                spec = blocks.solve(point)
             except HeliumJcmError as exc:
                 failures.append({"sweep_value": float(value),
                                  "b_y": float(point.b_y),
                                  "error": f"{type(exc).__name__}: {exc}"})
                 continue
             ground = spec.eigenvalues[spec.locate(1, 0)]
-            for k in range(basis.size):
-                n_dom, l_dom, weight = spec.dominant(k)
-                rows.append((
-                    float(value), float(point.b_y), k,
-                    float(spec.eigenvalues[k] / GHZ),
-                    float((spec.eigenvalues[k] - ground) / GHZ),
-                    n_dom, l_dom, float(weight),
-                ))
+            n_dom, l_dom, weight = spec.dominant_labels()
+            rows.extend(zip(
+                repeat(float(value)), repeat(float(point.b_y)),
+                range(basis.size),
+                (spec.eigenvalues / GHZ).tolist(),
+                ((spec.eigenvalues - ground) / GHZ).tolist(),
+                n_dom.tolist(), l_dom.tolist(), weight.tolist(),
+            ))
 
     csv_path = os.path.join(out_dir, f"{cfg.prefix}_spectrum.csv")
     _write_csv(csv_path,
@@ -167,24 +194,25 @@ def _run_shifts(cfg: RunConfig, out_dir: str) -> int:
     basis = cfg.basis()
     base = cfg.field_config()
     vs = solve_vertical(mat, base.e_perp, basis.n_max, cfg.grid())
+    blocks = HamiltonianBlocks(vs, basis)
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
 
     rows = []
     failures = []
     for b_y in values:
         point = base.replace(b_y=float(b_y))
-        for l in cfg.l_values:
+        if point.b_y == 0.0:
+            full = [0.0] * len(cfg.l_values)
+        else:
+            full = full_transition_shift_ghz(vs, point, cfg.l_values, blocks)
+        for l, full_l in zip(cfg.l_values, full):
             try:
                 pert = transition_shift_ghz(vs, point, l)
             except HeliumJcmError as exc:
                 pert = float("nan")
                 failures.append({"b_y": float(b_y), "l": l,
                                  "error": f"{type(exc).__name__}: {exc}"})
-            if point.b_y == 0.0:
-                full = 0.0
-            else:
-                full = full_transition_shift_ghz(vs, point, l, basis)
-            rows.append((float(b_y), l, pert, full))
+            rows.append((float(b_y), l, pert, full_l))
 
     csv_path = os.path.join(out_dir, f"{cfg.prefix}_shifts.csv")
     _write_csv(csv_path,
@@ -201,6 +229,7 @@ def _run_crossings(cfg: RunConfig, out_dir: str) -> int:
     basis = cfg.basis()
     base = cfg.field_config()
     vs = solve_vertical(mat, base.e_perp, basis.n_max, cfg.grid())
+    blocks = HamiltonianBlocks(vs, basis)
 
     rows = []
     failures = []
@@ -214,7 +243,7 @@ def _run_crossings(cfg: RunConfig, out_dir: str) -> int:
             continue
         if base.b_y > 0.0:
             try:
-                b_min, gap = minimum_gap(vs, base, pair, basis)
+                b_min, gap = minimum_gap(vs, base, pair, blocks)
                 rows.append((n_hi, n_lo, b_star, b_min, gap / GHZ))
             except HeliumJcmError as exc:
                 failures.append({"pair": [n_hi, n_lo],
@@ -360,10 +389,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"output directory (default ${OUT_DIR_ENV} "
                             "or ./out)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for map pixels (at least 1; "
-                            "up to one per core helps). A map pins OpenBLAS "
-                            "to one thread, process-wide, for its duration, "
-                            "so its bytes do not depend on --threads or BLAS "
+                       help="worker threads for map columns (at least 1; "
+                            "up to one per core helps). Every computing task "
+                            "runs with OpenBLAS pinned to one thread, so its "
+                            "artifacts do not depend on --threads or BLAS "
                             "settings")
     return parser
 
@@ -405,7 +434,8 @@ def main(argv=None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
         try:
-            return _run_self_test(cfg)
+            with _single_threaded_blas:
+                return _run_self_test(cfg)
         except HeliumJcmError as exc:
             print(f"self-test crashed: {exc}", file=sys.stderr)
             return 4
@@ -427,16 +457,17 @@ def main(argv=None) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     try:
-        if args.task == "spectrum-sweep":
-            return _run_spectrum_sweep(cfg, out_dir)
-        if args.task == "shifts":
-            return _run_shifts(cfg, out_dir)
-        if args.task == "crossings":
-            return _run_crossings(cfg, out_dir)
-        if args.task == "absorption-map":
-            return _run_absorption_map(cfg, out_dir, args.threads)
-        if args.task == "rates":
-            return _run_rates(cfg, out_dir)
+        with _single_threaded_blas:
+            if args.task == "spectrum-sweep":
+                return _run_spectrum_sweep(cfg, out_dir)
+            if args.task == "shifts":
+                return _run_shifts(cfg, out_dir)
+            if args.task == "crossings":
+                return _run_crossings(cfg, out_dir)
+            if args.task == "absorption-map":
+                return _run_absorption_map(cfg, out_dir, args.threads)
+            if args.task == "rates":
+                return _run_rates(cfg, out_dir)
     except HeliumJcmError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)

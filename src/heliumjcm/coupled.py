@@ -13,11 +13,12 @@ off-diagonal renormalization matters.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BasisMismatch,
@@ -89,6 +90,14 @@ class CoupledSpectrum:
         """Eigenstate index with the largest weight on |n,l>."""
         row = self.eigenvectors[self.basis.index(n, l), :] ** 2
         return int(np.argmax(row))
+
+    def dominant_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n, l, weight) arrays over every eigenstate: dominant(k) for all k
+        at once."""
+        weights = self.eigenvectors ** 2
+        idx = np.argmax(weights, axis=0)
+        n, l = np.divmod(idx, self.basis.l_max + 1)
+        return n + 1, l, weights[idx, np.arange(idx.size)]
 
 
 def _landau_ladder(l_max: int) -> np.ndarray:
@@ -166,6 +175,20 @@ class HamiltonianBlocks:
         return diagonalize(self.hamiltonian(cfg), self.basis, cfg)
 
 
+def blocks_for(
+    vs: VerticalSpectrum,
+    basis: ProductBasis | HamiltonianBlocks,
+) -> HamiltonianBlocks:
+    """The Hamiltonian blocks of vs on basis; basis may already be the blocks
+    of vs, shared by callers that solve several field points of one vertical
+    solve."""
+    if not isinstance(basis, HamiltonianBlocks):
+        return HamiltonianBlocks(vs, basis)
+    if basis.vs is not vs:
+        raise BasisMismatch("Hamiltonian blocks built on another vertical solve")
+    return basis
+
+
 def assemble_hamiltonian(
     vs: VerticalSpectrum,
     cfg: FieldConfiguration,
@@ -178,6 +201,81 @@ def assemble_hamiltonian(
     diagonal only (lower-fidelity comparison mode), "none" drops it.
     """
     return HamiltonianBlocks(vs, basis, diamagnetic).hamiltonian(cfg)
+
+
+# (get, set) thread-count symbols: numpy's bundled OpenBLAS (64-bit integer
+# interface), scipy's, and an unprefixed system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
+    process; empty where none is loaded or /proc is unavailable."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            getter = getattr(lib, get_name, None)
+            setter = getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                controls.append((getter, setter))
+                break
+    return controls
+
+
+class _SingleThreadedBlas:
+    """Context manager pinning every loaded OpenBLAS to one thread and
+    restoring each library's previous count on exit.
+
+    The setting is process-wide, so nested or concurrent entries share one
+    pin: the first entry sets it and the last exit restores it. Inside it
+    diagonalize gives the same bits whatever the BLAS thread setting of the
+    environment.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list[tuple] = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [
+                    (setter, getter())
+                    for getter, setter in _openblas_thread_controls()]
+                for setter, _ in self._saved:
+                    setter(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for setter, count in self._saved:
+                    setter(count)
+                self._saved = []
+
+
+_single_threaded_blas = _SingleThreadedBlas()
 
 
 def diagonalize(
@@ -242,6 +340,8 @@ def find_crossing(
         raise NoCrossingInRange(
             f"levels {pair} do not cross for b_z in {b_z_range} T"
         )
+    from scipy.optimize import brentq   # scipy.optimize is slow to import
+
     return float(brentq(gap, lo, hi, xtol=xtol))
 
 
@@ -249,7 +349,7 @@ def minimum_gap(
     vs: VerticalSpectrum,
     cfg_template: FieldConfiguration,
     pair: tuple[tuple[int, int], tuple[int, int]],
-    basis: ProductBasis = ProductBasis(),
+    basis: ProductBasis | HamiltonianBlocks = ProductBasis(),
     b_z_range: tuple[float, float] | None = None,
     n_steps: int = 81,
     overlap_threshold: float = 0.5,
@@ -260,14 +360,16 @@ def minimum_gap(
     continuity rather than energy order, which swaps at the crossing. When
     b_z_range is omitted a +-5% window around the uncoupled crossing is used.
     Raises BranchTrackingLost when successive eigenvectors overlap below
-    overlap_threshold, the sign the sweep step is too coarse.
+    overlap_threshold, the sign the sweep step is too coarse. basis may be
+    the HamiltonianBlocks of vs (see blocks_for); every b_z shares them.
     """
     if b_z_range is None:
         center = find_crossing(vs, pair, (1e-3, 20.0))
         b_z_range = (0.95 * center, 1.05 * center)
     values = np.linspace(b_z_range[0], b_z_range[1], n_steps)
+    blocks = blocks_for(vs, basis)
 
-    spec = solve_coupled(vs, cfg_template.replace(b_z=float(values[0])), basis)
+    spec = blocks.solve(cfg_template.replace(b_z=float(values[0])))
     tracked = [spec.eigenvectors[:, spec.locate(*label)].copy()
                for label in pair]
     if np.allclose(tracked[0], tracked[1]):
@@ -277,8 +379,9 @@ def minimum_gap(
         )
 
     best = (float(values[0]), float("inf"))
-    for b_z in values:
-        spec = solve_coupled(vs, cfg_template.replace(b_z=float(b_z)), basis)
+    for step, b_z in enumerate(values):
+        if step:
+            spec = blocks.solve(cfg_template.replace(b_z=float(b_z)))
         energies = []
         taken = set()
         for i, prev in enumerate(tracked):

@@ -126,12 +126,6 @@ class MaterialProperties:
             raise ValueError("e_perp must be non-negative")
         return ELEMENTARY_CHARGE * e_perp * self.bohr_radius / self.rydberg_energy
 
-    def energy_to_ghz(self, energy: float) -> float:
-        return energy / GHZ
-
-    def rydberg_ghz(self) -> float:
-        return self.rydberg_energy / GHZ
-
 
 def material_for(
     isotope: str,

@@ -11,16 +11,19 @@ tests pin.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .coupled import CoupledSpectrum, HamiltonianBlocks, ProductBasis
+from .coupled import (
+    CoupledSpectrum,
+    HamiltonianBlocks,
+    ProductBasis,
+    _single_threaded_blas,
+)
 from .errors import DegenerateField, HeliumJcmError
 from .materials import (
     BOLTZMANN,
@@ -86,25 +89,6 @@ class BroadeningModel:
         return math.hypot(*terms) if len(terms) > 1 else terms[0]
 
 
-def broadening_width(
-    cfg: FieldConfiguration,
-    areal_density_cm2: float,
-    base_width_ghz: float,
-    kappa_ghz_cm_per_v: float = 0.74,
-    fluct_field_coefficient: float = 4.3e-6,
-) -> float:
-    """Total Gaussian linewidth (GHz, standard deviation) at cfg."""
-    if areal_density_cm2 <= 0.0:
-        raise ValueError("areal density must be positive")
-    model = BroadeningModel(
-        base_width_ghz=base_width_ghz,
-        kappa_ghz_cm_per_v=kappa_ghz_cm_per_v,
-        areal_density_cm2=areal_density_cm2,
-        fluct_field_coefficient=fluct_field_coefficient,
-    )
-    return model.width_ghz(cfg)
-
-
 @dataclass(frozen=True)
 class TransitionLine:
     """One microwave line: initial product label with its thermal weight,
@@ -156,11 +140,9 @@ def _catalog(
     labeled by its strongest product component.
     """
     f_min, f_max = mw_band_ghz
-    lb = spec.basis.l_max
-    sq = spec.eigenvectors ** 2
-    dominant = np.argmax(sq, axis=0)
-    n_init = min(len(populations), lb + 1)
-    starts = np.argmax(sq[:n_init], axis=1)    # the flat index of (1,l) is l
+    n_init = min(len(populations), spec.basis.l_max + 1)
+    # the flat index of (1,l) is l
+    starts = np.argmax(spec.eigenvectors[:n_init] ** 2, axis=1)
     no_int, no_float = np.empty(0, dtype=int), np.empty(0)
     parts = [(no_int, no_int, no_int, no_float, no_float)]
     for l0 in range(n_init):
@@ -177,13 +159,13 @@ def _catalog(
                       freqs[ks], np.float_power(moments, 2)))
     initial_l, initial_index, final_index, freqs, moment_sq = map(
         np.concatenate, zip(*parts))
-    final_n, final_l = np.divmod(dominant[final_index], lb + 1)
+    dominant_n, dominant_l, _ = spec.dominant_labels()
     return _Lines(
         initial_l=initial_l,
         initial_index=initial_index,
         final_index=final_index,
-        final_n=final_n + 1,
-        final_l=final_l,
+        final_n=dominant_n[final_index],
+        final_l=dominant_l[final_index],
         weight=np.asarray(populations, dtype=float)[initial_l],
         frequency_ghz=freqs,
         moment_sq=moment_sq,
@@ -304,79 +286,6 @@ def _deposit(
         gaussian = math.exp(-0.5 * d**2) / (width_ghz * SQRT_2PI)
         total += a * gaussian * k
     return total
-
-
-# (get, set) thread-count symbols: numpy's bundled OpenBLAS (64-bit integer
-# interface), scipy's, and an unprefixed system OpenBLAS.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS mapped into this
-    process; empty where none is loaded or /proc is unavailable."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower()})
-    except OSError:
-        return []
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            getter = getattr(lib, get_name, None)
-            setter = getattr(lib, set_name, None)
-            if getter is not None and setter is not None:
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                controls.append((getter, setter))
-                break
-    return controls
-
-
-class _SingleThreadedBlas:
-    """Context manager pinning every loaded OpenBLAS to one thread and
-    restoring each library's previous count on exit.
-
-    The setting is process-wide, so nested or concurrent entries share one
-    pin: the first entry sets it and the last exit restores it.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved: list[tuple] = []
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._saved = [
-                    (setter, getter())
-                    for getter, setter in _openblas_thread_controls()]
-                for setter, _ in self._saved:
-                    setter(1)
-            self._depth += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                for setter, count in self._saved:
-                    setter(count)
-                self._saved = []
-
-
-_single_threaded_blas = _SingleThreadedBlas()
 
 
 def absorption_map(

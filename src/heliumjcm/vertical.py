@@ -12,13 +12,11 @@ every tolerance used downstream.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import ConvergenceFailure, GridTooSmall
 from .materials import (
@@ -243,16 +241,8 @@ def find_transition_field(
             f"transition {n}->{n_prime} does not reach {target_ghz} GHz "
             f"inside {bracket_v_cm} V/cm (endpoints {f_lo:+.3f}, {f_hi:+.3f})"
         )
+    from scipy.optimize import brentq   # scipy.optimize is slow to import
+
     root = brentq(objective, lo, hi, xtol=tol_v_cm)
     return float(root * V_PER_CM)
 
-
-def write_wavefunctions_csv(vs: VerticalSpectrum, path) -> None:
-    """Debug dump: grid and wavefunctions, one row per grid point."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z_m"] + [f"psi_{n}" for n in range(1, vs.n_max + 1)])
-        for i, z in enumerate(vs.grid):
-            writer.writerow([f"{z:.9e}"]
-                            + [f"{vs.wavefunctions[k, i]:.9e}"
-                               for k in range(vs.n_max)])

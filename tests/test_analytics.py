@@ -26,6 +26,7 @@ from heliumjcm import (
     transition_shift_ghz,
     truncation_report,
 )
+from heliumjcm.coupled import HamiltonianBlocks
 
 GHZ = 1e9 * PLANCK
 
@@ -133,6 +134,18 @@ def test_perturbative_vs_full_at_weak_coupling(vs15):
         pert = transition_shift_ghz(vs15, cfg, l)
         full = full_transition_shift_ghz(vs15, cfg, l, basis)
         assert abs(full - pert) < 0.08 * abs(d0)
+
+
+def test_full_shift_levels_from_one_solve(vs15):
+    # a sequence of l reads every level from one spectrum, with the same
+    # bits as one call per level
+    basis = ProductBasis(6, 20)
+    cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.2)
+    single = [full_transition_shift_ghz(vs15, cfg, l, basis) for l in (0, 1)]
+    assert all(type(value) is float for value in single)
+    assert full_transition_shift_ghz(vs15, cfg, (0, 1), basis) == single
+    blocks = HamiltonianBlocks(vs15, basis)
+    assert full_transition_shift_ghz(vs15, cfg, [0, 1], blocks) == single
 
 
 def test_full_shift_even_in_b_y(vs15):

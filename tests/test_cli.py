@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import heliumjcm
@@ -14,10 +15,12 @@ from heliumjcm import (
     RipplonBath,
     cli,
     cyclotron_frequency,
+    full_transition_shift_ghz,
     resonant_wavenumber,
     solve_vertical,
 )
 from heliumjcm.config import load_run_config
+from heliumjcm.coupled import _single_threaded_blas
 from heliumjcm.errors import ConfigError
 from heliumjcm.materials import HBAR
 
@@ -75,10 +78,70 @@ prefix = t
 """
 
 
+CROSSINGS_CFG = """
+[run]
+task = crossings
+[material]
+isotope = he3
+[fields]
+e_perp_v_cm = 15.0
+b_y = 0.1
+[basis]
+n_max = 6
+l_max = 10
+[grid]
+n_points = 2000
+[crossings]
+pairs = 2,1
+b_z_min = 0.5
+b_z_max = 5.0
+[output]
+prefix = t
+"""
+
+# fig3-like zoom at the full basis, large enough for BLAS threading to move
+# the last printed digit of some dominant weight when it is not pinned
+SWEEP_CFG = """
+[run]
+task = spectrum-sweep
+[material]
+isotope = he3
+[fields]
+e_perp_v_cm = 15.0
+[basis]
+n_max = 6
+l_max = 50
+[grid]
+n_points = 2000
+[sweep]
+axis = b_z
+start = 1.0
+stop = 1.4
+steps = 9
+b_y_values = 0.0, 0.2
+[output]
+prefix = t
+"""
+
+
 def _write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _run_python(args, blas=None):
+    """A fresh interpreter on the source tree with args, no *_NUM_THREADS in
+    its environment, or OPENBLAS_NUM_THREADS=blas."""
+    src = os.path.dirname(os.path.dirname(heliumjcm.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True)
 
 
 def test_committed_configs_validate(capsys):
@@ -218,26 +281,7 @@ prefix = t
 
 
 def test_crossings_artifacts(tmp_path):
-    path = _write(tmp_path, """
-[run]
-task = crossings
-[material]
-isotope = he3
-[fields]
-e_perp_v_cm = 15.0
-b_y = 0.1
-[basis]
-n_max = 6
-l_max = 10
-[grid]
-n_points = 2000
-[crossings]
-pairs = 2,1
-b_z_min = 0.5
-b_z_max = 5.0
-[output]
-prefix = t
-""")
+    path = _write(tmp_path, CROSSINGS_CFG)
     out_dir = tmp_path / "o"
     assert cli.main(["crossings", "--config", path,
                      "--out", str(out_dir)]) == 0
@@ -342,23 +386,13 @@ def test_absorption_map_bytes_independent_of_threads_and_blas(tmp_path):
                   .replace("l_max = 8", "l_max = 50")
                   .replace("sweep_steps = 2", "sweep_steps = 3")
                   .replace("e_perp_steps = 3", "e_perp_steps = 4"))
-    src = os.path.dirname(os.path.dirname(heliumjcm.__file__))
-    base_env = {k: v for k, v in os.environ.items()
-                if not k.endswith("_NUM_THREADS")}
-    base_env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, base_env.get("PYTHONPATH")]))
     blobs = {}
     for threads in ("1", "2"):
         for blas in (None, "1"):
-            env = dict(base_env)
-            if blas is not None:
-                env["OPENBLAS_NUM_THREADS"] = blas
             out_dir = tmp_path / f"t{threads}-b{blas}"
-            subprocess.run(
-                [sys.executable, "-m", "heliumjcm.cli", "absorption-map",
-                 "--config", path, "--out", str(out_dir),
-                 "--threads", threads],
-                env=env, check=True, capture_output=True)
+            _run_python(["-m", "heliumjcm.cli", "absorption-map",
+                         "--config", path, "--out", str(out_dir),
+                         "--threads", threads], blas)
             blobs[(threads, blas)] = (
                 (out_dir / "t_map.csv").read_bytes(),
                 (out_dir / "t_map.json").read_bytes(),
@@ -367,6 +401,35 @@ def test_absorption_map_bytes_independent_of_threads_and_blas(tmp_path):
     assert len(first[0].decode().splitlines()) == 1 + 3 * 4
     for key, blob in blobs.items():
         assert blob == first, key
+
+
+FAN_TASKS = {
+    "spectrum-sweep": (SWEEP_CFG, "t_spectrum"),
+    "shifts": (SHIFTS_CFG.replace("l_max = 20", "l_max = 50"), "t_shifts"),
+    "crossings": (CROSSINGS_CFG.replace("l_max = 10", "l_max = 50"),
+                  "t_crossings"),
+}
+
+
+@pytest.mark.parametrize("task", list(FAN_TASKS))
+def test_fan_task_bytes_independent_of_blas(tmp_path, task):
+    text, stem = FAN_TASKS[task]
+    path = _write(tmp_path, text)
+    blobs = {}
+    for blas in (None, "1"):
+        out_dir = tmp_path / f"b{blas}"
+        _run_python(["-m", "heliumjcm.cli", task, "--config", path,
+                     "--out", str(out_dir)], blas)
+        blobs[blas] = ((out_dir / f"{stem}.csv").read_bytes(),
+                       (out_dir / f"{stem}.json").read_bytes())
+    assert blobs[None] == blobs["1"]
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize costs about 0.3 s and 20 MB; only root finding needs it
+    out = _run_python(["-c", "import sys, heliumjcm.cli; "
+                             "print('scipy.optimize' in sys.modules)"])
+    assert out.stdout.strip() == "False"
 
 
 def test_absorption_map_thread_independent(tmp_path):
@@ -405,3 +468,51 @@ def test_fmt_normalizes_floats():
     assert cli._fmt(float("nan")) == "nan"
     assert cli._fmt(2.8306471801) == "2.83064718"
     assert cli._fmt(3) == "3"
+
+
+def test_shifts_csv_is_full_shift_bit_for_bit(tmp_path, monkeypatch):
+    captured = []
+
+    def capture(path, header, rows):
+        captured.extend(rows)
+        return write_csv(path, header, rows)
+
+    write_csv = cli._write_csv
+    monkeypatch.setattr(cli, "_write_csv", capture)
+    path = _write(tmp_path, SHIFTS_CFG)
+    out_dir = tmp_path / "o"
+    assert cli.main(["shifts", "--config", path, "--out", str(out_dir)]) == 0
+    cfg = load_run_config(path)
+    base, basis = cfg.field_config(), cfg.basis()
+    vs = solve_vertical(cfg.material(), base.e_perp, basis.n_max, cfg.grid())
+    assert [(b_y, l) for b_y, l, _, _ in captured] == [
+        (b_y, l) for b_y in (0.0, 0.1, 0.2) for l in (0, 1)]
+    cells = [line.split(",")[3] for line in
+             (out_dir / "t_shifts.csv").read_text().splitlines()[1:]]
+    for (b_y, l, _, full), cell in zip(captured, cells):
+        if b_y == 0.0:
+            want = 0.0
+        else:
+            with _single_threaded_blas:
+                want = full_transition_shift_ghz(
+                    vs, base.replace(b_y=b_y), l, basis)
+        assert full == want
+        assert cell == cli._fmt(want)
+
+
+def test_write_csv_matches_per_value_fmt(tmp_path):
+    rows = [
+        (float("nan"), 0.0, -0.0, float("inf"), float("-inf")),
+        (0, -7, 12345678901234567890, True, "-0"),
+        (1e16, 1e-5, 9.9999999995e-5, 9999999999.5, 123456789012.0),
+        (5e-324, 1.7976931348623157e308, -1e-300, 0.1, 1.0 / 3.0),
+        (np.float64(-0.0), np.float64(2.8306471801), np.int64(3), -0.0, 2),
+        [1, 2.5, -0.0, "x", None],          # a list row, same types mixed
+        (),
+        (-0.0,),
+    ]
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+    want = "a,b,c,d,e\n" + "".join(
+        ",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode()

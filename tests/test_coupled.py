@@ -17,6 +17,12 @@ from heliumjcm import (
     find_crossing,
     minimum_gap,
     solve_coupled,
+    solve_vertical,
+)
+from heliumjcm.coupled import (
+    HamiltonianBlocks,
+    _single_threaded_blas,
+    blocks_for,
 )
 
 GHZ = 1e9 * PLANCK
@@ -96,6 +102,9 @@ def test_basis_mismatch_guards(vs15, he3):
     with pytest.raises(BasisMismatch):
         assemble_hamiltonian(vs15, cfg.replace(e_perp=2000.0),
                              ProductBasis(4, 10))
+    with pytest.raises(BasisMismatch):
+        blocks_for(vs15, HamiltonianBlocks(solve_vertical(he3, 1500.0, 4),
+                                           ProductBasis(4, 10)))
 
 
 def test_ladder_truncation_converged(vs15):
@@ -111,6 +120,34 @@ def test_ladder_truncation_converged(vs15):
     # to make the comparison meaningful
     assert k >= 10
     assert drift.max() < 0.010
+
+
+def test_shared_blocks_solve_equals_solve_coupled(vs15):
+    # one set of blocks over a b_z, b_y sweep gives the one-shot matrices
+    # and spectra exactly
+    basis = ProductBasis(6, 20)
+    blocks = HamiltonianBlocks(vs15, basis)
+    assert blocks_for(vs15, blocks) is blocks
+    with _single_threaded_blas:
+        for b_z, b_y in ((0.65, 0.0), (0.65, 0.2), (1.2, 0.1), (1.2, -0.3)):
+            cfg = FieldConfiguration.from_v_cm(15.0, b_z, b_y)
+            assert np.array_equal(blocks.hamiltonian(cfg),
+                                  assemble_hamiltonian(vs15, cfg, basis))
+            shared, one_shot = blocks.solve(cfg), solve_coupled(vs15, cfg,
+                                                                basis)
+            assert np.array_equal(shared.eigenvalues, one_shot.eigenvalues)
+            assert np.array_equal(shared.eigenvectors,
+                                  one_shot.eigenvectors)
+
+
+def test_dominant_labels_match_dominant(vs15):
+    # a fig3 point: full basis, on the (2,1)/(3,0) avoided crossing
+    cfg = FieldConfiguration.from_v_cm(15.0, 1.2, 0.2)
+    spec = solve_coupled(vs15, cfg, ProductBasis(6, 50))
+    n, l, weight = spec.dominant_labels()
+    labels = list(zip(n.tolist(), l.tolist(), weight.tolist()))
+    assert labels == [spec.dominant(k) for k in range(spec.basis.size)]
+    assert len(set(labels)) > 1
 
 
 def test_locate_and_dominant(vs15):

@@ -24,7 +24,7 @@ from heliumjcm import (
     GridSpec,
     ProductBasis,
     absorption_map,
-    broadening_width,
+    coupled,
     line_profile,
     solve_coupled,
     solve_vertical,
@@ -91,12 +91,9 @@ def test_broadening_many_electron_term():
     e_f = 4.3e-6 * 1e7**0.75
     want = math.hypot(0.2, 0.74 * (0.2 / 0.584) * e_f)
     assert model.width_ghz(cfg) == pytest.approx(want, rel=1e-12)
-    assert broadening_width(cfg, 1e7, 0.2) == pytest.approx(want, rel=1e-12)
     # denser pool, broader line
     assert BroadeningModel(areal_density_cm2=1e8).width_ghz(cfg) > \
         model.width_ghz(cfg)
-    with pytest.raises(ValueError):
-        broadening_width(cfg, 0.0, 0.2)
 
 
 def test_line_profile_area_and_center(vs15):
@@ -243,12 +240,12 @@ class _BlasProbe(BroadeningModel):
 
     def width_ghz(self, cfg):
         self.seen.append([get() for get, _ in
-                          spectroscopy._openblas_thread_controls()])
+                          coupled._openblas_thread_controls()])
         return super().width_ghz(cfg)
 
 
 def test_map_pins_blas_and_restores_thread_count(he3):
-    controls = spectroscopy._openblas_thread_controls()
+    controls = coupled._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded")
     original = [get() for get, _ in controls]
@@ -271,7 +268,7 @@ def test_map_pins_blas_and_restores_thread_count(he3):
 def test_concurrent_maps_share_one_pin(he3):
     # overlapping maps in several threads: each pixel sees one BLAS thread,
     # and the count in force before the first map is back after the last
-    controls = spectroscopy._openblas_thread_controls()
+    controls = coupled._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded")
     original = [get() for get, _ in controls]
@@ -408,7 +405,7 @@ def test_vectorized_catalog_matches_per_line_reference(
     pops = thermal_populations(cfg, cut)
     width = model.width_ghz(cfg)
     # the map diagonalizes with single-threaded BLAS; so must the reference
-    with spectroscopy._single_threaded_blas:
+    with coupled._single_threaded_blas:
         vs = solve_vertical(he3, 2900.0, basis.n_max)
         spec = solve_coupled(vs, cfg, basis)
     want_value, want_lines = _reference_pixel(spec, vs, pops, 90.0, width,

@@ -1,8 +1,6 @@
 """Vertical (image-charge) solver: hydrogenic limit, grid convergence,
 matrix-element quality, Stark utilities."""
 
-import csv
-
 import numpy as np
 import pytest
 from scipy.constants import e as QE
@@ -14,7 +12,6 @@ from heliumjcm import (
     solve_vertical,
     stark_slope,
     truncation_report,
-    write_wavefunctions_csv,
 )
 from heliumjcm.vertical import V_PER_CM
 
@@ -132,12 +129,3 @@ def test_grid_guards(he3):
     with pytest.raises(GridTooSmall):
         solve_vertical(he3, 0.0, n_max=6, grid=GridSpec(40.0, 2000))
 
-
-def test_wavefunction_dump(tmp_path, vs15):
-    path = tmp_path / "wf.csv"
-    write_wavefunctions_csv(vs15, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "z_m"
-    assert len(rows) == 1 + vs15.grid.size
-    assert float(rows[1][1]) == pytest.approx(vs15.wavefunctions[0, 0])
