@@ -62,7 +62,6 @@ from .spectroscopy import (
     BroadeningModel,
     TransitionLine,
     absorption_map,
-    line_profile,
     thermal_populations,
     transition_catalog,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "find_transition_field",
     "full_transition_shift_ghz",
     "interference_moments",
-    "line_profile",
     "load_run_config",
     "material_for",
     "minimum_gap",

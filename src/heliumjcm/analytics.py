@@ -309,14 +309,6 @@ class InterferenceMoments:
     lower_index: int
 
 
-def _eigen_moment(spec: coupled.CoupledSpectrum, z_matrix: np.ndarray,
-                  k_from: int, k_to: int) -> float:
-    shape = (spec.basis.n_max, spec.basis.l_max + 1)
-    c_from = spec.eigenvectors[:, k_from].reshape(shape)
-    c_to = spec.eigenvectors[:, k_to].reshape(shape)
-    return float(np.sum(c_to * (z_matrix[:shape[0], :shape[0]] @ c_from)))
-
-
 def interference_moments(
     vs: VerticalSpectrum,
     cfg: FieldConfiguration,
@@ -340,11 +332,12 @@ def interference_moments(
         upper, lower = k1, k2
     else:
         upper, lower = k2, k1
+    moments = spec.moments(vs.z_matrix, ground)
     return InterferenceMoments(
         z_plus=z_plus,
         z_minus=z_minus,
-        upper_moment=_eigen_moment(spec, vs.z_matrix, ground, upper),
-        lower_moment=_eigen_moment(spec, vs.z_matrix, ground, lower),
+        upper_moment=float(moments[upper]),
+        lower_moment=float(moments[lower]),
         upper_energy=float(spec.eigenvalues[upper]),
         lower_energy=float(spec.eigenvalues[lower]),
         upper_index=upper,

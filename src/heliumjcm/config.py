@@ -25,26 +25,6 @@ from .vertical import GridSpec
 TASKS = ("spectrum-sweep", "absorption-map", "shifts", "crossings",
          "rates", "self-test")
 
-_SCHEMA = {
-    "run": {"task"},
-    "material": {"isotope", "barrier_height_ev", "surface_tension",
-                 "mass_density", "binding_rydberg_mev"},
-    "fields": {"e_perp_v_cm", "b_z", "b_y", "temperature"},
-    "basis": {"n_max", "l_max"},
-    "grid": {"z_max", "n_points"},
-    "sweep": {"axis", "start", "stop", "steps", "b_y_values", "l_values"},
-    "map": {"sweep_axis", "sweep_start", "sweep_stop", "sweep_steps",
-            "e_perp_start_v_cm", "e_perp_stop_v_cm", "e_perp_steps",
-            "mw_frequency_ghz", "band_ghz", "l_cut"},
-    "broadening": {"base_width_ghz", "kappa_ghz_cm_per_v",
-                   "areal_density_cm2", "fluct_field_coefficient",
-                   "include_thermal"},
-    "rates": {"pair", "nu_0", "include_occupation"},
-    "crossings": {"pairs", "b_z_min", "b_z_max"},
-    "output": {"out_dir", "prefix"},
-}
-
-
 @dataclass
 class RunConfig:
     """Flat, resolved view of one run. Every field has a value after
@@ -309,6 +289,65 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _parse_bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# One row per config key: (section, key, RunConfig field, parser). The
+# unknown-key check and the parse loop both read this table.
+_KEYS = (
+    ("run", "task", "task", str.strip),
+    ("material", "isotope", "isotope", lambda s: s.strip().lower()),
+    ("material", "barrier_height_ev", "barrier_height_ev", float),
+    ("material", "surface_tension", "surface_tension", float),
+    ("material", "mass_density", "mass_density", float),
+    ("material", "binding_rydberg_mev", "binding_rydberg_mev", float),
+    ("fields", "e_perp_v_cm", "e_perp_v_cm", float),
+    ("fields", "b_z", "b_z", float),
+    ("fields", "b_y", "b_y", float),
+    ("fields", "temperature", "temperature", float),
+    ("basis", "n_max", "n_max", int),
+    ("basis", "l_max", "l_max", int),
+    ("grid", "z_max", "z_max", float),
+    ("grid", "n_points", "n_points", int),
+    ("sweep", "axis", "sweep_axis", str.strip),
+    ("sweep", "start", "sweep_start", float),
+    ("sweep", "stop", "sweep_stop", float),
+    ("sweep", "steps", "sweep_steps", int),
+    ("sweep", "b_y_values", "b_y_values", _parse_floats),
+    ("sweep", "l_values", "l_values", _parse_ints),
+    ("map", "sweep_axis", "map_sweep_axis", str.strip),
+    ("map", "sweep_start", "map_sweep_start", float),
+    ("map", "sweep_stop", "map_sweep_stop", float),
+    ("map", "sweep_steps", "map_sweep_steps", int),
+    ("map", "e_perp_start_v_cm", "map_e_perp_start", float),
+    ("map", "e_perp_stop_v_cm", "map_e_perp_stop", float),
+    ("map", "e_perp_steps", "map_e_perp_steps", int),
+    ("map", "mw_frequency_ghz", "mw_frequency_ghz", float),
+    ("map", "band_ghz", "band_ghz", float),
+    ("map", "l_cut", "l_cut", int),
+    ("broadening", "base_width_ghz", "base_width_ghz", float),
+    ("broadening", "kappa_ghz_cm_per_v", "kappa_ghz_cm_per_v", float),
+    ("broadening", "areal_density_cm2", "areal_density_cm2", float),
+    ("broadening", "fluct_field_coefficient", "fluct_field_coefficient",
+     float),
+    ("broadening", "include_thermal", "include_thermal", _parse_bool),
+    ("rates", "pair", "rates_pair", _parse_pair),
+    ("rates", "nu_0", "nu_0", float),
+    ("rates", "include_occupation", "include_occupation", _parse_bool),
+    ("crossings", "pairs", "crossing_pairs", _parse_pairs),
+    ("crossings", "b_z_min", "b_z_min", float),
+    ("crossings", "b_z_max", "b_z_max", float),
+    ("output", "out_dir", "out_dir", str.strip),
+    ("output", "prefix", "prefix", str.strip),
+)
+
+
 def load_run_config(path: str, task: str | None = None) -> RunConfig:
     """Read an INI file into a RunConfig.
 
@@ -316,83 +355,32 @@ def load_run_config(path: str, task: str | None = None) -> RunConfig:
     any run.task key in the file. Raises ConfigError on unknown sections or
     keys, unparsable values, or a task mismatch.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # "#" only: an inline ";" would cut a ";"-separated list short
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
 
+    known = {(section, key) for section, key, _, _ in _KEYS}
+    sections = {section for section, _ in known}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if (section, key) not in known:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in [{section}]")
 
     cfg = RunConfig()
-
-    def grab(section, key, conv, attr=None):
+    for section, key, attr, parse in _KEYS:
         if parser.has_option(section, key):
-            raw = parser.get(section, key)
             try:
-                value = conv(raw)
+                value = parse(parser.get(section, key))
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}: bad value for {section}.{key}: {exc}"
                 ) from exc
-            setattr(cfg, attr or key, value)
-
-    def as_bool(raw: str) -> bool:
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-
-    grab("run", "task", str.strip)
-    grab("material", "isotope", lambda s: s.strip().lower())
-    grab("material", "barrier_height_ev", float)
-    grab("material", "surface_tension", float)
-    grab("material", "mass_density", float)
-    grab("material", "binding_rydberg_mev", float)
-    grab("fields", "e_perp_v_cm", float)
-    grab("fields", "b_z", float)
-    grab("fields", "b_y", float)
-    grab("fields", "temperature", float)
-    grab("basis", "n_max", int)
-    grab("basis", "l_max", int)
-    grab("grid", "z_max", float)
-    grab("grid", "n_points", int)
-    grab("sweep", "axis", str.strip, "sweep_axis")
-    grab("sweep", "start", float, "sweep_start")
-    grab("sweep", "stop", float, "sweep_stop")
-    grab("sweep", "steps", int, "sweep_steps")
-    grab("sweep", "b_y_values", _parse_floats)
-    grab("sweep", "l_values", _parse_ints)
-    grab("map", "sweep_axis", str.strip, "map_sweep_axis")
-    grab("map", "sweep_start", float, "map_sweep_start")
-    grab("map", "sweep_stop", float, "map_sweep_stop")
-    grab("map", "sweep_steps", int, "map_sweep_steps")
-    grab("map", "e_perp_start_v_cm", float, "map_e_perp_start")
-    grab("map", "e_perp_stop_v_cm", float, "map_e_perp_stop")
-    grab("map", "e_perp_steps", int, "map_e_perp_steps")
-    grab("map", "mw_frequency_ghz", float)
-    grab("map", "band_ghz", float)
-    grab("map", "l_cut", int)
-    grab("broadening", "base_width_ghz", float)
-    grab("broadening", "kappa_ghz_cm_per_v", float)
-    grab("broadening", "areal_density_cm2", float)
-    grab("broadening", "fluct_field_coefficient", float)
-    grab("broadening", "include_thermal", as_bool)
-    grab("rates", "pair", _parse_pair, "rates_pair")
-    grab("rates", "nu_0", float)
-    grab("rates", "include_occupation", as_bool)
-    grab("crossings", "pairs", _parse_pairs, "crossing_pairs")
-    grab("crossings", "b_z_min", float)
-    grab("crossings", "b_z_max", float)
-    grab("output", "out_dir", str.strip)
-    grab("output", "prefix", str.strip)
+            setattr(cfg, attr, value)
 
     if task is not None:
         if cfg.task and cfg.task != task:

@@ -76,9 +76,6 @@ class CoupledSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def amplitude(self, k: int, n: int, l: int) -> float:
-        return float(self.eigenvectors[self.basis.index(n, l), k])
-
     def dominant(self, k: int) -> tuple[int, int, float]:
         """(n, l, weight) of the strongest product component of state k."""
         weights = self.eigenvectors[:, k] ** 2
@@ -90,6 +87,14 @@ class CoupledSpectrum:
         """Eigenstate index with the largest weight on |n,l>."""
         row = self.eigenvectors[self.basis.index(n, l), :] ** 2
         return int(np.argmax(row))
+
+    def moments(self, z_matrix: np.ndarray, k: int) -> np.ndarray:
+        """<k'|z|k> for every eigenstate k', from the vertical z_nn' matrix
+        (in its units, m for VerticalSpectrum.z_matrix)."""
+        nb, lb = self.basis.n_max, self.basis.l_max
+        c = self.eigenvectors[:, k].reshape(nb, lb + 1)
+        zc = (z_matrix[:nb, :nb] @ c).reshape(-1)
+        return self.eigenvectors.T @ zc
 
     def dominant_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, l, weight) arrays over every eigenstate: dominant(k) for all k
@@ -153,7 +158,8 @@ class HamiltonianBlocks:
                        _landau_ladder(self.basis.l_max))
 
     def hamiltonian(self, cfg: FieldConfiguration) -> np.ndarray:
-        """Dense symmetric Hamiltonian in J at cfg."""
+        """Dense Hamiltonian in J at cfg, exactly symmetric because every
+        term is (solve_vertical symmetrizes the z and z^2 matrices)."""
         vs = self.vs
         if abs(cfg.e_perp - vs.e_perp) > 1e-9 * max(1.0, abs(vs.e_perp)):
             raise BasisMismatch(
@@ -168,8 +174,7 @@ class HamiltonianBlocks:
                 h += 0.5 * ELECTRON_MASS * omega_y**2 * self._diamagnetic_block
             coupling = HBAR * omega_y / (np.sqrt(2.0) * l_b)
             h += coupling * self._coupling_block
-
-        return 0.5 * (h + h.T)
+        return h
 
     def solve(self, cfg: FieldConfiguration) -> CoupledSpectrum:
         return diagonalize(self.hamiltonian(cfg), self.basis, cfg)

@@ -104,15 +104,6 @@ class TransitionLine:
     sideband_order: int
 
 
-def _moments_from(spec: CoupledSpectrum, z_matrix: np.ndarray,
-                  k_init: int) -> np.ndarray:
-    """<k|z|k_init> for every eigenstate k, in m."""
-    nb, lb = spec.basis.n_max, spec.basis.l_max
-    c = spec.eigenvectors[:, k_init].reshape(nb, lb + 1)
-    zc = (z_matrix[:nb, :nb] @ c).reshape(-1)
-    return spec.eigenvectors.T @ zc
-
-
 class _Lines(NamedTuple):
     """Transition catalog of one spectrum as parallel arrays, one entry per
     line, in catalog order: by initial Landau index, then by final state."""
@@ -152,7 +143,7 @@ def _catalog(
         ks = ks[ks != k_init]
         if not ks.size:
             continue
-        moments = _moments_from(spec, vs.z_matrix, k_init)[ks]
+        moments = spec.moments(vs.z_matrix, k_init)[ks]
         # float_power squares through libm pow, as a float's ** does;
         # np.square rounds differently in about one value in a thousand
         parts.append((np.full(ks.size, l0), np.full(ks.size, k_init), ks,
@@ -199,34 +190,6 @@ def transition_catalog(
             t.final_n.tolist(), t.final_l.tolist(), t.frequency_ghz.tolist(),
             t.moment_sq.tolist())
     ]
-
-
-def line_profile(
-    line: TransitionLine,
-    mw_frequency_ghz: float,
-    width_ghz: float,
-    kappa_ghz_cm_per_v: float,
-    e_perp_grid_v_cm: np.ndarray,
-    line_e_perp_v_cm: float,
-) -> np.ndarray:
-    """Intensity contribution of one line over an E_perp grid.
-
-    Linearizes the Stark map around the point where the line was computed:
-    the line center sits where its frequency Stark-shifts onto the drive,
-    the Gaussian has unit area in E_perp, and the total area is weight times
-    squared moment. The zero-width limit degenerates to a delta at the
-    center, which callers get by narrow width, not by width = 0.
-    """
-    if width_ghz <= 0.0:
-        raise ValueError("width must be positive")
-    if kappa_ghz_cm_per_v <= 0.0:
-        raise ValueError("kappa must be positive")
-    center = line_e_perp_v_cm + (mw_frequency_ghz - line.frequency_ghz) \
-        / kappa_ghz_cm_per_v
-    sigma_e = width_ghz / kappa_ghz_cm_per_v
-    x = (np.asarray(e_perp_grid_v_cm) - center) / sigma_e
-    area = line.weight * line.moment_sq
-    return area * np.exp(-0.5 * x**2) / (sigma_e * SQRT_2PI)
 
 
 @dataclass(frozen=True)
@@ -363,13 +326,9 @@ def absorption_map(
             return [(exc, None)] * sweep_values.size
         return [run_pixel(blocks, i, e_perp) for i in range(sweep_values.size)]
 
-    with _single_threaded_blas:
-        if threads > 1 and e_grid.size > 1:
-            with ThreadPoolExecutor(
-                    max_workers=min(threads, e_grid.size)) as pool:
-                columns = list(pool.map(run_column, range(e_grid.size)))
-        else:
-            columns = [run_column(j) for j in range(e_grid.size)]
+    with _single_threaded_blas, ThreadPoolExecutor(
+            max_workers=min(threads, e_grid.size)) as pool:
+        columns = list(pool.map(run_column, range(e_grid.size)))
 
     intensity = np.full((sweep_values.size, e_grid.size), np.nan)
     failures: list[tuple[int, int, str]] = []

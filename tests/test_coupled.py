@@ -43,10 +43,11 @@ def test_basis_indexing():
 
 
 def test_hamiltonian_symmetric(vs15):
+    # every term is a symmetric matrix, so assembly needs no symmetrization
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.2)
-    h = assemble_hamiltonian(vs15, cfg, ProductBasis(6, 12))
-    scale = np.abs(h).max()
-    assert np.abs(h - h.T).max() < 1e-8 * scale
+    for diamagnetic in ("full", "diagonal", "none"):
+        h = assemble_hamiltonian(vs15, cfg, ProductBasis(6, 12), diamagnetic)
+        assert np.array_equal(h, h.T), diamagnetic
 
 
 def test_eigenvector_orthonormality(vs15):

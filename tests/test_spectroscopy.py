@@ -25,7 +25,6 @@ from heliumjcm import (
     ProductBasis,
     absorption_map,
     coupled,
-    line_profile,
     solve_coupled,
     solve_vertical,
     spectroscopy,
@@ -94,25 +93,6 @@ def test_broadening_many_electron_term():
     # denser pool, broader line
     assert BroadeningModel(areal_density_cm2=1e8).width_ghz(cfg) > \
         model.width_ghz(cfg)
-
-
-def test_line_profile_area_and_center(vs15):
-    cfg = FieldConfiguration.from_v_cm(15.0, 0.584, 0.05, 0.33)
-    spec = solve_coupled(vs15, cfg, ProductBasis(6, 10))
-    pops = thermal_populations(cfg, 5)
-    lines = transition_catalog(spec, vs15, pops, (60.0, 100.0))
-    line = max(lines, key=lambda ln: ln.weight * ln.moment_sq)
-    grid = np.linspace(20.0, 40.0, 4001)
-    profile = line_profile(line, 90.0, 0.25, 0.74, grid, 15.0)
-    area = np.trapezoid(profile, grid)
-    assert area == pytest.approx(line.weight * line.moment_sq, rel=1e-6)
-    center = grid[np.argmax(profile)]
-    assert center == pytest.approx(15.0 + (90.0 - line.frequency_ghz) / 0.74,
-                                   abs=0.01)
-    with pytest.raises(ValueError):
-        line_profile(line, 90.0, 0.0, 0.74, grid, 15.0)
-    with pytest.raises(ValueError):
-        line_profile(line, 90.0, 0.25, 0.0, grid, 15.0)
 
 
 def test_catalog_uncoupled_limit(vs15):
