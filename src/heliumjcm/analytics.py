@@ -27,6 +27,10 @@ from .materials import (
 )
 from .vertical import VerticalSpectrum
 
+# A perturbative formula is refused when a denominator E_nn' +- hbar w_c
+# comes within this many couplings of zero.
+_GUARD_FACTOR = 3.0
+
 # e B_y / m_e without requiring b_z > 0.
 def _omega_y(b_y: float) -> float:
     return ELEMENTARY_CHARGE * b_y / ELECTRON_MASS
@@ -121,10 +125,9 @@ def _resonance_guard(
     vs: VerticalSpectrum,
     cfg: FieldConfiguration,
     n: int,
-    guard_factor: float,
 ) -> float:
     """Raise NearResonance if any denominator E_nn' +- hbar w_c comes within
-    guard_factor couplings of zero; returns hbar w_c."""
+    _GUARD_FACTOR couplings of zero; returns hbar w_c."""
     if cfg.b_z <= 0.0:
         raise DegenerateField("Landau structure requires b_z > 0")
     hw_c = HBAR * cyclotron_frequency(cfg.b_z)
@@ -134,9 +137,9 @@ def _resonance_guard(
         g = coupling_constant(vs, cfg, n, n_prime)
         e_nn = vs.energy(n) - vs.energy(n_prime)
         for denom in (e_nn + hw_c, e_nn - hw_c):
-            if abs(denom) <= guard_factor * abs(g):
+            if abs(denom) <= _GUARD_FACTOR * abs(g):
                 raise NearResonance(
-                    f"state {n} is within {guard_factor} couplings of the "
+                    f"state {n} is within {_GUARD_FACTOR} couplings of the "
                     f"crossing with {n_prime} "
                     f"(|denominator| = {abs(denom) / GHZ:.3f} GHz, "
                     f"|g| = {abs(g) / GHZ:.3f} GHz)",
@@ -151,7 +154,6 @@ def perturbative_shift(
     cfg: FieldConfiguration,
     n: int,
     l: int,
-    guard_factor: float = 3.0,
 ) -> float:
     """Off-resonant energy shift of |n,l> to second order in b_y, J.
 
@@ -163,7 +165,7 @@ def perturbative_shift(
     """
     if l < 0:
         raise ValueError("l must be non-negative")
-    hw_c = _resonance_guard(vs, cfg, n, guard_factor)
+    hw_c = _resonance_guard(vs, cfg, n)
     omega_y = _omega_y(cfg.b_y)
     total = 0.0
     for n_prime in range(1, vs.n_max + 1):
@@ -181,14 +183,13 @@ def transition_shift_ghz(
     vs: VerticalSpectrum,
     cfg: FieldConfiguration,
     l: int,
-    guard_factor: float = 3.0,
 ) -> float:
     """Perturbative shift of the 1 -> 2 transition for Landau level l, GHz.
 
     l = 0 is the vacuum (Lamb-type) shift, l >= 1 the light shifts.
     """
-    return (perturbative_shift(vs, cfg, 2, l, guard_factor)
-            - perturbative_shift(vs, cfg, 1, l, guard_factor)) / GHZ
+    return (perturbative_shift(vs, cfg, 2, l)
+            - perturbative_shift(vs, cfg, 1, l)) / GHZ
 
 
 def full_transition_shift_ghz(
@@ -220,7 +221,6 @@ def bethe_cancellation_check(
     cfg: FieldConfiguration,
     n: int,
     l: int,
-    guard_factor: float = 3.0,
 ) -> tuple[float, float, float]:
     """(raw shift, reduced shift, residual) for state |n,l>.
 
@@ -232,7 +232,7 @@ def bethe_cancellation_check(
     """
     if cfg.b_y == 0.0:
         return 0.0, 0.0, 0.0
-    hw_c = _resonance_guard(vs, cfg, n, guard_factor)
+    hw_c = _resonance_guard(vs, cfg, n)
     omega_y = _omega_y(cfg.b_y)
     prefactor = 0.5 * ELECTRON_MASS * omega_y**2
 
@@ -244,7 +244,7 @@ def bethe_cancellation_check(
         ladder += z_sq * ((l + 1.0) / (e_nn - hw_c) + l / (e_nn + hw_c))
     raw = diamagnetic + prefactor * hw_c * ladder
 
-    reduced = perturbative_shift(vs, cfg, n, l, guard_factor)
+    reduced = perturbative_shift(vs, cfg, n, l)
     residual = abs(raw - reduced) / diamagnetic
     return raw, reduced, residual
 
@@ -254,7 +254,6 @@ def admixed_state(
     cfg: FieldConfiguration,
     n: int,
     l: int,
-    guard_factor: float = 3.0,
 ) -> dict[tuple[int, int], float]:
     """First-order dressed state built on |n,l>, as unnormalized amplitudes.
 
@@ -265,7 +264,7 @@ def admixed_state(
     """
     if l < 0:
         raise ValueError("l must be non-negative")
-    hw_c = _resonance_guard(vs, cfg, n, guard_factor)
+    hw_c = _resonance_guard(vs, cfg, n)
     _, omega_y, l_b = derived_frequencies(cfg)
     scale = HBAR * omega_y / (math.sqrt(2.0) * l_b)
 

@@ -46,6 +46,10 @@ from .materials import (
     PLANCK,
     VACUUM_PERMITTIVITY,
     V_PER_CM,
+    FieldConfiguration,
+    MaterialProperties,
+    cyclotron_frequency,
+    material_for,
 )
 from .spectroscopy import absorption_map
 from .vertical import solve_vertical, truncation_report
@@ -137,12 +141,41 @@ def _write_sidecar(path: str, cfg: RunConfig, extra: dict) -> None:
         fh.write("\n")
 
 
-def _run_spectrum_sweep(cfg: RunConfig, out_dir: str) -> int:
-    mat = cfg.material()
-    basis = cfg.basis()
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _artifact(cfg: RunConfig, out_dir: str, name: str) -> str:
+    """out_dir/<prefix>_<name>, making out_dir if it is missing."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, f"{cfg.prefix}_{name}")
+
+
+def _emit(cfg: RunConfig, out_dir: str, stem: str, header: list[str],
+          rows: list, extra: dict, failures: list) -> int:
+    """Write <prefix>_<stem>.csv and its sidecar, print the summary line, and
+    return the exit code: 3 if any point failed, else 0."""
+    csv_path = _artifact(cfg, out_dir, f"{stem}.csv")
+    _write_csv(csv_path, header, rows)
+    _write_sidecar(_artifact(cfg, out_dir, f"{stem}.json"), cfg,
+                   {**extra, "failures": failures})
+    print(f"wrote {csv_path} ({len(rows)} rows, {len(failures)} failed)")
+    return 3 if failures else 0
+
+
+def _fixed_e_perp(
+    cfg: RunConfig,
+) -> tuple[FieldConfiguration, HamiltonianBlocks]:
+    """The base field point and the Hamiltonian blocks of its one vertical
+    solve, which every field point of a fixed-E_perp task shares."""
     base = cfg.field_config()
-    vs = solve_vertical(mat, base.e_perp, basis.n_max, cfg.grid())
-    blocks = HamiltonianBlocks(vs, basis)
+    vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max, cfg.grid())
+    return base, HamiltonianBlocks(vs, cfg.basis())
+
+
+def _run_spectrum_sweep(cfg: RunConfig, out_dir: str, threads: int) -> int:
+    base, blocks = _fixed_e_perp(cfg)
+    vs = blocks.vs
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
     overlays = cfg.b_y_values if (cfg.sweep_axis == "b_z"
                                   and cfg.b_y_values) else (base.b_y,)
@@ -160,41 +193,34 @@ def _run_spectrum_sweep(cfg: RunConfig, out_dir: str) -> int:
             except HeliumJcmError as exc:
                 failures.append({"sweep_value": float(value),
                                  "b_y": float(point.b_y),
-                                 "error": f"{type(exc).__name__}: {exc}"})
+                                 "error": _error(exc)})
                 continue
             ground = spec.eigenvalues[spec.locate(1, 0)]
             n_dom, l_dom, weight = spec.dominant_labels()
             rows.extend(zip(
                 repeat(float(value)), repeat(float(point.b_y)),
-                range(basis.size),
+                range(blocks.basis.size),
                 (spec.eigenvalues / GHZ).tolist(),
                 ((spec.eigenvalues - ground) / GHZ).tolist(),
                 n_dom.tolist(), l_dom.tolist(), weight.tolist(),
             ))
 
-    csv_path = os.path.join(out_dir, f"{cfg.prefix}_spectrum.csv")
-    _write_csv(csv_path,
-               ["sweep_value", "b_y", "state", "energy_ghz",
-                "energy_rel_ghz", "dominant_n", "dominant_l",
-                "dominant_weight"],
-               rows)
-    _write_sidecar(os.path.join(out_dir, f"{cfg.prefix}_spectrum.json"), cfg,
-                   {"sweep_axis": cfg.sweep_axis,
-                    "overlay_b_y": list(overlays),
-                    "vertical_levels_ghz":
-                        [vs.energy(n) / GHZ for n in range(1, vs.n_max + 1)],
-                    "truncation_residuals": truncation_report(vs),
-                    "failures": failures})
-    print(f"wrote {csv_path} ({len(rows)} rows)")
-    return 3 if failures else 0
+    return _emit(cfg, out_dir, "spectrum",
+                 ["sweep_value", "b_y", "state", "energy_ghz",
+                  "energy_rel_ghz", "dominant_n", "dominant_l",
+                  "dominant_weight"],
+                 rows,
+                 {"sweep_axis": cfg.sweep_axis,
+                  "overlay_b_y": list(overlays),
+                  "vertical_levels_ghz":
+                      [vs.energy(n) / GHZ for n in range(1, vs.n_max + 1)],
+                  "truncation_residuals": truncation_report(vs)},
+                 failures)
 
 
-def _run_shifts(cfg: RunConfig, out_dir: str) -> int:
-    mat = cfg.material()
-    basis = cfg.basis()
-    base = cfg.field_config()
-    vs = solve_vertical(mat, base.e_perp, basis.n_max, cfg.grid())
-    blocks = HamiltonianBlocks(vs, basis)
+def _run_shifts(cfg: RunConfig, out_dir: str, threads: int) -> int:
+    base, blocks = _fixed_e_perp(cfg)
+    vs = blocks.vs
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
 
     rows = []
@@ -211,25 +237,18 @@ def _run_shifts(cfg: RunConfig, out_dir: str) -> int:
             except HeliumJcmError as exc:
                 pert = float("nan")
                 failures.append({"b_y": float(b_y), "l": l,
-                                 "error": f"{type(exc).__name__}: {exc}"})
+                                 "error": _error(exc)})
             rows.append((float(b_y), l, pert, full_l))
 
-    csv_path = os.path.join(out_dir, f"{cfg.prefix}_shifts.csv")
-    _write_csv(csv_path,
-               ["b_y", "l", "perturbative_ghz", "full_ghz"], rows)
-    _write_sidecar(os.path.join(out_dir, f"{cfg.prefix}_shifts.json"), cfg,
-                   {"transition_ghz": vs.transition_frequency_ghz(1, 2),
-                    "failures": failures})
-    print(f"wrote {csv_path} ({len(rows)} rows)")
-    return 3 if failures else 0
+    return _emit(cfg, out_dir, "shifts",
+                 ["b_y", "l", "perturbative_ghz", "full_ghz"], rows,
+                 {"transition_ghz": vs.transition_frequency_ghz(1, 2)},
+                 failures)
 
 
-def _run_crossings(cfg: RunConfig, out_dir: str) -> int:
-    mat = cfg.material()
-    basis = cfg.basis()
-    base = cfg.field_config()
-    vs = solve_vertical(mat, base.e_perp, basis.n_max, cfg.grid())
-    blocks = HamiltonianBlocks(vs, basis)
+def _run_crossings(cfg: RunConfig, out_dir: str, threads: int) -> int:
+    base, blocks = _fixed_e_perp(cfg)
+    vs = blocks.vs
 
     rows = []
     failures = []
@@ -238,41 +257,29 @@ def _run_crossings(cfg: RunConfig, out_dir: str) -> int:
         try:
             b_star = find_crossing(vs, pair, (cfg.b_z_min, cfg.b_z_max))
         except HeliumJcmError as exc:
-            failures.append({"pair": [n_hi, n_lo],
-                             "error": f"{type(exc).__name__}: {exc}"})
+            failures.append({"pair": [n_hi, n_lo], "error": _error(exc)})
             continue
+        b_min = gap = float("nan")
         if base.b_y > 0.0:
             try:
                 b_min, gap = minimum_gap(vs, base, pair, blocks)
-                rows.append((n_hi, n_lo, b_star, b_min, gap / GHZ))
             except HeliumJcmError as exc:
-                failures.append({"pair": [n_hi, n_lo],
-                                 "error": f"{type(exc).__name__}: {exc}"})
-                rows.append((n_hi, n_lo, b_star, float("nan"),
-                             float("nan")))
-        else:
-            rows.append((n_hi, n_lo, b_star, float("nan"), float("nan")))
+                failures.append({"pair": [n_hi, n_lo], "error": _error(exc)})
+        rows.append((n_hi, n_lo, b_star, b_min, gap / GHZ))
 
-    csv_path = os.path.join(out_dir, f"{cfg.prefix}_crossings.csv")
-    _write_csv(csv_path,
-               ["n_upper", "n_lower", "b_z_cross_t", "b_z_min_gap_t",
-                "gap_ghz"],
-               rows)
-    _write_sidecar(os.path.join(out_dir, f"{cfg.prefix}_crossings.json"),
-                   cfg, {"failures": failures})
-    print(f"wrote {csv_path} ({len(rows)} rows)")
-    return 3 if failures else 0
+    return _emit(cfg, out_dir, "crossings",
+                 ["n_upper", "n_lower", "b_z_cross_t", "b_z_min_gap_t",
+                  "gap_ghz"],
+                 rows, {}, failures)
 
 
 def _run_absorption_map(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    mat = cfg.material()
-    base = cfg.field_config()
     sweep = np.linspace(cfg.map_sweep_start, cfg.map_sweep_stop,
                         cfg.map_sweep_steps)
     e_grid = np.linspace(cfg.map_e_perp_start, cfg.map_e_perp_stop,
                          cfg.map_e_perp_steps)
     amap = absorption_map(
-        mat, base, cfg.map_sweep_axis, sweep, e_grid,
+        cfg.material(), cfg.field_config(), cfg.map_sweep_axis, sweep, e_grid,
         cfg.mw_frequency_ghz,
         broadening=cfg.broadening(),
         basis=cfg.basis(),
@@ -286,29 +293,23 @@ def _run_absorption_map(cfg: RunConfig, out_dir: str, threads: int) -> int:
     for i, s in enumerate(amap.sweep_values):
         for j, e in enumerate(amap.e_perp_v_cm):
             rows.append((float(s), float(e), float(amap.intensity[i, j])))
-    csv_path = os.path.join(out_dir, f"{cfg.prefix}_map.csv")
-    _write_csv(csv_path, [cfg.map_sweep_axis, "e_perp_v_cm", "intensity"],
-               rows)
-    _write_sidecar(os.path.join(out_dir, f"{cfg.prefix}_map.json"), cfg, {
-        "mw_frequency_ghz": amap.mw_frequency_ghz,
-        "sweep_axis": amap.sweep_name,
-        "line_centers": amap.lines,
-        "failures": [{"i": i, "j": j, "error": msg}
-                     for i, j, msg in amap.failures],
-    })
-    print(f"wrote {csv_path} ({len(rows)} pixels, "
-          f"{len(amap.failures)} failed)")
-    return 3 if amap.failures else 0
+    return _emit(cfg, out_dir, "map",
+                 [cfg.map_sweep_axis, "e_perp_v_cm", "intensity"], rows,
+                 {"mw_frequency_ghz": amap.mw_frequency_ghz,
+                  "sweep_axis": amap.sweep_name,
+                  "line_centers": amap.lines},
+                 [{"i": i, "j": j, "error": msg}
+                  for i, j, msg in amap.failures])
 
 
-def _run_rates(cfg: RunConfig, out_dir: str) -> int:
-    mat = cfg.material()
+def _run_rates(cfg: RunConfig, out_dir: str, threads: int) -> int:
     base = cfg.field_config()
-    vs = solve_vertical(mat, base.e_perp, max(cfg.n_max, 2), cfg.grid())
+    vs = solve_vertical(cfg.material(), base.e_perp, max(cfg.n_max, 2),
+                        cfg.grid())
     report = strong_coupling_report(vs, base, pair=cfg.rates_pair,
                                     nu_0=cfg.nu_0,
                                     include_occupation=cfg.include_occupation)
-    path = os.path.join(out_dir, f"{cfg.prefix}_rates.json")
+    path = _artifact(cfg, out_dir, "rates.json")
     _write_sidecar(path, cfg, {"report": {
         "g_over_h_ghz": report.g_ghz,
         "rate_vertical_per_s": report.rate_vertical,
@@ -320,16 +321,10 @@ def _run_rates(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def _run_self_test(cfg: RunConfig | None) -> int:
-    """Fast bundled regression: hydrogenic limit, sum rule, uncoupled fan."""
+def _self_test_checks(mat: MaterialProperties) -> list[tuple[str, bool, str]]:
+    """Hydrogenic limit, sum rule, uncoupled fan: (name, passed, detail)."""
     from .coupled import ProductBasis, assemble_hamiltonian, diagonalize
-    from .materials import (
-        FieldConfiguration,
-        cyclotron_frequency,
-        material_for,
-    )
 
-    mat = cfg.material() if cfg is not None else material_for("he3")
     checks: list[tuple[str, bool, str]] = []
 
     vs = solve_vertical(mat, 0.0, 4)
@@ -357,11 +352,43 @@ def _run_self_test(cfg: RunConfig | None) -> int:
     fan_err = max(abs(a - b) for a, b in zip(spec.eigenvalues, expected))
     checks.append(("uncoupled ladder fan exact", fan_err < 1e-9 * GHZ,
                    f"worst deviation {fan_err / GHZ:.2e} GHz"))
+    return checks
 
-    ok = all(passed for _, passed, _ in checks)
+
+def _run_self_test(cfg: RunConfig | None, out_dir: str, threads: int) -> int:
+    """Fast bundled regression; exit 4 if a check fails or crashes."""
+    mat = cfg.material() if cfg is not None else material_for("he3")
+    try:
+        checks = _self_test_checks(mat)
+    except HeliumJcmError as exc:
+        print(f"self-test crashed: {exc}", file=sys.stderr)
+        return 4
     for name, passed, detail in checks:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-    return 0 if ok else 4
+    return 0 if all(passed for _, passed, _ in checks) else 4
+
+
+def _run_validate(cfg: RunConfig, out_dir: str, threads: int) -> int:
+    """The config checks in main are the whole task; list what they passed."""
+    for name, value in cfg.resolved_items():
+        print(f"  {name} = {value}")
+    return 0
+
+
+# subcommand -> (help text, runner(cfg, out_dir, threads) -> exit code)
+_TASKS = {
+    "spectrum-sweep": ("eigenvalue fan over a magnetic-field sweep",
+                       _run_spectrum_sweep),
+    "absorption-map": ("microwave absorption over field x tuning field",
+                       _run_absorption_map),
+    "shifts": ("perturbative vs exact transition shifts over b_y",
+               _run_shifts),
+    "crossings": ("uncoupled crossing fields and dressed minimum gaps",
+                  _run_crossings),
+    "rates": ("coupling vs ripplon decay at one operating point", _run_rates),
+    "self-test": ("bundled regression checks", _run_self_test),
+    "validate": ("check a config without computing", _run_validate),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -371,19 +398,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "liquid helium in tilted magnetic fields",
     )
     sub = parser.add_subparsers(dest="task", required=True)
-    descriptions = {
-        "spectrum-sweep": "eigenvalue fan over a magnetic-field sweep",
-        "absorption-map": "microwave absorption over field x tuning field",
-        "shifts": "perturbative vs exact transition shifts over b_y",
-        "crossings": "uncoupled crossing fields and dressed minimum gaps",
-        "rates": "coupling vs ripplon decay at one operating point",
-        "self-test": "bundled regression checks",
-        "validate": "check a config without computing",
-    }
-    for task, desc in descriptions.items():
-        p = sub.add_parser(task, help=desc)
+    for task, (help_text, _) in _TASKS.items():
+        p = sub.add_parser(task, help=help_text)
         p.add_argument("--config",
-                       required=task not in ("self-test",),
+                       required=task != "self-test",
                        help="path to an INI run configuration")
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUT_DIR_ENV} "
@@ -404,75 +422,39 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    if args.task == "validate":
+    # validate reads run.task from the file; every other task is the
+    # subcommand, and self-test alone runs without a config
+    validating = args.task == "validate"
+    cfg = None
+    if args.config is not None:
         try:
-            cfg = load_run_config(args.config)
+            cfg = load_run_config(args.config,
+                                  task=None if validating else args.task)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if not cfg.task:
-            print("error: run.task: required for validate", file=sys.stderr)
-            return 2
-        errors, warnings = cfg.validate()
+        if cfg.task:
+            errors, warnings = cfg.validate()
+        else:
+            errors, warnings = ["run.task: required for validate"], []
         for line in warnings:
-            print(f"warning: {line}")
-        if errors:
-            for line in errors:
-                print(f"error: {line}", file=sys.stderr)
-            return 2
-        print(f"ok: {args.config} ({cfg.task})")
-        for name, value in cfg.resolved_items():
-            print(f"  {name} = {value}")
-        return 0
-
-    if args.task == "self-test":
-        cfg = None
-        if args.config:
-            try:
-                cfg = load_run_config(args.config, task="self-test")
-            except ConfigError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        try:
-            with _single_threaded_blas:
-                return _run_self_test(cfg)
-        except HeliumJcmError as exc:
-            print(f"self-test crashed: {exc}", file=sys.stderr)
-            return 4
-
-    try:
-        cfg = load_run_config(args.config, task=args.task)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    errors, warnings = cfg.validate()
-    for line in warnings:
-        print(f"warning: {line}", file=sys.stderr)
-    if errors:
+            print(f"warning: {line}",
+                  file=sys.stdout if validating else sys.stderr)
         for line in errors:
             print(f"error: {line}", file=sys.stderr)
-        return 2
+        if errors:
+            return 2
+        if validating:
+            print(f"ok: {args.config} ({cfg.task})")
 
-    out_dir = args.out or cfg.out_dir or os.environ.get(OUT_DIR_ENV, "out")
-    os.makedirs(out_dir, exist_ok=True)
-
+    out_dir = (args.out or (cfg.out_dir if cfg is not None else None)
+               or os.environ.get(OUT_DIR_ENV, "out"))
     try:
         with _single_threaded_blas:
-            if args.task == "spectrum-sweep":
-                return _run_spectrum_sweep(cfg, out_dir)
-            if args.task == "shifts":
-                return _run_shifts(cfg, out_dir)
-            if args.task == "crossings":
-                return _run_crossings(cfg, out_dir)
-            if args.task == "absorption-map":
-                return _run_absorption_map(cfg, out_dir, args.threads)
-            if args.task == "rates":
-                return _run_rates(cfg, out_dir)
+            return _TASKS[args.task][1](cfg, out_dir, args.threads)
     except HeliumJcmError as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+        print(f"numerical failure: {_error(exc)}", file=sys.stderr)
         return 3
-    raise AssertionError(f"unhandled task {args.task}")  # pragma: no cover
 
 
 if __name__ == "__main__":

@@ -352,12 +352,19 @@ def load_run_config(path: str, task: str | None = None) -> RunConfig:
     """Read an INI file into a RunConfig.
 
     task, when given (by the CLI subcommand), overrides or must agree with
-    any run.task key in the file. Raises ConfigError on unknown sections or
-    keys, unparsable values, or a task mismatch.
+    any run.task key in the file. Values are literal (no % interpolation).
+    Raises ConfigError on a malformed file (repeated key or section, no
+    section header, undecodable bytes), unknown sections (including
+    [DEFAULT]) or keys, unparsable values, or a task mismatch.
     """
-    # "#" only: an inline ";" would cut a ";"-separated list short
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    # "#" only: an inline ";" would cut a ";"-separated list short; a default
+    # section no header can spell makes [DEFAULT] an unknown section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None, default_section="")
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
 

@@ -6,9 +6,8 @@ The Hamiltonian (with the cyclotron zero-point energy already dropped) is
         + (hbar w_y / sqrt(2) l_B) z_nn' (sqrt(l+1) d_{l',l+1} + sqrt(l) d_{l',l-1})
 
 assembled in SI Joules with Kronecker products, flat index
-k = (n - 1) (l_max + 1) + l. The diamagnetic z^2 block is kept as a full
-matrix in n by default; a diagonal-only mode exists to quantify how much the
-off-diagonal renormalization matters.
+k = (n - 1) (l_max + 1) + l. The diamagnetic z^2 block is kept as the full
+matrix in n.
 """
 
 from __future__ import annotations
@@ -34,6 +33,11 @@ from .materials import (
     derived_frequencies,
 )
 from .vertical import VerticalSpectrum
+
+# find_crossing stops bisecting at this b_z step (T); minimum_gap loses a
+# branch when successive eigenvectors overlap less than this
+_CROSSING_XTOL = 1e-4
+_OVERLAP_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -128,28 +132,22 @@ class HamiltonianBlocks:
         self,
         vs: VerticalSpectrum,
         basis: ProductBasis = ProductBasis(),
-        diamagnetic: str = "full",
     ):
         if basis.n_max > vs.n_max:
             raise BasisMismatch(
                 f"basis wants n_max={basis.n_max}, spectrum has {vs.n_max}"
             )
-        if diamagnetic not in ("full", "diagonal", "none"):
-            raise ValueError(f"unknown diamagnetic mode {diamagnetic!r}")
         nb, lb = basis.n_max, basis.l_max
         self.vs = vs
         self.basis = basis
-        self.diamagnetic = diamagnetic
         self._energies = np.repeat(vs.energies[:nb], lb + 1)
         self._landau = np.tile(np.arange(lb + 1.0), nb)
 
     @functools.cached_property
     def _diamagnetic_block(self) -> np.ndarray:
         nb = self.basis.n_max
-        z2 = self.vs.z2_matrix[:nb, :nb]
-        if self.diamagnetic == "diagonal":
-            z2 = np.diag(np.diag(z2))
-        return np.kron(z2, np.eye(self.basis.l_max + 1))
+        return np.kron(self.vs.z2_matrix[:nb, :nb],
+                       np.eye(self.basis.l_max + 1))
 
     @functools.cached_property
     def _coupling_block(self) -> np.ndarray:
@@ -170,8 +168,7 @@ class HamiltonianBlocks:
 
         if cfg.b_y != 0.0:
             _, omega_y, l_b = derived_frequencies(cfg)
-            if self.diamagnetic != "none":
-                h += 0.5 * ELECTRON_MASS * omega_y**2 * self._diamagnetic_block
+            h += 0.5 * ELECTRON_MASS * omega_y**2 * self._diamagnetic_block
             coupling = HBAR * omega_y / (np.sqrt(2.0) * l_b)
             h += coupling * self._coupling_block
         return h
@@ -198,14 +195,9 @@ def assemble_hamiltonian(
     vs: VerticalSpectrum,
     cfg: FieldConfiguration,
     basis: ProductBasis = ProductBasis(),
-    diamagnetic: str = "full",
 ) -> np.ndarray:
-    """Dense symmetric Hamiltonian in J on the product basis.
-
-    diamagnetic: "full" keeps the whole (z^2)_nn' block, "diagonal" its
-    diagonal only (lower-fidelity comparison mode), "none" drops it.
-    """
-    return HamiltonianBlocks(vs, basis, diamagnetic).hamiltonian(cfg)
+    """Dense symmetric Hamiltonian in J on the product basis."""
+    return HamiltonianBlocks(vs, basis).hamiltonian(cfg)
 
 
 # (get, set) thread-count symbols: numpy's bundled OpenBLAS (64-bit integer
@@ -308,17 +300,14 @@ def solve_coupled(
     vs: VerticalSpectrum,
     cfg: FieldConfiguration,
     basis: ProductBasis = ProductBasis(),
-    diamagnetic: str = "full",
 ) -> CoupledSpectrum:
-    return diagonalize(assemble_hamiltonian(vs, cfg, basis, diamagnetic),
-                       basis, cfg)
+    return diagonalize(assemble_hamiltonian(vs, cfg, basis), basis, cfg)
 
 
 def find_crossing(
     vs: VerticalSpectrum,
     pair: tuple[tuple[int, int], tuple[int, int]],
     b_z_range: tuple[float, float],
-    xtol: float = 1e-4,
 ) -> float:
     """b_z (T) where the uncoupled levels (n_a,l_a) and (n_b,l_b) cross.
 
@@ -347,7 +336,7 @@ def find_crossing(
         )
     from scipy.optimize import brentq   # scipy.optimize is slow to import
 
-    return float(brentq(gap, lo, hi, xtol=xtol))
+    return float(brentq(gap, lo, hi, xtol=_CROSSING_XTOL))
 
 
 def minimum_gap(
@@ -357,7 +346,6 @@ def minimum_gap(
     basis: ProductBasis | HamiltonianBlocks = ProductBasis(),
     b_z_range: tuple[float, float] | None = None,
     n_steps: int = 81,
-    overlap_threshold: float = 0.5,
 ) -> tuple[float, float]:
     """(b_z at minimum, gap in J) for the avoided crossing of a level pair.
 
@@ -365,8 +353,9 @@ def minimum_gap(
     continuity rather than energy order, which swaps at the crossing. When
     b_z_range is omitted a +-5% window around the uncoupled crossing is used.
     Raises BranchTrackingLost when successive eigenvectors overlap below
-    overlap_threshold, the sign the sweep step is too coarse. basis may be
-    the HamiltonianBlocks of vs (see blocks_for); every b_z shares them.
+    _OVERLAP_THRESHOLD (0.5), the sign the sweep step is too coarse. basis
+    may be the HamiltonianBlocks of vs (see blocks_for); every b_z shares
+    them.
     """
     if b_z_range is None:
         center = find_crossing(vs, pair, (1e-3, 20.0))
@@ -394,9 +383,9 @@ def minimum_gap(
             for k in taken:
                 overlaps[k] = -1.0
             k = int(np.argmax(overlaps))
-            if overlaps[k] < overlap_threshold:
+            if overlaps[k] < _OVERLAP_THRESHOLD:
                 raise BranchTrackingLost(
-                    f"overlap {overlaps[k]:.3f} below {overlap_threshold} "
+                    f"overlap {overlaps[k]:.3f} below {_OVERLAP_THRESHOLD} "
                     f"at b_z = {b_z:.4f} T; refine the sweep"
                 )
             taken.add(k)

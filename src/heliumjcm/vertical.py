@@ -30,6 +30,10 @@ from .materials import (
 # must stay below the leak tolerance for the highest state.
 _TAIL_FRACTION = 0.01
 _TAIL_TOLERANCE = 1e-6
+# Finite-difference step of stark_slope and root tolerance of
+# find_transition_field, V/cm.
+_SLOPE_STEP_V_CM = 0.1
+_ROOT_TOL_V_CM = 1e-3
 
 
 @dataclass(frozen=True)
@@ -193,25 +197,25 @@ def stark_slope(
     n: int,
     n_prime: int,
     grid: GridSpec = GridSpec(),
-    delta_v_cm: float = 0.1,
 ) -> float:
     """Slope of the n -> n_prime transition frequency vs E_perp, GHz cm / V.
 
-    Central finite difference with step delta_v_cm; one-sided from above when
-    e_perp sits closer to zero than the step.
+    Central finite difference with step _SLOPE_STEP_V_CM (0.1 V/cm);
+    one-sided from above when e_perp sits closer to zero than the step.
     """
     if n == n_prime:
         return 0.0
     n_states = max(n, n_prime, 2)
-    delta = delta_v_cm * V_PER_CM
+    delta = _SLOPE_STEP_V_CM * V_PER_CM
 
     def freq(e):
         vs = solve_vertical(mat, e, n_max=n_states, grid=grid)
         return vs.transition_frequency_ghz(n, n_prime)
 
     if e_perp >= delta:
-        return (freq(e_perp + delta) - freq(e_perp - delta)) / (2.0 * delta_v_cm)
-    return (freq(e_perp + delta) - freq(e_perp)) / delta_v_cm
+        return ((freq(e_perp + delta) - freq(e_perp - delta))
+                / (2.0 * _SLOPE_STEP_V_CM))
+    return (freq(e_perp + delta) - freq(e_perp)) / _SLOPE_STEP_V_CM
 
 
 def find_transition_field(
@@ -221,7 +225,6 @@ def find_transition_field(
     n_prime: int,
     bracket_v_cm: tuple[float, float] = (1.0, 80.0),
     grid: GridSpec = GridSpec(),
-    tol_v_cm: float = 1e-3,
 ) -> float:
     """E_perp (V/m) at which the n -> n_prime transition hits target_ghz.
 
@@ -243,6 +246,6 @@ def find_transition_field(
         )
     from scipy.optimize import brentq   # scipy.optimize is slow to import
 
-    root = brentq(objective, lo, hi, xtol=tol_v_cm)
+    root = brentq(objective, lo, hi, xtol=_ROOT_TOL_V_CM)
     return float(root * V_PER_CM)
 

@@ -1,6 +1,7 @@
 """Command-line interface: config loading, validation, artifact layout,
 exit codes, and byte-level determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from heliumjcm import (
     resonant_wavenumber,
     solve_vertical,
 )
-from heliumjcm.config import load_run_config
+from heliumjcm.config import TASKS, load_run_config
 from heliumjcm.coupled import _single_threaded_blas
 from heliumjcm.errors import ConfigError
 from heliumjcm.materials import HBAR
@@ -99,6 +100,28 @@ b_z_max = 5.0
 prefix = t
 """
 
+SMALL_SWEEP_CFG = """
+[run]
+task = spectrum-sweep
+[material]
+isotope = he3
+[fields]
+e_perp_v_cm = 15.0
+[basis]
+n_max = 4
+l_max = 6
+[grid]
+n_points = 1500
+[sweep]
+axis = b_z
+start = 0.5
+stop = 1.5
+steps = 3
+b_y_values = 0.0, 0.1
+[output]
+prefix = t
+"""
+
 # fig3-like zoom at the full basis, large enough for BLAS threading to move
 # the last printed digit of some dominant weight when it is not pinned
 SWEEP_CFG = """
@@ -151,6 +174,34 @@ def test_committed_configs_validate(capsys):
         assert cli.main(["validate", "--config", str(path)]) == 0, path
         out = capsys.readouterr().out
         assert out.startswith("ok:")
+
+
+def test_subcommands_are_the_task_table():
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli._TASKS)
+    assert set(TASKS) <= set(sub.choices)
+
+
+CSV_TASKS = {
+    "spectrum-sweep": (SMALL_SWEEP_CFG, "t_spectrum"),
+    "shifts": (SHIFTS_CFG, "t_shifts"),
+    "crossings": (CROSSINGS_CFG, "t_crossings"),
+    "absorption-map": (MAP_CFG, "t_map"),
+}
+
+
+@pytest.mark.parametrize("task", list(CSV_TASKS))
+def test_csv_task_prints_one_summary_line(tmp_path, capsys, task):
+    text, stem = CSV_TASKS[task]
+    path = _write(tmp_path, text)
+    out_dir = tmp_path / "o"
+    assert cli.main([task, "--config", path, "--out", str(out_dir)]) == 0
+    csv_path = out_dir / f"{stem}.csv"
+    rows = len(csv_path.read_text().splitlines()) - 1
+    assert rows > 0
+    assert capsys.readouterr().out == \
+        f"wrote {csv_path} ({rows} rows, 0 failed)\n"
 
 
 def test_validate_reports_errors(tmp_path, capsys):
@@ -242,30 +293,13 @@ def test_shifts_near_resonance_exit_code(tmp_path, capsys):
     assert "NearResonance" in body["failures"][0]["error"]
     csv_text = (out_dir / "t_shifts.csv").read_text()
     assert "nan" in csv_text
+    rows, failed = len(csv_text.splitlines()) - 1, len(body["failures"])
+    assert capsys.readouterr().out == \
+        f"wrote {out_dir / 't_shifts.csv'} ({rows} rows, {failed} failed)\n"
 
 
 def test_spectrum_sweep_artifacts(tmp_path):
-    path = _write(tmp_path, """
-[run]
-task = spectrum-sweep
-[material]
-isotope = he3
-[fields]
-e_perp_v_cm = 15.0
-[basis]
-n_max = 4
-l_max = 6
-[grid]
-n_points = 1500
-[sweep]
-axis = b_z
-start = 0.5
-stop = 1.5
-steps = 3
-b_y_values = 0.0, 0.1
-[output]
-prefix = t
-""")
+    path = _write(tmp_path, SMALL_SWEEP_CFG)
     out_dir = tmp_path / "o"
     assert cli.main(["spectrum-sweep", "--config", path,
                      "--out", str(out_dir)]) == 0
@@ -368,6 +402,16 @@ def test_rates_include_occupation(tmp_path):
         pytest.approx(ladder, rel=1e-12)
     assert on["g_over_h_ghz"] == off["g_over_h_ghz"]
     assert on["elastic_rate_per_s"] == off["elastic_rate_per_s"]
+
+
+def test_computing_task_warns_on_stderr(tmp_path, capsys):
+    path = _write(tmp_path, RATES_CFG.format(occupation="false")
+                  + "[basis]\nl_max = 8\n")
+    assert cli.main(["rates", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 0
+    captured = capsys.readouterr()
+    assert "warning: basis.l_max = 8" in captured.err
+    assert "warning" not in captured.out
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

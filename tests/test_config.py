@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 
+from heliumjcm import cli
 from heliumjcm.config import _KEYS, RunConfig, load_run_config
 from heliumjcm.errors import ConfigError
 
@@ -110,3 +111,33 @@ def test_bad_config_names_section_and_key(tmp_path, text, message):
     with pytest.raises(ConfigError) as info:
         load_run_config(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text, fragment", [
+    (b"[fields]\nb_z = 1.0\nb_z = 2.0\n",
+     "option 'b_z' in section 'fields' already exists"),
+    (b"b_z = 1.0\n", "File contains no section headers"),
+    (b"[DEFAULT]\nb_z = 1.0\n[fields]\ne_perp_v_cm = 15.0\n",
+     "unknown section [DEFAULT]"),
+    (b"[fields]\nb_z = 1.0\xff\n", "can't decode byte 0xff"),
+], ids=["duplicate-key", "no-section-header", "default-section", "not-utf8"])
+def test_malformed_file_is_config_error(tmp_path, capsys, text, fragment):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(text)
+    path = str(path)
+    with pytest.raises(ConfigError) as info:
+        load_run_config(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert fragment in str(info.value)
+    assert cli.main(["validate", "--config", path]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_values_are_literal(tmp_path):
+    cfg = load_run_config(_write(tmp_path, """
+[output]
+prefix = run%1
+out_dir = %(prefix)s
+"""))
+    assert cfg.prefix == "run%1"
+    assert cfg.out_dir == "%(prefix)s"

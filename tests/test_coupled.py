@@ -45,9 +45,8 @@ def test_basis_indexing():
 def test_hamiltonian_symmetric(vs15):
     # every term is a symmetric matrix, so assembly needs no symmetrization
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.2)
-    for diamagnetic in ("full", "diagonal", "none"):
-        h = assemble_hamiltonian(vs15, cfg, ProductBasis(6, 12), diamagnetic)
-        assert np.array_equal(h, h.T), diamagnetic
+    h = assemble_hamiltonian(vs15, cfg, ProductBasis(6, 12))
+    assert np.array_equal(h, h.T)
 
 
 def test_eigenvector_orthonormality(vs15):
@@ -83,17 +82,6 @@ def test_even_in_coupling_field(vs15):
         vs15, FieldConfiguration.from_v_cm(15.0, 0.65, -0.2), basis)
     assert np.allclose(plus.eigenvalues, minus.eigenvalues,
                        rtol=1e-12, atol=1e-30)
-
-
-def test_diamagnetic_modes_ordered(vs15):
-    # dropping the diamagnetic block lowers every level it touched
-    cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.3)
-    basis = ProductBasis(4, 8)
-    full = solve_coupled(vs15, cfg, basis, diamagnetic="full")
-    none = solve_coupled(vs15, cfg, basis, diamagnetic="none")
-    assert none.eigenvalues.sum() < full.eigenvalues.sum()
-    with pytest.raises(ValueError):
-        assemble_hamiltonian(vs15, cfg, basis, diamagnetic="half")
 
 
 def test_basis_mismatch_guards(vs15, he3):
