@@ -23,12 +23,12 @@ from .analytics import (
 from .config import RunConfig, load_run_config
 from .coupled import (
     CoupledSpectrum,
+    HamiltonianBlocks,
     ProductBasis,
     assemble_hamiltonian,
     diagonalize,
     find_crossing,
     minimum_gap,
-    solve_coupled,
 )
 from .dissipation import (
     RipplonBath,
@@ -89,6 +89,7 @@ __all__ = [
     "FieldConfiguration",
     "GridSpec",
     "GridTooSmall",
+    "HamiltonianBlocks",
     "HeliumJcmError",
     "InterferenceMoments",
     "MaterialProperties",
@@ -121,7 +122,6 @@ __all__ = [
     "perturbative_shift",
     "resonant_wavenumber",
     "scba_elastic_rate",
-    "solve_coupled",
     "solve_vertical",
     "stark_slope",
     "strong_coupling_report",

@@ -193,27 +193,21 @@ def transition_shift_ghz(
 
 
 def full_transition_shift_ghz(
-    vs: VerticalSpectrum,
+    blocks: coupled.HamiltonianBlocks,
     cfg: FieldConfiguration,
-    l: int | Sequence[int],
-    basis: coupled.ProductBasis | coupled.HamiltonianBlocks
-    = coupled.ProductBasis(),
-) -> float | list[float]:
+    l_values: Sequence[int],
+) -> list[float]:
     """Same observable from the dense diagonalization, GHz: the b_y-induced
-    change of the (1,l) -> (2,l) transition frequency.
-
-    A sequence of l gives one shift per level, all read from one solve.
-    basis may be the HamiltonianBlocks of vs (see coupled.blocks_for).
+    change of the (1,l) -> (2,l) transition frequency, one shift per level
+    of l_values, all read from one solve.
     """
-    spec = coupled.blocks_for(vs, basis).solve(cfg)
-    bare = vs.transition_frequency_ghz(1, 2)
-    single = isinstance(l, (int, np.integer))
-    shifts = [
-        float((spec.eigenvalues[spec.locate(2, m)]
-               - spec.eigenvalues[spec.locate(1, m)]) / GHZ) - bare
-        for m in ([l] if single else l)
+    spec = blocks.solve(cfg)
+    bare = blocks.vs.transition_frequency_ghz(1, 2)
+    return [
+        float((spec.eigenvalues[spec.locate(2, l)]
+               - spec.eigenvalues[spec.locate(1, l)]) / GHZ) - bare
+        for l in l_values
     ]
-    return shifts[0] if single else shifts
 
 
 def bethe_cancellation_check(
@@ -309,21 +303,21 @@ class InterferenceMoments:
 
 
 def interference_moments(
-    vs: VerticalSpectrum,
+    blocks: coupled.HamiltonianBlocks,
     cfg: FieldConfiguration,
-    basis: coupled.ProductBasis = coupled.ProductBasis(),
 ) -> InterferenceMoments:
     """Closed-form and exact doublet moments at the configured fields."""
+    vs = blocks.vs
     _, _, l_b = derived_frequencies(cfg)
     ratio = cfg.b_y / cfg.b_z
     mixed = vs.z_elem(2, 2) * vs.z_elem(2, 1) / (math.sqrt(2.0) * l_b) * ratio
     z_plus = mixed + vs.z_elem(3, 1)
     z_minus = mixed - vs.z_elem(3, 1)
 
-    spec = coupled.solve_coupled(vs, cfg, basis)
+    spec = blocks.solve(cfg)
     ground = spec.locate(1, 0)
     k1 = spec.locate(2, 1)
-    weights_30 = spec.eigenvectors[basis.index(3, 0), :] ** 2
+    weights_30 = spec.eigenvectors[blocks.basis.index(3, 0), :] ** 2
     masked = weights_30.copy()
     masked[k1] = -1.0
     k2 = int(np.argmax(masked))

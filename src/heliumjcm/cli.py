@@ -31,6 +31,7 @@ from .analytics import full_transition_shift_ghz, transition_shift_ghz
 from .config import RunConfig, load_run_config
 from .coupled import (
     HamiltonianBlocks,
+    ProductBasis,
     _single_threaded_blas,
     find_crossing,
     minimum_gap,
@@ -230,7 +231,7 @@ def _run_shifts(cfg: RunConfig, out_dir: str, threads: int) -> int:
         if point.b_y == 0.0:
             full = [0.0] * len(cfg.l_values)
         else:
-            full = full_transition_shift_ghz(vs, point, cfg.l_values, blocks)
+            full = full_transition_shift_ghz(blocks, point, cfg.l_values)
         for l, full_l in zip(cfg.l_values, full):
             try:
                 pert = transition_shift_ghz(vs, point, l)
@@ -262,7 +263,7 @@ def _run_crossings(cfg: RunConfig, out_dir: str, threads: int) -> int:
         b_min = gap = float("nan")
         if base.b_y > 0.0:
             try:
-                b_min, gap = minimum_gap(vs, base, pair, blocks)
+                b_min, gap = minimum_gap(blocks, base, pair)
             except HeliumJcmError as exc:
                 failures.append({"pair": [n_hi, n_lo], "error": _error(exc)})
         rows.append((n_hi, n_lo, b_star, b_min, gap / GHZ))
@@ -323,8 +324,6 @@ def _run_rates(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
 def _self_test_checks(mat: MaterialProperties) -> list[tuple[str, bool, str]]:
     """Hydrogenic limit, sum rule, uncoupled fan: (name, passed, detail)."""
-    from .coupled import ProductBasis, assemble_hamiltonian, diagonalize
-
     checks: list[tuple[str, bool, str]] = []
 
     vs = solve_vertical(mat, 0.0, 4)
@@ -342,9 +341,8 @@ def _self_test_checks(mat: MaterialProperties) -> list[tuple[str, bool, str]]:
     checks.append(("ground-state dipole sum rule within 5%", resid < 0.05,
                    f"missing weight {resid:.2%}"))
 
-    basis = ProductBasis(n_max=4, l_max=12)
     cfg0 = FieldConfiguration(e_perp=15.0 * V_PER_CM, b_z=0.65, b_y=0.0)
-    spec = diagonalize(assemble_hamiltonian(vs6, cfg0, basis), basis, cfg0)
+    spec = HamiltonianBlocks(vs6, ProductBasis(n_max=4, l_max=12)).solve(cfg0)
     expected = sorted(
         vs6.energy(n) + HBAR * cyclotron_frequency(0.65) * l
         for n in range(1, 5) for l in range(13)

@@ -8,6 +8,7 @@ silently fall back to defaults.
 from __future__ import annotations
 
 import configparser
+import os
 from dataclasses import dataclass, fields as dc_fields
 
 from .coupled import ProductBasis
@@ -146,6 +147,9 @@ class RunConfig:
             errors.append("grid.n_points: too coarse to trust")
         if self.z_max <= 10.0:
             errors.append("grid.z_max: box must extend past the bound tails")
+        if any(sep and sep in self.prefix for sep in (os.sep, os.altsep)):
+            errors.append("output.prefix: a file-name prefix, not a path; "
+                          "set directories in output.out_dir")
 
         needs_e_perp = self.task in ("spectrum-sweep", "shifts",
                                      "crossings", "rates")
@@ -186,6 +190,9 @@ class RunConfig:
             if any(l < 0 for l in self.l_values):
                 errors.append("sweep.l_values: Landau indices are "
                               "non-negative")
+            if any(l > self.l_max for l in self.l_values):
+                errors.append("sweep.l_values: Landau indices must not "
+                              "exceed basis.l_max")
 
         if self.task == "absorption-map":
             if self.map_sweep_axis not in ("b_z", "b_y"):
@@ -207,6 +214,12 @@ class RunConfig:
             if self.map_sweep_axis == "b_z" and self.map_sweep_start is \
                     not None and self.map_sweep_start <= 0.0:
                 errors.append("map.sweep_start: b_z must stay positive")
+            if not self.band_ghz > 0.0:
+                errors.append("map.band_ghz: must be positive")
+            if self.l_cut is not None and not 0 <= self.l_cut <= self.l_max:
+                errors.append("map.l_cut: need 0 <= l_cut <= basis.l_max")
+            if not self.base_width_ghz > 0.0:
+                errors.append("broadening.base_width_ghz: must be positive")
 
         if self.task == "crossings":
             if not self.crossing_pairs:

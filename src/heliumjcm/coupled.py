@@ -118,14 +118,15 @@ def _landau_ladder(l_max: int) -> np.ndarray:
 
 
 class HamiltonianBlocks:
-    """The field-independent pieces of the Hamiltonian at one vertical solve.
+    """The coupled problem at one vertical solve: the handle every coupled
+    solve goes through.
 
     The diagonal E_n + hbar w_c l needs only b_z, and the diamagnetic and
     coupling blocks kron(z^2, 1_l) and kron(z, a + a^dagger) need no field at
     all, so a column of field points at fixed E_perp builds the two Kronecker
-    products once (on first use) and every matrix from them.
-    assemble_hamiltonian goes through the same code, so both routes give
-    bit-identical matrices.
+    products once (on first use) and every matrix from them. Reuse one
+    instance across the field points of one E_perp. assemble_hamiltonian
+    goes through the same code, so both routes give bit-identical matrices.
     """
 
     def __init__(
@@ -175,20 +176,6 @@ class HamiltonianBlocks:
 
     def solve(self, cfg: FieldConfiguration) -> CoupledSpectrum:
         return diagonalize(self.hamiltonian(cfg), self.basis, cfg)
-
-
-def blocks_for(
-    vs: VerticalSpectrum,
-    basis: ProductBasis | HamiltonianBlocks,
-) -> HamiltonianBlocks:
-    """The Hamiltonian blocks of vs on basis; basis may already be the blocks
-    of vs, shared by callers that solve several field points of one vertical
-    solve."""
-    if not isinstance(basis, HamiltonianBlocks):
-        return HamiltonianBlocks(vs, basis)
-    if basis.vs is not vs:
-        raise BasisMismatch("Hamiltonian blocks built on another vertical solve")
-    return basis
 
 
 def assemble_hamiltonian(
@@ -296,14 +283,6 @@ def diagonalize(
                            eigenvalues=vals, eigenvectors=vecs)
 
 
-def solve_coupled(
-    vs: VerticalSpectrum,
-    cfg: FieldConfiguration,
-    basis: ProductBasis = ProductBasis(),
-) -> CoupledSpectrum:
-    return diagonalize(assemble_hamiltonian(vs, cfg, basis), basis, cfg)
-
-
 def find_crossing(
     vs: VerticalSpectrum,
     pair: tuple[tuple[int, int], tuple[int, int]],
@@ -340,10 +319,9 @@ def find_crossing(
 
 
 def minimum_gap(
-    vs: VerticalSpectrum,
+    blocks: HamiltonianBlocks,
     cfg_template: FieldConfiguration,
     pair: tuple[tuple[int, int], tuple[int, int]],
-    basis: ProductBasis | HamiltonianBlocks = ProductBasis(),
     b_z_range: tuple[float, float] | None = None,
     n_steps: int = 81,
 ) -> tuple[float, float]:
@@ -353,15 +331,13 @@ def minimum_gap(
     continuity rather than energy order, which swaps at the crossing. When
     b_z_range is omitted a +-5% window around the uncoupled crossing is used.
     Raises BranchTrackingLost when successive eigenvectors overlap below
-    _OVERLAP_THRESHOLD (0.5), the sign the sweep step is too coarse. basis
-    may be the HamiltonianBlocks of vs (see blocks_for); every b_z shares
-    them.
+    _OVERLAP_THRESHOLD (0.5), the sign the sweep step is too coarse. Every
+    b_z is solved from the one set of blocks.
     """
     if b_z_range is None:
-        center = find_crossing(vs, pair, (1e-3, 20.0))
+        center = find_crossing(blocks.vs, pair, (1e-3, 20.0))
         b_z_range = (0.95 * center, 1.05 * center)
     values = np.linspace(b_z_range[0], b_z_range[1], n_steps)
-    blocks = blocks_for(vs, basis)
 
     spec = blocks.solve(cfg_template.replace(b_z=float(values[0])))
     tracked = [spec.eigenvectors[:, spec.locate(*label)].copy()

@@ -165,7 +165,6 @@ def strong_coupling_report(
     cfg: FieldConfiguration,
     pair: tuple[int, int] = (2, 1),
     nu_0: float = 1e6,
-    temperature: float | None = None,
     include_occupation: bool = False,
 ) -> StrongCouplingReport:
     """Compare the sideband coupling of a level pair with its decay rates.
@@ -178,10 +177,7 @@ def strong_coupling_report(
     n_hi, n_lo = max(pair), min(pair)
     if n_hi == n_lo:
         raise ValueError("pair must name two different levels")
-    bath = RipplonBath.from_material(
-        vs.material,
-        cfg.temperature if temperature is None else temperature,
-    )
+    bath = RipplonBath.from_material(vs.material, cfg.temperature)
     g = abs(coupling_constant(vs, cfg, n_hi, n_lo))
     rate_v = two_ripplon_rate(vs, bath, cfg, (n_hi, 0), (n_lo, 0),
                               include_occupation)

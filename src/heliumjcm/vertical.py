@@ -196,12 +196,12 @@ def stark_slope(
     e_perp: float,
     n: int,
     n_prime: int,
-    grid: GridSpec = GridSpec(),
 ) -> float:
     """Slope of the n -> n_prime transition frequency vs E_perp, GHz cm / V.
 
-    Central finite difference with step _SLOPE_STEP_V_CM (0.1 V/cm);
-    one-sided from above when e_perp sits closer to zero than the step.
+    Central finite difference with step _SLOPE_STEP_V_CM (0.1 V/cm) of
+    solves on the default grid; one-sided from above when e_perp sits
+    closer to zero than the step.
     """
     if n == n_prime:
         return 0.0
@@ -209,7 +209,7 @@ def stark_slope(
     delta = _SLOPE_STEP_V_CM * V_PER_CM
 
     def freq(e):
-        vs = solve_vertical(mat, e, n_max=n_states, grid=grid)
+        vs = solve_vertical(mat, e, n_max=n_states)
         return vs.transition_frequency_ghz(n, n_prime)
 
     if e_perp >= delta:
@@ -224,7 +224,6 @@ def find_transition_field(
     n: int,
     n_prime: int,
     bracket_v_cm: tuple[float, float] = (1.0, 80.0),
-    grid: GridSpec = GridSpec(),
 ) -> float:
     """E_perp (V/m) at which the n -> n_prime transition hits target_ghz.
 
@@ -234,7 +233,7 @@ def find_transition_field(
     n_states = max(n, n_prime, 2)
 
     def objective(e_v_cm):
-        vs = solve_vertical(mat, e_v_cm * V_PER_CM, n_max=n_states, grid=grid)
+        vs = solve_vertical(mat, e_v_cm * V_PER_CM, n_max=n_states)
         return vs.transition_frequency_ghz(n, n_prime) - target_ghz
 
     lo, hi = bracket_v_cm

@@ -22,6 +22,7 @@ from scipy.constants import hbar as HBAR, h as PLANCK, k as KB
 
 from heliumjcm import (
     FieldConfiguration,
+    HamiltonianBlocks,
     ProductBasis,
     RipplonBath,
     assemble_hamiltonian,
@@ -36,7 +37,6 @@ from heliumjcm import (
     minimum_gap,
     resonant_wavenumber,
     scba_elastic_rate,
-    solve_coupled,
     solve_vertical,
     stark_slope,
     thermal_populations,
@@ -110,14 +110,14 @@ B_Y_GRID = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 
 @pytest.fixture(scope="module")
 def shift_table(vs15):
-    basis = ProductBasis(6, 50)
+    blocks = HamiltonianBlocks(vs15, ProductBasis(6, 50))
     rows = {}
     t0 = time.perf_counter()
     for b_y in B_Y_GRID:
         cfg = FieldConfiguration.from_v_cm(15.0, 0.65, b_y)
+        full = full_transition_shift_ghz(blocks, cfg, (0, 1))
         rows[b_y] = {
-            l: (transition_shift_ghz(vs15, cfg, l),
-                full_transition_shift_ghz(vs15, cfg, l, basis))
+            l: (transition_shift_ghz(vs15, cfg, l), full[l])
             for l in (0, 1)
         }
     rows["elapsed"] = time.perf_counter() - t0
@@ -195,12 +195,12 @@ def gap_star(vs20):
 
 
 def test_criterion_5_gap_matches_coupling(vs20, gap_star):
-    basis = ProductBasis(6, 12)
+    blocks = HamiltonianBlocks(vs20, ProductBasis(6, 12))
     worst = 0.0
     for b_y in (0.1, 0.2):
         cfg = FieldConfiguration.from_v_cm(20.0, gap_star, b_y)
         b_min, gap = minimum_gap(
-            vs20, cfg, ((2, 1), (3, 0)), basis,
+            blocks, cfg, ((2, 1), (3, 0)),
             b_z_range=(0.98 * gap_star, 1.02 * gap_star), n_steps=41)
         g = coupling_constant(vs20, cfg.replace(b_z=b_min), 2, 3)
         worst = max(worst, abs(gap / (2.0 * abs(g)) - 1.0))
@@ -212,12 +212,12 @@ def test_criterion_5_gap_matches_coupling(vs20, gap_star):
 
 
 def test_criterion_5_gap_family_scaling(vs20, gap_star):
-    basis = ProductBasis(6, 12)
+    blocks = HamiltonianBlocks(vs20, ProductBasis(6, 12))
     cfg = FieldConfiguration.from_v_cm(20.0, gap_star, 0.05)
     gaps = []
     for l in range(4):
         _, gap = minimum_gap(
-            vs20, cfg, ((2, l + 1), (3, l)), basis,
+            blocks, cfg, ((2, l + 1), (3, l)),
             b_z_range=(0.98 * gap_star, 1.02 * gap_star), n_steps=41)
         gaps.append(gap)
     worst = max(abs(gaps[l] / gaps[0] / math.sqrt(l + 1.0) - 1.0)
@@ -241,12 +241,12 @@ def test_criterion_6_closed_form_zero(he3):
 
 
 def test_criterion_6_exact_minimum_location(vs20, gap_star):
-    basis = ProductBasis(6, 20)
+    blocks = HamiltonianBlocks(vs20, ProductBasis(6, 20))
     scan = np.arange(0.25, 0.651, 0.025)
     moments = []
     for b_y in scan:
         cfg = FieldConfiguration.from_v_cm(20.0, gap_star, float(b_y))
-        im = interference_moments(vs20, cfg, basis)
+        im = interference_moments(blocks, cfg)
         moments.append(im.upper_moment**2)
     b_min = float(scan[int(np.argmin(moments))])
     ok = 0.35 <= b_min <= 0.55
@@ -340,7 +340,7 @@ def test_criterion_9_hermiticity_orthonormality(vs15):
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.2)
     basis = ProductBasis(6, 12)
     h = assemble_hamiltonian(vs15, cfg, basis)
-    spec = solve_coupled(vs15, cfg, basis)
+    spec = HamiltonianBlocks(vs15, basis).solve(cfg)
     asym = np.abs(h - h.T).max() / np.abs(h).max()
     gram = spec.eigenvectors.T @ spec.eigenvectors
     ortho = np.abs(gram - np.eye(basis.size)).max()
@@ -355,7 +355,7 @@ def test_criterion_9_hermiticity_orthonormality(vs15):
 def test_criterion_9_uncoupled_fan(vs15):
     cfg = FieldConfiguration.from_v_cm(15.0, 0.584, 0.0)
     basis = ProductBasis(4, 11)
-    spec = solve_coupled(vs15, cfg, basis)
+    spec = HamiltonianBlocks(vs15, basis).solve(cfg)
     w_c = cyclotron_frequency(0.584)
     fan = np.sort([vs15.energy(n) + HBAR * w_c * l
                    for n in range(1, 5) for l in range(12)])
@@ -378,8 +378,8 @@ def test_criterion_9_sum_rule_residual_decreases(he3):
 
 def test_criterion_9_ladder_truncation(vs15):
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 1.0)
-    small = solve_coupled(vs15, cfg, ProductBasis(6, 50))
-    large = solve_coupled(vs15, cfg, ProductBasis(6, 80))
+    small = HamiltonianBlocks(vs15, ProductBasis(6, 50)).solve(cfg)
+    large = HamiltonianBlocks(vs15, ProductBasis(6, 80)).solve(cfg)
     k = int(np.searchsorted(small.eigenvalues, vs15.energy(4)))
     drift = np.abs(small.eigenvalues[:k] - large.eigenvalues[:k]).max() / GHZ
     ok = drift < 0.010

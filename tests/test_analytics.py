@@ -10,6 +10,7 @@ from scipy.constants import e as QE, hbar as HBAR, h as PLANCK, m_e as ME
 from heliumjcm import (
     DegenerateField,
     FieldConfiguration,
+    HamiltonianBlocks,
     NearResonance,
     ProductBasis,
     admixed_state,
@@ -21,12 +22,10 @@ from heliumjcm import (
     full_transition_shift_ghz,
     interference_moments,
     perturbative_shift,
-    solve_coupled,
     tilde_energy,
     transition_shift_ghz,
     truncation_report,
 )
-from heliumjcm.coupled import HamiltonianBlocks
 
 GHZ = 1e9 * PLANCK
 
@@ -127,12 +126,11 @@ def test_transition_shift_signs(vs15):
 def test_perturbative_vs_full_at_weak_coupling(vs15):
     # both routes agree to leading order; the quartic resummation terms
     # stay negligible below 0.1 T
-    basis = ProductBasis(6, 50)
+    blocks = HamiltonianBlocks(vs15, ProductBasis(6, 50))
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.1)
     d0 = transition_shift_ghz(vs15, cfg, 0)
-    for l in (0, 1):
+    for l, full in zip((0, 1), full_transition_shift_ghz(blocks, cfg, (0, 1))):
         pert = transition_shift_ghz(vs15, cfg, l)
-        full = full_transition_shift_ghz(vs15, cfg, l, basis)
         assert abs(full - pert) < 0.08 * abs(d0)
 
 
@@ -141,18 +139,19 @@ def test_full_shift_levels_from_one_solve(vs15):
     # bits as one call per level
     basis = ProductBasis(6, 20)
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.2)
-    single = [full_transition_shift_ghz(vs15, cfg, l, basis) for l in (0, 1)]
-    assert all(type(value) is float for value in single)
-    assert full_transition_shift_ghz(vs15, cfg, (0, 1), basis) == single
     blocks = HamiltonianBlocks(vs15, basis)
-    assert full_transition_shift_ghz(vs15, cfg, [0, 1], blocks) == single
+    single = [full_transition_shift_ghz(blocks, cfg, [l])[0] for l in (0, 1)]
+    assert all(type(value) is float for value in single)
+    assert full_transition_shift_ghz(blocks, cfg, (0, 1)) == single
+    fresh = HamiltonianBlocks(vs15, basis)
+    assert full_transition_shift_ghz(fresh, cfg, [0, 1]) == single
 
 
 def test_full_shift_even_in_b_y(vs15):
-    basis = ProductBasis(6, 30)
+    blocks = HamiltonianBlocks(vs15, ProductBasis(6, 30))
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.15)
-    plus = full_transition_shift_ghz(vs15, cfg, 0, basis)
-    minus = full_transition_shift_ghz(vs15, cfg.replace(b_y=-0.15), 0, basis)
+    [plus] = full_transition_shift_ghz(blocks, cfg, [0])
+    [minus] = full_transition_shift_ghz(blocks, cfg.replace(b_y=-0.15), [0])
     assert plus == pytest.approx(minus, rel=1e-10)
 
 
@@ -172,7 +171,7 @@ def test_admixed_state_matches_diagonalization(vs15):
     # first-order amplitudes against the dense eigenvector at weak coupling
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.02)
     basis = ProductBasis(6, 12)
-    spec = solve_coupled(vs15, cfg, basis)
+    spec = HamiltonianBlocks(vs15, basis).solve(cfg)
     amps = admixed_state(vs15, cfg, 2, 1)
     k = spec.locate(2, 1)
     vec = spec.eigenvectors[:, k]
@@ -199,7 +198,8 @@ def test_admixture_same_level_coefficients(vs20):
 
 def test_interference_moment_identity(vs20):
     cfg = FieldConfiguration.from_v_cm(20.0, 1.1408, 0.3)
-    im = interference_moments(vs20, cfg, ProductBasis(6, 16))
+    im = interference_moments(HamiltonianBlocks(vs20, ProductBasis(6, 16)),
+                              cfg)
     l_b = math.sqrt(HBAR / (QE * 1.1408))
     mixed = vs20.z_elem(2, 2) * vs20.z_elem(2, 1) \
         / (math.sqrt(2.0) * l_b) * (0.3 / 1.1408)

@@ -13,6 +13,7 @@ import pytest
 
 import heliumjcm
 from heliumjcm import (
+    HamiltonianBlocks,
     RipplonBath,
     cli,
     cyclotron_frequency,
@@ -204,8 +205,7 @@ def test_csv_task_prints_one_summary_line(tmp_path, capsys, task):
         f"wrote {csv_path} ({rows} rows, 0 failed)\n"
 
 
-def test_validate_reports_errors(tmp_path, capsys):
-    bad = _write(tmp_path, """
+B_Y_SWEEP_WITHOUT_B_Z_CFG = """
 [run]
 task = spectrum-sweep
 [fields]
@@ -215,10 +215,27 @@ axis = b_y
 start = 0.0
 stop = 0.5
 steps = 11
-""")
+"""
+
+
+@pytest.mark.parametrize("text, key", [
+    (B_Y_SWEEP_WITHOUT_B_Z_CFG, "fields.b_z"),
+    (MAP_CFG.replace("l_cut = 5", "l_cut = -1"), "map.l_cut"),
+    (MAP_CFG.replace("l_cut = 5", "l_cut = 9"), "map.l_cut"),
+    (MAP_CFG.replace("l_cut = 5", "l_cut = 5\nband_ghz = 0"), "map.band_ghz"),
+    (MAP_CFG.replace("[output]", "[broadening]\nbase_width_ghz = 0\n[output]"),
+     "broadening.base_width_ghz"),
+    (SHIFTS_CFG.replace("l_values = 0, 1", "l_values = 0, 21"),
+     "sweep.l_values"),
+    (SHIFTS_CFG.replace("prefix = t", "prefix = a/b"), "output.prefix"),
+], ids=["b_y-sweep-without-b_z", "l_cut-negative", "l_cut-above-l_max",
+        "band_ghz-zero", "base_width-zero", "l_values-above-l_max",
+        "prefix-with-separator"])
+def test_validate_reports_errors(tmp_path, capsys, text, key):
+    bad = _write(tmp_path, text)
     assert cli.main(["validate", "--config", bad]) == 2
     err = capsys.readouterr().err
-    assert "fields.b_z" in err
+    assert f"error: {key}:" in err
 
 
 def test_validate_unknown_key(tmp_path, capsys):
@@ -529,6 +546,7 @@ def test_shifts_csv_is_full_shift_bit_for_bit(tmp_path, monkeypatch):
     cfg = load_run_config(path)
     base, basis = cfg.field_config(), cfg.basis()
     vs = solve_vertical(cfg.material(), base.e_perp, basis.n_max, cfg.grid())
+    blocks = HamiltonianBlocks(vs, basis)
     assert [(b_y, l) for b_y, l, _, _ in captured] == [
         (b_y, l) for b_y in (0.0, 0.1, 0.2) for l in (0, 1)]
     cells = [line.split(",")[3] for line in
@@ -538,8 +556,8 @@ def test_shifts_csv_is_full_shift_bit_for_bit(tmp_path, monkeypatch):
             want = 0.0
         else:
             with _single_threaded_blas:
-                want = full_transition_shift_ghz(
-                    vs, base.replace(b_y=b_y), l, basis)
+                [want] = full_transition_shift_ghz(
+                    blocks, base.replace(b_y=b_y), [l])
         assert full == want
         assert cell == cli._fmt(want)
 

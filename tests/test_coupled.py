@@ -8,6 +8,7 @@ from scipy.constants import hbar as HBAR, h as PLANCK
 from heliumjcm import (
     BasisMismatch,
     FieldConfiguration,
+    HamiltonianBlocks,
     NoCrossingInRange,
     ProductBasis,
     assemble_hamiltonian,
@@ -16,14 +17,8 @@ from heliumjcm import (
     diagonalize,
     find_crossing,
     minimum_gap,
-    solve_coupled,
-    solve_vertical,
 )
-from heliumjcm.coupled import (
-    HamiltonianBlocks,
-    _single_threaded_blas,
-    blocks_for,
-)
+from heliumjcm.coupled import _single_threaded_blas
 
 GHZ = 1e9 * PLANCK
 
@@ -51,7 +46,7 @@ def test_hamiltonian_symmetric(vs15):
 
 def test_eigenvector_orthonormality(vs15):
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.2)
-    spec = solve_coupled(vs15, cfg, ProductBasis(6, 12))
+    spec = HamiltonianBlocks(vs15, ProductBasis(6, 12)).solve(cfg)
     gram = spec.eigenvectors.T @ spec.eigenvectors
     assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-8
 
@@ -67,7 +62,7 @@ def test_uncoupled_fan_exact(vs15):
     # b_y = 0: eigenvalues are exactly E_n + hbar w_c l, sorted
     cfg = FieldConfiguration.from_v_cm(15.0, 0.584, 0.0)
     basis = ProductBasis(4, 11)
-    spec = solve_coupled(vs15, cfg, basis)
+    spec = HamiltonianBlocks(vs15, basis).solve(cfg)
     w_c = cyclotron_frequency(0.584)
     fan = np.sort([vs15.energy(n) + HBAR * w_c * l
                    for n in range(1, 5) for l in range(12)])
@@ -76,32 +71,28 @@ def test_uncoupled_fan_exact(vs15):
 
 def test_even_in_coupling_field(vs15):
     basis = ProductBasis(6, 14)
-    plus = solve_coupled(
-        vs15, FieldConfiguration.from_v_cm(15.0, 0.65, 0.2), basis)
-    minus = solve_coupled(
-        vs15, FieldConfiguration.from_v_cm(15.0, 0.65, -0.2), basis)
+    blocks = HamiltonianBlocks(vs15, basis)
+    plus = blocks.solve(FieldConfiguration.from_v_cm(15.0, 0.65, 0.2))
+    minus = blocks.solve(FieldConfiguration.from_v_cm(15.0, 0.65, -0.2))
     assert np.allclose(plus.eigenvalues, minus.eigenvalues,
                        rtol=1e-12, atol=1e-30)
 
 
-def test_basis_mismatch_guards(vs15, he3):
+def test_basis_mismatch_guards(vs15):
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.1)
     with pytest.raises(BasisMismatch):
         assemble_hamiltonian(vs15, cfg, ProductBasis(8, 10))
     with pytest.raises(BasisMismatch):
         assemble_hamiltonian(vs15, cfg.replace(e_perp=2000.0),
                              ProductBasis(4, 10))
-    with pytest.raises(BasisMismatch):
-        blocks_for(vs15, HamiltonianBlocks(solve_vertical(he3, 1500.0, 4),
-                                           ProductBasis(4, 10)))
 
 
 def test_ladder_truncation_converged(vs15):
     # doubling the ladder from 50 to 80 rungs moves the levels below the
     # (4,0) threshold by under 10 MHz at a strong coupling field
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 1.0)
-    small = solve_coupled(vs15, cfg, ProductBasis(6, 50))
-    large = solve_coupled(vs15, cfg, ProductBasis(6, 80))
+    small = HamiltonianBlocks(vs15, ProductBasis(6, 50)).solve(cfg)
+    large = HamiltonianBlocks(vs15, ProductBasis(6, 80)).solve(cfg)
     cut = vs15.energy(4)
     k = int(np.searchsorted(small.eigenvalues, cut))
     drift = np.abs(small.eigenvalues[:k] - large.eigenvalues[:k]) / GHZ
@@ -116,14 +107,14 @@ def test_shared_blocks_solve_equals_solve_coupled(vs15):
     # and spectra exactly
     basis = ProductBasis(6, 20)
     blocks = HamiltonianBlocks(vs15, basis)
-    assert blocks_for(vs15, blocks) is blocks
     with _single_threaded_blas:
         for b_z, b_y in ((0.65, 0.0), (0.65, 0.2), (1.2, 0.1), (1.2, -0.3)):
             cfg = FieldConfiguration.from_v_cm(15.0, b_z, b_y)
             assert np.array_equal(blocks.hamiltonian(cfg),
                                   assemble_hamiltonian(vs15, cfg, basis))
-            shared, one_shot = blocks.solve(cfg), solve_coupled(vs15, cfg,
-                                                                basis)
+            shared = blocks.solve(cfg)
+            one_shot = diagonalize(assemble_hamiltonian(vs15, cfg, basis),
+                                   basis, cfg)
             assert np.array_equal(shared.eigenvalues, one_shot.eigenvalues)
             assert np.array_equal(shared.eigenvectors,
                                   one_shot.eigenvectors)
@@ -132,7 +123,7 @@ def test_shared_blocks_solve_equals_solve_coupled(vs15):
 def test_dominant_labels_match_dominant(vs15):
     # a fig3 point: full basis, on the (2,1)/(3,0) avoided crossing
     cfg = FieldConfiguration.from_v_cm(15.0, 1.2, 0.2)
-    spec = solve_coupled(vs15, cfg, ProductBasis(6, 50))
+    spec = HamiltonianBlocks(vs15, ProductBasis(6, 50)).solve(cfg)
     n, l, weight = spec.dominant_labels()
     labels = list(zip(n.tolist(), l.tolist(), weight.tolist()))
     assert labels == [spec.dominant(k) for k in range(spec.basis.size)]
@@ -141,7 +132,7 @@ def test_dominant_labels_match_dominant(vs15):
 
 def test_locate_and_dominant(vs15):
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.05)
-    spec = solve_coupled(vs15, cfg, ProductBasis(4, 8))
+    spec = HamiltonianBlocks(vs15, ProductBasis(4, 8)).solve(cfg)
     k = spec.locate(2, 1)
     n, l, w = spec.dominant(k)
     assert (n, l) == (2, 1)
@@ -164,7 +155,7 @@ def test_minimum_gap_matches_coupling(vs20):
     b_star = find_crossing(vs20, ((2, 1), (3, 0)), (0.5, 3.0))
     cfg = FieldConfiguration.from_v_cm(20.0, b_star, 0.1)
     b_min, gap = minimum_gap(
-        vs20, cfg, ((2, 1), (3, 0)), ProductBasis(6, 12),
+        HamiltonianBlocks(vs20, ProductBasis(6, 12)), cfg, ((2, 1), (3, 0)),
         b_z_range=(0.98 * b_star, 1.02 * b_star), n_steps=41)
     g = coupling_constant(vs20, cfg.replace(b_z=b_min), 2, 3)
     assert gap == pytest.approx(2.0 * abs(g), rel=0.02)
@@ -173,11 +164,12 @@ def test_minimum_gap_matches_coupling(vs20):
 
 def test_minimum_gap_linear_in_coupling_field(vs20):
     b_star = find_crossing(vs20, ((2, 1), (3, 0)), (0.5, 3.0))
+    blocks = HamiltonianBlocks(vs20, ProductBasis(6, 12))
     gaps = []
     for b_y in (0.05, 0.1):
         cfg = FieldConfiguration.from_v_cm(20.0, b_star, b_y)
         _, gap = minimum_gap(
-            vs20, cfg, ((2, 1), (3, 0)), ProductBasis(6, 12),
+            blocks, cfg, ((2, 1), (3, 0)),
             b_z_range=(0.98 * b_star, 1.02 * b_star), n_steps=41)
         gaps.append(gap)
     assert gaps[1] / gaps[0] == pytest.approx(2.0, rel=0.02)

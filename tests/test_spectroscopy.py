@@ -22,10 +22,10 @@ from heliumjcm import (
     DegenerateField,
     FieldConfiguration,
     GridSpec,
+    HamiltonianBlocks,
     ProductBasis,
     absorption_map,
     coupled,
-    solve_coupled,
     solve_vertical,
     spectroscopy,
     thermal_populations,
@@ -99,7 +99,7 @@ def test_catalog_uncoupled_limit(vs15):
     # without the coupling field the dipole only changes n, so every line
     # out of (1,l) lands on (n,l) at the bare vertical frequency
     cfg = FieldConfiguration.from_v_cm(15.0, 0.584, 0.0, 0.33)
-    spec = solve_coupled(vs15, cfg, ProductBasis(6, 12))
+    spec = HamiltonianBlocks(vs15, ProductBasis(6, 12)).solve(cfg)
     pops = thermal_populations(cfg, 4)
     lines = transition_catalog(spec, vs15, pops, (60.0, 115.0))
     strong = [ln for ln in lines if ln.moment_sq > 1e-22]
@@ -119,7 +119,7 @@ def test_catalog_uncoupled_limit(vs15):
 def test_catalog_sidebands(vs15):
     # the coupling field opens sidebands one cyclotron quantum away
     cfg = FieldConfiguration.from_v_cm(15.0, 0.584, 0.1, 0.33)
-    spec = solve_coupled(vs15, cfg, ProductBasis(6, 20))
+    spec = HamiltonianBlocks(vs15, ProductBasis(6, 20)).solve(cfg)
     pops = thermal_populations(cfg, 6)
     lines = transition_catalog(spec, vs15, pops, (55.0, 110.0))
     out0 = [ln for ln in lines if ln.initial_label == (1, 0)
@@ -135,7 +135,7 @@ def test_catalog_sidebands(vs15):
 
 def test_catalog_band_filter(vs15):
     cfg = FieldConfiguration.from_v_cm(15.0, 0.584, 0.0, 0.33)
-    spec = solve_coupled(vs15, cfg, ProductBasis(6, 10))
+    spec = HamiltonianBlocks(vs15, ProductBasis(6, 10)).solve(cfg)
     pops = thermal_populations(cfg, 3)
     lines = transition_catalog(spec, vs15, pops, (85.0, 95.0))
     assert all(85.0 <= ln.frequency_ghz <= 95.0 for ln in lines)
@@ -183,7 +183,7 @@ def test_map_line_trace_round_trip(he3, small_map):
     e_perp = tr["e_perp_v_cm"]
     vs = solve_vertical(he3, e_perp * 100.0)
     cfg = FieldConfiguration.from_v_cm(e_perp, 0.584, 0.08, 0.33)
-    spec = solve_coupled(vs, cfg, MAP_BASIS)
+    spec = HamiltonianBlocks(vs, MAP_BASIS).solve(cfg)
     k0, k1 = spec.locate(1, 0), spec.locate(2, 0)
     f = (spec.eigenvalues[k1] - spec.eigenvalues[k0]) / (1e9 * PLANCK)
     width = BroadeningModel(areal_density_cm2=1e7).width_ghz(cfg)
@@ -387,7 +387,7 @@ def test_vectorized_catalog_matches_per_line_reference(
     # the map diagonalizes with single-threaded BLAS; so must the reference
     with coupled._single_threaded_blas:
         vs = solve_vertical(he3, 2900.0, basis.n_max)
-        spec = solve_coupled(vs, cfg, basis)
+        spec = HamiltonianBlocks(vs, basis).solve(cfg)
     want_value, want_lines = _reference_pixel(spec, vs, pops, 90.0, width,
                                               30.0)
     assert len(want_lines) > 10 and want_value > 0.0
