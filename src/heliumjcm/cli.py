@@ -298,7 +298,8 @@ def _run_absorption_map(cfg: RunConfig, out_dir: str, threads: int) -> int:
                  [cfg.map_sweep_axis, "e_perp_v_cm", "intensity"], rows,
                  {"mw_frequency_ghz": amap.mw_frequency_ghz,
                   "sweep_axis": amap.sweep_name,
-                  "line_centers": amap.lines},
+                  "line_centers": amap.lines,
+                  "basis": amap.basis_report()},
                  [{"i": i, "j": j, "error": msg}
                   for i, j, msg in amap.failures])
 

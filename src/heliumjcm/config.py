@@ -8,6 +8,7 @@ silently fall back to defaults.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, fields as dc_fields
 
@@ -277,8 +278,16 @@ class RunConfig:
             errors.append(f"{name}.steps: need at least 2")
 
 
+def _parse_float(text: str) -> float:
+    """A finite float: nan and inf pass float() but no check after it."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(";", ",").split(",")
+    return tuple(_parse_float(tok) for tok in text.replace(";", ",").split(",")
                  if tok.strip())
 
 
@@ -316,46 +325,46 @@ def _parse_bool(text: str) -> bool:
 _KEYS = (
     ("run", "task", "task", str.strip),
     ("material", "isotope", "isotope", lambda s: s.strip().lower()),
-    ("material", "barrier_height_ev", "barrier_height_ev", float),
-    ("material", "surface_tension", "surface_tension", float),
-    ("material", "mass_density", "mass_density", float),
-    ("material", "binding_rydberg_mev", "binding_rydberg_mev", float),
-    ("fields", "e_perp_v_cm", "e_perp_v_cm", float),
-    ("fields", "b_z", "b_z", float),
-    ("fields", "b_y", "b_y", float),
-    ("fields", "temperature", "temperature", float),
+    ("material", "barrier_height_ev", "barrier_height_ev", _parse_float),
+    ("material", "surface_tension", "surface_tension", _parse_float),
+    ("material", "mass_density", "mass_density", _parse_float),
+    ("material", "binding_rydberg_mev", "binding_rydberg_mev", _parse_float),
+    ("fields", "e_perp_v_cm", "e_perp_v_cm", _parse_float),
+    ("fields", "b_z", "b_z", _parse_float),
+    ("fields", "b_y", "b_y", _parse_float),
+    ("fields", "temperature", "temperature", _parse_float),
     ("basis", "n_max", "n_max", int),
     ("basis", "l_max", "l_max", int),
-    ("grid", "z_max", "z_max", float),
+    ("grid", "z_max", "z_max", _parse_float),
     ("grid", "n_points", "n_points", int),
     ("sweep", "axis", "sweep_axis", str.strip),
-    ("sweep", "start", "sweep_start", float),
-    ("sweep", "stop", "sweep_stop", float),
+    ("sweep", "start", "sweep_start", _parse_float),
+    ("sweep", "stop", "sweep_stop", _parse_float),
     ("sweep", "steps", "sweep_steps", int),
     ("sweep", "b_y_values", "b_y_values", _parse_floats),
     ("sweep", "l_values", "l_values", _parse_ints),
     ("map", "sweep_axis", "map_sweep_axis", str.strip),
-    ("map", "sweep_start", "map_sweep_start", float),
-    ("map", "sweep_stop", "map_sweep_stop", float),
+    ("map", "sweep_start", "map_sweep_start", _parse_float),
+    ("map", "sweep_stop", "map_sweep_stop", _parse_float),
     ("map", "sweep_steps", "map_sweep_steps", int),
-    ("map", "e_perp_start_v_cm", "map_e_perp_start", float),
-    ("map", "e_perp_stop_v_cm", "map_e_perp_stop", float),
+    ("map", "e_perp_start_v_cm", "map_e_perp_start", _parse_float),
+    ("map", "e_perp_stop_v_cm", "map_e_perp_stop", _parse_float),
     ("map", "e_perp_steps", "map_e_perp_steps", int),
-    ("map", "mw_frequency_ghz", "mw_frequency_ghz", float),
-    ("map", "band_ghz", "band_ghz", float),
+    ("map", "mw_frequency_ghz", "mw_frequency_ghz", _parse_float),
+    ("map", "band_ghz", "band_ghz", _parse_float),
     ("map", "l_cut", "l_cut", int),
-    ("broadening", "base_width_ghz", "base_width_ghz", float),
-    ("broadening", "kappa_ghz_cm_per_v", "kappa_ghz_cm_per_v", float),
-    ("broadening", "areal_density_cm2", "areal_density_cm2", float),
+    ("broadening", "base_width_ghz", "base_width_ghz", _parse_float),
+    ("broadening", "kappa_ghz_cm_per_v", "kappa_ghz_cm_per_v", _parse_float),
+    ("broadening", "areal_density_cm2", "areal_density_cm2", _parse_float),
     ("broadening", "fluct_field_coefficient", "fluct_field_coefficient",
-     float),
+     _parse_float),
     ("broadening", "include_thermal", "include_thermal", _parse_bool),
     ("rates", "pair", "rates_pair", _parse_pair),
-    ("rates", "nu_0", "nu_0", float),
+    ("rates", "nu_0", "nu_0", _parse_float),
     ("rates", "include_occupation", "include_occupation", _parse_bool),
     ("crossings", "pairs", "crossing_pairs", _parse_pairs),
-    ("crossings", "b_z_min", "b_z_min", float),
-    ("crossings", "b_z_max", "b_z_max", float),
+    ("crossings", "b_z_min", "b_z_min", _parse_float),
+    ("crossings", "b_z_max", "b_z_max", _parse_float),
     ("output", "out_dir", "out_dir", str.strip),
     ("output", "prefix", "prefix", str.strip),
 )

@@ -144,6 +144,21 @@ class HamiltonianBlocks:
         self._energies = np.repeat(vs.energies[:nb], lb + 1)
         self._landau = np.tile(np.arange(lb + 1.0), nb)
 
+    def restricted(self, l_max: int) -> HamiltonianBlocks:
+        """The same problem on the Landau cut l <= l_max: this instance at
+        its own cut, else a new one, which builds its blocks only if asked
+        to. A Kronecker entry is one product of a z (or z^2) entry and a
+        ladder (or identity) entry, the same at every cut, so the blocks of
+        a cut are entry for entry those of the full ladder restricted to
+        l <= l_max."""
+        if l_max == self.basis.l_max:
+            return self
+        if not 0 <= l_max < self.basis.l_max:
+            raise ValueError(
+                f"Landau cut {l_max} outside 0..{self.basis.l_max}")
+        return HamiltonianBlocks(self.vs, ProductBasis(self.basis.n_max,
+                                                       l_max))
+
     @functools.cached_property
     def _diamagnetic_block(self) -> np.ndarray:
         nb = self.basis.n_max

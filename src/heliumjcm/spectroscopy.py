@@ -40,6 +40,12 @@ from .vertical import GridSpec, VerticalSpectrum, solve_vertical
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# A map pixel deposits the lines within this many widths of the drive.
+_DEPOSIT_WINDOW = 8.0
+# A pixel's Landau cut is certified when every state that reaches an
+# artifact holds at most this weight on the top two rungs of the ladder.
+_EDGE_WEIGHT_LIMIT = 1e-10
+
 
 def thermal_populations(cfg: FieldConfiguration, l_cut: int) -> np.ndarray:
     """Boltzmann weights of the Landau ladder, normalized over l = 0..l_cut.
@@ -131,7 +137,11 @@ def _catalog(
     labeled by its strongest product component.
     """
     f_min, f_max = mw_band_ghz
-    n_init = min(len(populations), spec.basis.l_max + 1)
+    n_init = len(populations)
+    if n_init > spec.basis.l_max + 1:
+        raise ValueError(
+            f"{n_init} thermal labels but the basis stops at "
+            f"l_max = {spec.basis.l_max}")
     # the flat index of (1,l) is l
     starts = np.argmax(spec.eigenvectors[:n_init] ** 2, axis=1)
     no_int, no_float = np.empty(0, dtype=int), np.empty(0)
@@ -192,6 +202,16 @@ def transition_catalog(
     ]
 
 
+class _Pixel(NamedTuple):
+    """One solved map pixel, or its error as value with the rest unset."""
+
+    value: float | Exception
+    lines: list | None = None   # (l, n_final, l_final, frequency, area)
+    landau_cut: int = -1
+    edge_weight: float = math.nan
+    clamped: bool = False
+
+
 @dataclass(frozen=True)
 class AbsorptionMap:
     """Simulated absorption over (swept field) x (tuning field).
@@ -209,6 +229,33 @@ class AbsorptionMap:
     mw_frequency_ghz: float = 0.0
     failures: list[tuple[int, int, str]] = field(default_factory=list)
     peak_raw: float = 1.0   # intensity * peak_raw restores physical units
+    # Landau cut each pixel was solved on (-1 where it failed), capped at
+    # landau_cap = basis.l_max, and its certificate: the largest weight on
+    # the top two rungs of a state the pixel's output uses (NaN if failed)
+    landau_cut: np.ndarray | None = field(default=None, repr=False)
+    edge_weight: np.ndarray | None = field(default=None, repr=False)
+    landau_cap: int = 0
+    l_cut_clamped: int = 0   # pixels whose automatic thermal cut hit the cap
+
+    def basis_report(self) -> dict:
+        """The Landau cuts in summary: pixels per cut, the pixels that
+        reached the cap with the certificate still failing and their worst
+        edge weight, and the pixels whose thermal cut was clamped."""
+        solved = self.landau_cut >= 0
+        cuts, counts = np.unique(self.landau_cut[solved], return_counts=True)
+        flagged = ((self.landau_cut == self.landau_cap)
+                   & (self.edge_weight > _EDGE_WEIGHT_LIMIT))
+        return {
+            "l_max_cap": self.landau_cap,
+            "edge_weight_limit": _EDGE_WEIGHT_LIMIT,
+            "pixels_by_l_max": [[int(c), int(n)]
+                                for c, n in zip(cuts, counts)],
+            "cap_uncertified_pixels": int(flagged.sum()),
+            "cap_uncertified_worst_edge_weight":
+                float(self.edge_weight[flagged].max()) if flagged.any()
+                else None,
+            "thermal_cut_clamped_pixels": self.l_cut_clamped,
+        }
 
 
 def _auto_l_cut(cfg: FieldConfiguration, l_max: int) -> int:
@@ -216,6 +263,38 @@ def _auto_l_cut(cfg: FieldConfiguration, l_max: int) -> int:
     about 3e-4 of the total population."""
     x = HBAR * cyclotron_frequency(cfg.b_z) / (BOLTZMANN * cfg.temperature)
     return int(min(l_max, max(5, math.ceil(8.0 / max(x, 1e-6)))))
+
+
+def _first_landau_cut(cfg: FieldConfiguration, l_cut: int, f_top_ghz: float,
+                      cap: int) -> int:
+    """Landau cut a pixel is first solved on: the thermal cut, the rungs a
+    line at the top of the band can climb (f / f_c, f_c = omega_c / 2 pi),
+    and four rungs of margin, at most cap."""
+    f_c = cyclotron_frequency(cfg.b_z) / (2.0 * math.pi)   # Hz
+    return min(cap, l_cut + math.ceil(f_top_ghz * 1e9 / f_c) + 4)
+
+
+def _rung_weights(spec: CoupledSpectrum, states: np.ndarray) -> np.ndarray:
+    """(l_max + 1, len(states)): the weight of each state on each rung."""
+    nb, lb = spec.basis.n_max, spec.basis.l_max
+    c = spec.eigenvectors[:, states].reshape(nb, lb + 1, -1)
+    return (c ** 2).sum(axis=0)
+
+
+def _next_landau_cut(rungs: np.ndarray, cap: int) -> int:
+    """Cut after a failed certificate on rungs = _rung_weights at cut
+    L = len(rungs) - 1: each failing state's weight on rungs L-4..L-3
+    against L-1..L gives its tail decay, extrapolated to the rung where the
+    edge weight passes, plus 2. The cap without a decaying tail."""
+    landau = len(rungs) - 1
+    edge = rungs[-2:].sum(axis=0)
+    far = rungs[-5:-3].sum(axis=0)
+    failing = edge > _EDGE_WEIGHT_LIMIT
+    edge, far = edge[failing], far[failing]
+    if landau < 4 or not np.all(far > edge):
+        return cap
+    rungs_needed = 3.0 * np.log(edge / _EDGE_WEIGHT_LIMIT) / np.log(far / edge)
+    return min(cap, landau + 2 + math.ceil(min(rungs_needed.max(), cap)))
 
 
 def _deposit(
@@ -238,7 +317,7 @@ def _deposit(
     zbar = weights_n @ np.diag(vs.z_matrix)[:nb]    # m, per eigenstate
 
     detuning = (lines.frequency_ghz - mw_frequency_ghz) / width_ghz
-    near = np.abs(detuning) <= 8.0
+    near = np.abs(detuning) <= _DEPOSIT_WINDOW
     slope = np.abs(ELEMENTARY_CHARGE
                    * (zbar[lines.final_index[near]]
                       - zbar[lines.initial_index[near]])
@@ -272,6 +351,15 @@ def absorption_map(
     E_perp column at a time: one vertical solve and one set of
     field-independent Hamiltonian blocks serve every pixel of the column.
 
+    basis.l_max is a cap on the Landau ladder. Each pixel is first solved
+    on the cut _first_landau_cut gives for its field point, and climbs by
+    the jumps _next_landau_cut predicts until every state that reaches the
+    output (the thermal initial states, and the final states of lines
+    deposited or traced) holds at most _EDGE_WEIGHT_LIMIT on the top two
+    rungs. A pixel that still fails at the cap keeps the cap's result and
+    is counted in basis_report(). No pixel starts from another's cut, so
+    the cuts do not depend on the grid order or on threads.
+
     threads is the number of worker threads, each taking whole columns; up
     to one per core helps. For the whole call, and process-wide, every loaded
     OpenBLAS runs on one thread (the previous count is restored on return),
@@ -292,30 +380,51 @@ def absorption_map(
     band = (mw_frequency_ghz - band_ghz, mw_frequency_ghz + band_ghz)
     if band[0] >= band[1]:
         raise ValueError("empty frequency band")
+    cap = basis.l_max
+    if l_cut is not None and not 0 <= l_cut <= cap:
+        raise ValueError(f"l_cut = {l_cut} outside 0..basis.l_max = {cap}")
 
     def run_pixel(blocks: HamiltonianBlocks, i: int, e_perp: float):
-        """(intensity, lines as (l, n_final, l_final, frequency, area)) at
-        pixel (i, column), or (error, None)."""
+        """_Pixel at (i, column), on the first Landau cut that passes the
+        edge-weight certificate, or on the cap."""
         cfg = base_cfg.replace(**{sweep_name: float(sweep_values[i]),
                                   "e_perp": e_perp})
         try:
-            cut = _auto_l_cut(cfg, basis.l_max) if l_cut is None else l_cut
+            cut = _auto_l_cut(cfg, cap) if l_cut is None else l_cut
             populations = thermal_populations(cfg, cut)
-            spec = blocks.solve(cfg)
             width = broadening.width_ghz(cfg)
+            landau = _first_landau_cut(cfg, cut, band[1], cap)
+            while True:
+                spec = blocks.restricted(landau).solve(cfg)
+                lines = _catalog(spec, blocks.vs, populations, band)
+                area = lines.weight * lines.moment_sq
+                # The traces below drop lines under 1e-6 of the strongest
+                # area on the map; a line under 1e-6 of its own pixel's
+                # strongest is one.
+                keep = area >= 1e-6 * area.max(initial=0.0)
+                near = (np.abs((lines.frequency_ghz - mw_frequency_ghz)
+                               / width) <= _DEPOSIT_WINDOW)
+                # the initial states as _catalog labels them, and the final
+                # states of every deposited or traced line
+                states = np.union1d(
+                    np.argmax(spec.eigenvectors[:cut + 1] ** 2, axis=1),
+                    lines.final_index[near | keep])
+                rungs = _rung_weights(spec, states)
+                edge = float(rungs[-2:].sum(axis=0).max())
+                if edge <= _EDGE_WEIGHT_LIMIT or landau == cap:
+                    break
+                landau = _next_landau_cut(rungs, cap)
         except HeliumJcmError as exc:
-            return exc, None
-        lines = _catalog(spec, blocks.vs, populations, band)
+            return _Pixel(exc)
         value = _deposit(spec, blocks.vs, lines, mw_frequency_ghz, width)
-        area = lines.weight * lines.moment_sq
-        # The traces below drop lines under 1e-6 of the strongest area on
-        # the map; a line under 1e-6 of its own pixel's strongest is one.
-        keep = area >= 1e-6 * area.max(initial=0.0)
-        return value, list(zip(lines.initial_l[keep].tolist(),
-                               lines.final_n[keep].tolist(),
-                               lines.final_l[keep].tolist(),
-                               lines.frequency_ghz[keep].tolist(),
-                               area[keep].tolist()))
+        traced = list(zip(lines.initial_l[keep].tolist(),
+                          lines.final_n[keep].tolist(),
+                          lines.final_l[keep].tolist(),
+                          lines.frequency_ghz[keep].tolist(),
+                          area[keep].tolist()))
+        # the automatic thermal cut wanted more rungs than the cap has
+        clamped = l_cut is None and _auto_l_cut(cfg, cap + 1) > cap
+        return _Pixel(value, traced, landau, edge, clamped)
 
     def run_column(j: int):
         e_perp = float(e_grid[j] * V_PER_CM)
@@ -323,36 +432,44 @@ def absorption_map(
             vs = solve_vertical(mat, e_perp, basis.n_max, grid)
             blocks = HamiltonianBlocks(vs, basis)
         except HeliumJcmError as exc:
-            return [(exc, None)] * sweep_values.size
+            return [_Pixel(exc)] * sweep_values.size
         return [run_pixel(blocks, i, e_perp) for i in range(sweep_values.size)]
 
     with _single_threaded_blas, ThreadPoolExecutor(
             max_workers=min(threads, e_grid.size)) as pool:
         columns = list(pool.map(run_column, range(e_grid.size)))
 
-    intensity = np.full((sweep_values.size, e_grid.size), np.nan)
+    shape = (sweep_values.size, e_grid.size)
+    intensity = np.full(shape, np.nan)
+    landau_cut = np.full(shape, -1)
+    edge_weight = np.full(shape, np.nan)
+    clamped = 0
     failures: list[tuple[int, int, str]] = []
     for i in range(sweep_values.size):
         for j in range(e_grid.size):
-            value, _ = columns[j][i]
-            if isinstance(value, Exception):
-                failures.append((i, j, f"{type(value).__name__}: {value}"))
+            pixel = columns[j][i]
+            if isinstance(pixel.value, Exception):
+                failures.append(
+                    (i, j, f"{type(pixel.value).__name__}: {pixel.value}"))
             else:
-                intensity[i, j] = value
+                intensity[i, j] = pixel.value
+                landau_cut[i, j] = pixel.landau_cut
+                edge_weight[i, j] = pixel.edge_weight
+                clamped += pixel.clamped
 
     # Line-center traces: along E_perp at fixed sweep value, find where each
     # labeled line crosses the drive frequency. Lines carrying under 1e-6 of
     # the strongest area are invisible on any map and are dropped here.
     area_floor = 1e-6 * max(
-        (line[4] for column in columns for _, lines in column if lines
-         for line in lines),
+        (line[4] for column in columns for pixel in column if pixel.lines
+         for line in pixel.lines),
         default=0.0,
     )
     traces: list[dict] = []
     for i in range(sweep_values.size):
         by_label: dict[tuple, list[tuple[float, float, float]]] = {}
         for j in range(e_grid.size):
-            for l0, n_f, l_f, freq, area in columns[j][i][1] or ():
+            for l0, n_f, l_f, freq, area in columns[j][i].lines or ():
                 if area < area_floor:
                     continue
                 by_label.setdefault(((1, l0), (n_f, l_f)), []).append(
@@ -376,7 +493,8 @@ def absorption_map(
         intensity = intensity / peak
     else:
         peak = 1.0
-    intensity.setflags(write=False)
+    for array in (intensity, landau_cut, edge_weight):
+        array.setflags(write=False)
     return AbsorptionMap(
         sweep_name=sweep_name,
         sweep_values=sweep_values,
@@ -387,4 +505,8 @@ def absorption_map(
         mw_frequency_ghz=mw_frequency_ghz,
         failures=failures,
         peak_raw=float(peak),
+        landau_cut=landau_cut,
+        edge_weight=edge_weight,
+        landau_cap=cap,
+        l_cut_clamped=clamped,
     )

@@ -510,6 +510,35 @@ def test_absorption_map_thread_independent(tmp_path):
     assert len(lines) == 1 + 2 * 3
 
 
+def test_map_with_nan_temperature_exits_before_work(tmp_path, capsys):
+    path = _write(tmp_path, MAP_CFG.replace("temperature = 0.33",
+                                            "temperature = nan"))
+    out_dir = tmp_path / "o"
+    assert cli.main(["absorption-map", "--config", path,
+                     "--out", str(out_dir)]) == 2
+    assert "fields.temperature: not a finite number" in \
+        capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_map_sidecar_reports_landau_cuts(tmp_path):
+    # basis.l_max is a cap: the sidecar says which cut each pixel took
+    path = _write(tmp_path, MAP_CFG.replace("l_max = 8", "l_max = 30"))
+    out_dir = tmp_path / "o"
+    assert cli.main(["absorption-map", "--config", path,
+                     "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "t_map.json").read_text())["basis"]
+    assert report["l_max_cap"] == 30
+    assert report["edge_weight_limit"] == 1e-10
+    cuts = dict(report["pixels_by_l_max"])
+    assert sum(cuts.values()) == 2 * 3
+    assert all(0 < cut <= 30 for cut in cuts)
+    assert min(cuts) < 30
+    assert report["cap_uncertified_pixels"] == 0
+    assert report["cap_uncertified_worst_edge_weight"] is None
+    assert report["thermal_cut_clamped_pixels"] == 0
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     path = _write(tmp_path, SHIFTS_CFG)
     target = tmp_path / "env_out"

@@ -141,3 +141,29 @@ out_dir = %(prefix)s
 """))
     assert cfg.prefix == "run%1"
     assert cfg.out_dir == "%(prefix)s"
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", [
+    ("fields", "temperature"),
+    ("fields", "b_z"),
+    ("map", "mw_frequency_ghz"),
+    ("rates", "nu_0"),
+])
+def test_non_finite_float_is_config_error(tmp_path, capsys, section, key,
+                                          raw):
+    # float() takes these, and every "x <= 0.0" check after it passes nan
+    path = _write(tmp_path,
+                  f"[run]\ntask = rates\n[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError) as info:
+        load_run_config(path)
+    assert str(info.value) == (f"{path}: bad value for {section}.{key}: "
+                               f"not a finite number: '{raw}'")
+    assert cli.main(["validate", "--config", path]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_non_finite_list_value_is_config_error(tmp_path):
+    path = _write(tmp_path, "[sweep]\nb_y_values = 0.0, nan\n")
+    with pytest.raises(ConfigError, match="sweep.b_y_values: not a finite"):
+        load_run_config(path)

@@ -120,6 +120,34 @@ def test_shared_blocks_solve_equals_solve_coupled(vs15):
                                   one_shot.eigenvectors)
 
 
+def test_restricted_blocks_equal_fresh_assembly(vs15):
+    # a lower Landau cut gives the matrices and spectra of a
+    # ProductBasis(n_max, L) assembly, and its matrix is the full ladder's
+    # restricted to l <= L, entry for entry
+    blocks = HamiltonianBlocks(vs15, ProductBasis(6, 50))
+    assert blocks.restricted(50) is blocks
+    with _single_threaded_blas:
+        for cut in (0, 1, 17, 30, 49):
+            sub = blocks.restricted(cut)
+            fresh = HamiltonianBlocks(vs15, ProductBasis(6, cut))
+            assert sub.basis == fresh.basis
+            keep = (51 * np.arange(6)[:, None] + np.arange(cut + 1)).ravel()
+            for b_z, b_y in ((0.584, 0.0), (0.584, 0.6), (1.2, -0.3)):
+                cfg = FieldConfiguration.from_v_cm(15.0, b_z, b_y)
+                assert np.array_equal(sub.hamiltonian(cfg),
+                                      fresh.hamiltonian(cfg))
+                assert np.array_equal(sub.hamiltonian(cfg),
+                                      blocks.hamiltonian(cfg)[
+                                          np.ix_(keep, keep)])
+                mine, theirs = sub.solve(cfg), fresh.solve(cfg)
+                assert np.array_equal(mine.eigenvalues, theirs.eigenvalues)
+                assert np.array_equal(mine.eigenvectors,
+                                      theirs.eigenvectors)
+    for cut in (-1, 51):
+        with pytest.raises(ValueError):
+            blocks.restricted(cut)
+
+
 def test_dominant_labels_match_dominant(vs15):
     # a fig3 point: full basis, on the (2,1)/(3,0) avoided crossing
     cfg = FieldConfiguration.from_v_cm(15.0, 1.2, 0.2)

@@ -143,6 +143,18 @@ def test_catalog_band_filter(vs15):
         transition_catalog(spec, vs15, pops, (95.0, 85.0))
 
 
+def test_catalog_rejects_labels_above_basis(vs15):
+    # an l_cut above the ladder used to be clamped without a word; with
+    # per-pixel Landau cuts that would hide a cut below l_cut
+    cfg = FieldConfiguration.from_v_cm(15.0, 0.584, 0.1, 0.33)
+    spec = HamiltonianBlocks(vs15, ProductBasis(6, 10)).solve(cfg)
+    assert transition_catalog(spec, vs15, thermal_populations(cfg, 10),
+                              (60.0, 120.0))
+    with pytest.raises(ValueError, match="l_max = 10"):
+        transition_catalog(spec, vs15, thermal_populations(cfg, 11),
+                           (60.0, 120.0))
+
+
 MAP_BASIS = ProductBasis(6, 16)
 
 
@@ -306,6 +318,14 @@ def test_map_failed_pixels_recorded_as_nan(he3):
     assert np.isfinite(amap.intensity[1]).all()
 
 
+@pytest.mark.parametrize("l_cut", [-1, 9])
+def test_map_rejects_l_cut_outside_basis(he3, l_cut):
+    base = FieldConfiguration.from_v_cm(15.0, 0.584)
+    with pytest.raises(ValueError, match="l_cut"):
+        absorption_map(he3, base, "b_y", np.array([0.1]), np.array([29.0]),
+                       90.0, basis=ProductBasis(4, 8), l_cut=l_cut)
+
+
 def test_map_rejects_bad_axis(he3):
     base = FieldConfiguration.from_v_cm(15.0, 0.584)
     with pytest.raises(ValueError):
@@ -384,10 +404,12 @@ def test_vectorized_catalog_matches_per_line_reference(
     assert cut == want_cut
     pops = thermal_populations(cfg, cut)
     width = model.width_ghz(cfg)
-    # the map diagonalizes with single-threaded BLAS; so must the reference
+    # the map diagonalizes with single-threaded BLAS, on the Landau cut it
+    # recorded for the pixel; so must the reference
+    solved = ProductBasis(basis.n_max, int(amap.landau_cut[0, 0]))
     with coupled._single_threaded_blas:
         vs = solve_vertical(he3, 2900.0, basis.n_max)
-        spec = HamiltonianBlocks(vs, basis).solve(cfg)
+        spec = HamiltonianBlocks(vs, solved).solve(cfg)
     want_value, want_lines = _reference_pixel(spec, vs, pops, 90.0, width,
                                               30.0)
     assert len(want_lines) > 10 and want_value > 0.0
@@ -397,3 +419,97 @@ def test_vectorized_catalog_matches_per_line_reference(
     everything = (-1e5, 1e5)
     assert transition_catalog(spec, vs, pops, everything) == \
         _reference_catalog(spec, vs, pops, everything)
+
+
+# -- per-pixel Landau cuts ----------------------------------------------------
+
+def _cap_pixels(mat, amap, sweep, model, basis, band_ghz=30.0):
+    """Raw intensity of every pixel of amap solved on the whole basis,
+    through the map's own catalog and deposit."""
+    mw = amap.mw_frequency_ghz
+    band = (mw - band_ghz, mw + band_ghz)
+    raw = np.empty(amap.intensity.shape)
+    with coupled._single_threaded_blas:
+        for j, e in enumerate(amap.e_perp_v_cm):
+            vs = solve_vertical(mat, float(e * V_PER_CM), basis.n_max)
+            blocks = HamiltonianBlocks(vs, basis)
+            for i, value in enumerate(amap.sweep_values):
+                cfg = amap.config.replace(**{sweep: float(value),
+                                             "e_perp": vs.e_perp})
+                pops = thermal_populations(
+                    cfg, spectroscopy._auto_l_cut(cfg, basis.l_max))
+                spec = blocks.solve(cfg)
+                lines = spectroscopy._catalog(spec, vs, pops, band)
+                raw[i, j] = spectroscopy._deposit(spec, vs, lines, mw,
+                                                  model.width_ghz(cfg))
+    return raw
+
+
+def test_landau_cut_map_agrees_with_cap_solves(he3):
+    # fig6 regime up to b_y = 0.6 T: the first cut fails at strong coupling
+    # and the pixel climbs; every certified pixel matches the full basis
+    base = FieldConfiguration.from_v_cm(29.0, 0.584, temperature=0.33)
+    model = BroadeningModel(areal_density_cm2=5e6)
+    basis = ProductBasis(6, 50)
+    amap = absorption_map(he3, base, "b_y", np.array([0.0, 0.3, 0.6]),
+                          np.array([27.0, 29.0, 31.0]), 90.0, model, basis,
+                          threads=2)
+    raw = _cap_pixels(he3, amap, "b_y", model, basis)
+
+    first = spectroscopy._first_landau_cut(
+        base, spectroscopy._auto_l_cut(base, 50), 120.0, 50)
+    assert first == 17
+    assert (amap.landau_cut > first).any()
+    assert (amap.landau_cut < 50).any()
+    certified = amap.edge_weight <= spectroscopy._EDGE_WEIGHT_LIMIT
+    assert certified.all()
+    assert amap.peak_raw == pytest.approx(raw.max(), rel=1e-9)
+    assert np.abs(amap.intensity - raw / raw.max()).max() <= 1e-9
+    at_cap = amap.landau_cut == 50
+    assert np.array_equal(amap.intensity[at_cap],
+                          raw[at_cap] / amap.peak_raw)
+
+
+def test_cap_pixels_bit_identical_to_cap_solve(he3):
+    # fig8 low-field corner: the first cut is the cap and the thermal cut
+    # is clamped to it; those pixels solve exactly the full-basis matrix
+    base = FieldConfiguration.from_v_cm(29.0, 1.0, 0.2, 0.37)
+    model = BroadeningModel(areal_density_cm2=1e7)
+    basis = ProductBasis(4, 30)
+    amap = absorption_map(he3, base, "b_z", np.array([0.05, 0.5]),
+                          np.array([20.0, 29.0]), 90.0, model, basis)
+    raw = _cap_pixels(he3, amap, "b_z", model, basis)
+
+    assert (amap.landau_cut[0] == 30).all()
+    assert (amap.landau_cut[1] < 30).all()
+    at_cap = amap.landau_cut == 30
+    assert np.array_equal(amap.intensity[at_cap],
+                          raw[at_cap] / amap.peak_raw)
+    assert np.abs(amap.intensity - raw / raw.max()).max() <= 1e-9
+    report = amap.basis_report()
+    assert report["thermal_cut_clamped_pixels"] == 2
+    flagged = at_cap & (amap.edge_weight > spectroscopy._EDGE_WEIGHT_LIMIT)
+    assert report["cap_uncertified_pixels"] == flagged.sum()
+    assert sum(n for _, n in report["pixels_by_l_max"]) == 4
+
+
+def test_every_map_solve_goes_through_diagonalize(he3, monkeypatch):
+    calls = {"diagonalize": 0, "eigh": 0}
+    diagonalize, eigh = coupled.diagonalize, np.linalg.eigh
+
+    def counted_diagonalize(*args, **kwargs):
+        calls["diagonalize"] += 1
+        return diagonalize(*args, **kwargs)
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(coupled, "diagonalize", counted_diagonalize)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    base = FieldConfiguration.from_v_cm(29.0, 0.584, temperature=0.33)
+    amap = absorption_map(he3, base, "b_y", np.array([0.0, 0.6]),
+                          np.array([28.0, 30.0]), 90.0,
+                          basis=ProductBasis(6, 30))
+    # the b_y = 0.6 T pixels fail their first cut and are solved again
+    assert calls["eigh"] == calls["diagonalize"] > amap.intensity.size
