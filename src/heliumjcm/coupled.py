@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -34,10 +35,12 @@ from .materials import (
 )
 from .vertical import VerticalSpectrum
 
-# find_crossing stops bisecting at this b_z step (T); minimum_gap loses a
-# branch when successive eigenvectors overlap less than this
-_CROSSING_XTOL = 1e-4
+# minimum_gap loses a branch when successive eigenvectors overlap less than
+# this
 _OVERLAP_THRESHOLD = 0.5
+# A Landau cut is certified when every state that reaches an artifact holds
+# at most this weight on the top two rungs of the ladder.
+_EDGE_WEIGHT_LIMIT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,11 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 def _openblas_thread_controls() -> list[tuple]:
     """(get, set) thread-count functions of every OpenBLAS mapped into this
-    process; empty where none is loaded or /proc is unavailable."""
+    process; empty where none is loaded or /proc is unavailable. Imports
+    scipy.linalg first, so that the OpenBLAS the vertical solve loads
+    lazily is among them."""
+    import scipy.linalg  # noqa: F401
+
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh
@@ -246,8 +253,8 @@ class _SingleThreadedBlas:
 
     The setting is process-wide, so nested or concurrent entries share one
     pin: the first entry sets it and the last exit restores it. Inside it
-    diagonalize gives the same bits whatever the BLAS thread setting of the
-    environment.
+    diagonalize and solve_vertical give the same bits whatever the BLAS
+    thread setting of the environment.
     """
 
     def __init__(self):
@@ -277,25 +284,75 @@ class _SingleThreadedBlas:
 _single_threaded_blas = _SingleThreadedBlas()
 
 
+def _diagonal_order(d: np.ndarray) -> np.ndarray:
+    """The order in which np.linalg.eigh returns the eigenpairs of diag(d):
+    LAPACK's selection sort, which swaps the first minimum of d[i:] into
+    place i. That is the sorted order when d has no ties; among ties it is
+    not stable."""
+    order = np.argsort(d, kind="stable")
+    if np.all(np.diff(d[order]) > 0.0):
+        return order
+    d, order = d.copy(), np.arange(d.size)
+    for i in range(d.size - 1):
+        k = i + int(np.argmin(d[i:]))
+        d[[i, k]] = d[[k, i]]
+        order[[i, k]] = order[[k, i]]
+    return order
+
+
 def diagonalize(
     h: np.ndarray,
     basis: ProductBasis,
     cfg: FieldConfiguration,
 ) -> CoupledSpectrum:
+    """Eigendecomposition of h. A diagonal h (every b_y = 0 Hamiltonian) is
+    read off without eigh: its diagonal in eigh's order and the matching unit
+    vectors, which are eigh's result bit for bit."""
     if h.shape != (basis.size, basis.size):
         raise BasisMismatch(
             f"matrix shape {h.shape} does not match basis size {basis.size}"
         )
     if not np.all(np.isfinite(h)):
         raise ConvergenceFailure("Hamiltonian contains non-finite entries")
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
+    d = np.diagonal(h)
+    if np.count_nonzero(h) == np.count_nonzero(d):
+        order = _diagonal_order(d)
+        vals = d[order]
+        vecs = np.zeros_like(h)
+        vecs[order, np.arange(d.size)] = 1.0
+    else:
+        try:
+            vals, vecs = np.linalg.eigh(h)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(
+                f"dense eigensolver failed: {exc}") from exc
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return CoupledSpectrum(basis=basis, config=cfg,
                            eigenvalues=vals, eigenvectors=vecs)
+
+
+def _rung_weights(spec: CoupledSpectrum, states: np.ndarray) -> np.ndarray:
+    """(l_max + 1, len(states)): the weight of each state on each rung."""
+    nb, lb = spec.basis.n_max, spec.basis.l_max
+    c = spec.eigenvectors[:, states].reshape(nb, lb + 1, -1)
+    return (c ** 2).sum(axis=0)
+
+
+def _next_landau_cut(rungs: np.ndarray, cap: int) -> int:
+    """Cut after a failed certificate on rungs = _rung_weights at cut
+    L = len(rungs) - 1: each failing state's weight on rungs L-4..L-3
+    against L-1..L gives its tail decay, extrapolated to the rung where the
+    edge weight passes, plus 2. The cap without a decaying tail."""
+    landau = len(rungs) - 1
+    edge = rungs[-2:].sum(axis=0)
+    far = rungs[-5:-3].sum(axis=0)
+    failing = edge > _EDGE_WEIGHT_LIMIT
+    edge, far = edge[failing], far[failing]
+    if landau < 4 or not np.all(far > edge):
+        return cap
+    rungs_needed = 3.0 * np.log(edge / _EDGE_WEIGHT_LIMIT) / np.log(far / edge)
+    return min(cap, landau + 2 + math.ceil(min(rungs_needed.max(), cap)))
 
 
 def find_crossing(
@@ -305,9 +362,10 @@ def find_crossing(
 ) -> float:
     """b_z (T) where the uncoupled levels (n_a,l_a) and (n_b,l_b) cross.
 
-    Works on the b_y = 0 energies E_n + hbar w_c l, so the root is found by
-    bisection of a linear function of b_z; raises NoCrossingInRange when the
-    difference keeps one sign over the interval.
+    The b_y = 0 energies E_n + hbar w_c l are linear in b_z, so the root is
+    the closed form (E_b - E_a) / (hbar w_c(1 T) (l_a - l_b)), held inside
+    the interval; raises NoCrossingInRange when the difference keeps one
+    sign over the interval (equal l included, where it is constant).
     """
     (n_a, l_a), (n_b, l_b) = pair
 
@@ -328,9 +386,9 @@ def find_crossing(
         raise NoCrossingInRange(
             f"levels {pair} do not cross for b_z in {b_z_range} T"
         )
-    from scipy.optimize import brentq   # scipy.optimize is slow to import
-
-    return float(brentq(gap, lo, hi, xtol=_CROSSING_XTOL))
+    root = ((vs.energy(n_b) - vs.energy(n_a))
+            / (HBAR * cyclotron_frequency(1.0) * (l_a - l_b)))
+    return min(max(root, lo), hi)
 
 
 def minimum_gap(
@@ -346,14 +404,46 @@ def minimum_gap(
     continuity rather than energy order, which swaps at the crossing. When
     b_z_range is omitted a +-5% window around the uncoupled crossing is used.
     Raises BranchTrackingLost when successive eigenvectors overlap below
-    _OVERLAP_THRESHOLD (0.5), the sign the sweep step is too coarse. Every
-    b_z is solved from the one set of blocks.
+    _OVERLAP_THRESHOLD (0.5), the sign the sweep step is too coarse.
+
+    blocks.basis.l_max is a cap on the Landau ladder. The sweep is first
+    solved on the cut l <= (larger l of the pair) + 4. When either tracked
+    branch holds more than _EDGE_WEIGHT_LIMIT on the top two rungs at some
+    step, the sweep starts over on the cut _next_landau_cut predicts, as a
+    map pixel climbs. A sweep that loses a branch below the cap is redone
+    at the cap, so the error raised is the full ladder's, and at the cap
+    the result is the full ladder's, bit for bit.
     """
     if b_z_range is None:
         center = find_crossing(blocks.vs, pair, (1e-3, 20.0))
         b_z_range = (0.95 * center, 1.05 * center)
     values = np.linspace(b_z_range[0], b_z_range[1], n_steps)
+    cap = blocks.basis.l_max
+    landau = min(cap, max(pair[0][1], pair[1][1]) + 4)
+    while True:
+        try:
+            best, rungs = _track_pair(blocks.restricted(landau), cfg_template,
+                                      pair, values, certify=landau < cap)
+        except BranchTrackingLost:
+            if landau == cap:
+                raise
+            landau = cap
+            continue
+        if rungs is None:
+            return best
+        landau = _next_landau_cut(rungs, cap)
 
+
+def _track_pair(
+    blocks: HamiltonianBlocks,
+    cfg_template: FieldConfiguration,
+    pair: tuple[tuple[int, int], tuple[int, int]],
+    values: np.ndarray,
+    certify: bool,
+) -> tuple[tuple[float, float] | None, np.ndarray | None]:
+    """The sweep of minimum_gap on one cut: ((b_z, gap), None), or, with
+    certify, (None, _rung_weights of the two branches) at the first step
+    where one of them fails the edge-weight certificate."""
     spec = blocks.solve(cfg_template.replace(b_z=float(values[0])))
     tracked = [spec.eigenvectors[:, spec.locate(*label)].copy()
                for label in pair]
@@ -368,7 +458,7 @@ def minimum_gap(
         if step:
             spec = blocks.solve(cfg_template.replace(b_z=float(b_z)))
         energies = []
-        taken = set()
+        taken = []
         for i, prev in enumerate(tracked):
             overlaps = np.abs(spec.eigenvectors.T @ prev)
             for k in taken:
@@ -379,10 +469,14 @@ def minimum_gap(
                     f"overlap {overlaps[k]:.3f} below {_OVERLAP_THRESHOLD} "
                     f"at b_z = {b_z:.4f} T; refine the sweep"
                 )
-            taken.add(k)
+            taken.append(k)
             tracked[i] = spec.eigenvectors[:, k].copy()
             energies.append(spec.eigenvalues[k])
+        if certify:
+            rungs = _rung_weights(spec, np.array(taken))
+            if rungs[-2:].sum(axis=0).max() > _EDGE_WEIGHT_LIMIT:
+                return None, rungs
         gap = abs(energies[1] - energies[0])
         if gap < best[1]:
             best = (float(b_z), float(gap))
-    return best
+    return best, None

@@ -13,16 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import (
-    e as ELEMENTARY_CHARGE,      # C
-    electron_mass as ELECTRON_MASS,  # kg
-    epsilon_0 as VACUUM_PERMITTIVITY,  # F/m
-    h as PLANCK,                 # J s
-    hbar as HBAR,                # J s
-    k as BOLTZMANN,              # J/K
-)
-
 from .errors import DegenerateField
+
+# CODATA 2022, the values scipy.constants 1.17 carries, written out so that
+# importing the package does not import scipy.
+ELEMENTARY_CHARGE = 1.602176634e-19     # C
+ELECTRON_MASS = 9.1093837139e-31        # kg
+VACUUM_PERMITTIVITY = 8.8541878188e-12  # F/m
+PLANCK = 6.62607015e-34                 # J s
+HBAR = PLANCK / (2.0 * math.pi)         # J s
+BOLTZMANN = 1.380649e-23                # J/K
 
 GHZ = 1e9 * PLANCK          # J per GHz of frequency
 V_PER_CM = 100.0            # V/m per V/cm

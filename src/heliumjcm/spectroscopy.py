@@ -19,9 +19,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupled import (
+    _EDGE_WEIGHT_LIMIT,
     CoupledSpectrum,
     HamiltonianBlocks,
     ProductBasis,
+    _next_landau_cut,
+    _rung_weights,
     _single_threaded_blas,
 )
 from .errors import DegenerateField, HeliumJcmError
@@ -42,9 +45,6 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # A map pixel deposits the lines within this many widths of the drive.
 _DEPOSIT_WINDOW = 8.0
-# A pixel's Landau cut is certified when every state that reaches an
-# artifact holds at most this weight on the top two rungs of the ladder.
-_EDGE_WEIGHT_LIMIT = 1e-10
 
 
 def thermal_populations(cfg: FieldConfiguration, l_cut: int) -> np.ndarray:
@@ -272,29 +272,6 @@ def _first_landau_cut(cfg: FieldConfiguration, l_cut: int, f_top_ghz: float,
     and four rungs of margin, at most cap."""
     f_c = cyclotron_frequency(cfg.b_z) / (2.0 * math.pi)   # Hz
     return min(cap, l_cut + math.ceil(f_top_ghz * 1e9 / f_c) + 4)
-
-
-def _rung_weights(spec: CoupledSpectrum, states: np.ndarray) -> np.ndarray:
-    """(l_max + 1, len(states)): the weight of each state on each rung."""
-    nb, lb = spec.basis.n_max, spec.basis.l_max
-    c = spec.eigenvectors[:, states].reshape(nb, lb + 1, -1)
-    return (c ** 2).sum(axis=0)
-
-
-def _next_landau_cut(rungs: np.ndarray, cap: int) -> int:
-    """Cut after a failed certificate on rungs = _rung_weights at cut
-    L = len(rungs) - 1: each failing state's weight on rungs L-4..L-3
-    against L-1..L gives its tail decay, extrapolated to the rung where the
-    edge weight passes, plus 2. The cap without a decaying tail."""
-    landau = len(rungs) - 1
-    edge = rungs[-2:].sum(axis=0)
-    far = rungs[-5:-3].sum(axis=0)
-    failing = edge > _EDGE_WEIGHT_LIMIT
-    edge, far = edge[failing], far[failing]
-    if landau < 4 or not np.all(far > edge):
-        return cap
-    rungs_needed = 3.0 * np.log(edge / _EDGE_WEIGHT_LIMIT) / np.log(far / edge)
-    return min(cap, landau + 2 + math.ceil(min(rungs_needed.max(), cap)))
 
 
 def _deposit(

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceFailure, GridTooSmall
 from .materials import (
@@ -110,6 +109,8 @@ def _solve_reduced(f: float, z_max: float, n_points: int, n_max: int):
     zeta = dz * np.arange(1, n_points + 1)
     diag = 2.0 / dz**2 - 2.0 / zeta + f * zeta
     off = np.full(n_points - 1, -1.0 / dz**2)
+    from scipy.linalg import eigh_tridiagonal   # scipy is slow to import
+
     try:
         vals, vecs = eigh_tridiagonal(
             diag, off, select="i", select_range=(0, n_max - 1)

@@ -493,6 +493,20 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_and_validate_load_no_scipy(tmp_path):
+    # importing scipy costs about 0.4 s per CLI call; only the vertical
+    # solve and root finding need it, and validate runs neither
+    path = _write(tmp_path, SHIFTS_CFG)
+    probe = ("import sys; {}; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = _run_python(["-c", probe.format("import heliumjcm.cli")])
+    assert out.stdout.strip() == "[]"
+    out = _run_python(["-c", probe.format(
+        "from heliumjcm import cli; "
+        f"assert cli.main(['validate', '--config', {str(path)!r}]) == 0")])
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_absorption_map_thread_independent(tmp_path):
     path = _write(tmp_path, MAP_CFG)
     blobs = []

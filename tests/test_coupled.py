@@ -1,12 +1,16 @@
 """Coupled-basis Hamiltonian: assembly invariants, the uncoupled fan,
 crossings and avoided crossings."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.constants import hbar as HBAR, h as PLANCK
+from scipy.optimize import brentq
 
 from heliumjcm import (
     BasisMismatch,
+    BranchTrackingLost,
     FieldConfiguration,
     HamiltonianBlocks,
     NoCrossingInRange,
@@ -18,6 +22,7 @@ from heliumjcm import (
     find_crossing,
     minimum_gap,
 )
+from heliumjcm import coupled
 from heliumjcm.coupled import _single_threaded_blas
 
 GHZ = 1e9 * PLANCK
@@ -201,3 +206,167 @@ def test_minimum_gap_linear_in_coupling_field(vs20):
             b_z_range=(0.98 * b_star, 1.02 * b_star), n_steps=41)
         gaps.append(gap)
     assert gaps[1] / gaps[0] == pytest.approx(2.0, rel=0.02)
+
+
+def _eigh_bytes(h):
+    vals, vecs = np.linalg.eigh(h)
+    return vals.tobytes(), vecs.tobytes()
+
+
+def test_diagonal_hamiltonian_solved_without_eigh(vs15, monkeypatch):
+    # b_y = 0 matrices of the fig3 sweep, the b_z = 0 ladder (each E_n tied
+    # l_max + 1 times) and random diagonals with exact ties: the shortcut
+    # gives eigh's eigenvalues and eigenvectors byte for byte
+    basis = ProductBasis(6, 50)
+    blocks = HamiltonianBlocks(vs15, basis)
+    cases = [(blocks.hamiltonian(FieldConfiguration.from_v_cm(15.0, b_z, 0.0)),
+              basis) for b_z in (1.0, 1.2, 1.4, 0.0)]
+    rng = np.random.default_rng(7)
+    for n_max, l_max in ((1, 2), (2, 4), (6, 50)):
+        small = ProductBasis(n_max, l_max)
+        d = rng.integers(-2, 3, small.size) * 1e-23
+        cases.append((np.diag(d), small))
+    with _single_threaded_blas:
+        want = [_eigh_bytes(h) for h, _ in cases]
+        monkeypatch.setattr(np.linalg, "eigh", None)   # must not be called
+        for (h, b), (vals, vecs) in zip(cases, want):
+            spec = diagonalize(h, b, FieldConfiguration(0.0, 0.0, 0.0))
+            assert spec.eigenvalues.tobytes() == vals
+            assert spec.eigenvectors.tobytes() == vecs
+
+
+def _fan_blocks(vs15):
+    return HamiltonianBlocks(vs15, ProductBasis(6, 50))
+
+
+def _cap_gap(blocks, cfg, pair, b_z_range=None, n_steps=81):
+    """minimum_gap's sweep on the full ladder, without the certified cut."""
+    if b_z_range is None:
+        center = find_crossing(blocks.vs, pair, (1e-3, 20.0))
+        b_z_range = (0.95 * center, 1.05 * center)
+    values = np.linspace(*b_z_range, n_steps)
+    return coupled._track_pair(blocks, cfg, pair, values, certify=False)[0]
+
+
+@pytest.fixture
+def landau_cuts(monkeypatch):
+    """The Landau cuts minimum_gap solves on, in order."""
+    cuts = []
+    restricted = HamiltonianBlocks.restricted
+
+    def recorded(self, l_max):
+        cuts.append(l_max)
+        return restricted(self, l_max)
+
+    monkeypatch.setattr(HamiltonianBlocks, "restricted", recorded)
+    return cuts
+
+
+@pytest.mark.parametrize("pair", [((2, 0), (1, 1)), ((3, 0), (2, 1))])
+def test_minimum_gap_certified_cut_matches_cap(vs15, pair, landau_cuts):
+    # the fan pairs at 15 V/cm and b_y = 0.1 T: the first cut (l <= 5)
+    # fails the certificate, the sweep climbs and stops below the cap
+    blocks = _fan_blocks(vs15)
+    cfg = FieldConfiguration.from_v_cm(15.0, 0.0, 0.1)
+    with _single_threaded_blas:
+        b_min, gap = minimum_gap(blocks, cfg, pair)
+        want_b, want_gap = _cap_gap(blocks, cfg, pair)
+    assert landau_cuts[0] == 5
+    assert 5 < landau_cuts[-1] < 50
+    assert b_min == want_b
+    assert gap == pytest.approx(want_gap, rel=1e-12)
+
+
+def test_minimum_gap_at_cap_is_the_full_ladder(vs15, landau_cuts):
+    # (4,0)/(3,1) at b_y = 0.3 T climbs 5 -> 50; the cap result is the
+    # full ladder's bit for bit
+    blocks = _fan_blocks(vs15)
+    cfg = FieldConfiguration.from_v_cm(15.0, 0.0, 0.3)
+    with _single_threaded_blas:
+        got = minimum_gap(blocks, cfg, ((4, 0), (3, 1)))
+        want = _cap_gap(blocks, cfg, ((4, 0), (3, 1)))
+    assert landau_cuts == [5, 50]
+    assert got == want
+
+
+def test_minimum_gap_tracking_loss_is_the_full_ladders(vs15):
+    # a sweep too coarse to follow the branches raises the error text the
+    # full ladder gives
+    blocks = HamiltonianBlocks(vs15, ProductBasis(6, 30))
+    cfg = FieldConfiguration.from_v_cm(15.0, 0.0, 0.5)
+    with _single_threaded_blas, pytest.raises(BranchTrackingLost) as lost:
+        minimum_gap(blocks, cfg, ((3, 0), (2, 1)), (0.5, 2.0), n_steps=4)
+    assert str(lost.value) == (
+        "overlap 0.479 below 0.5 at b_z = 1.0000 T; refine the sweep")
+
+
+def test_minimum_gap_loss_below_cap_moves_to_cap(vs15, monkeypatch,
+                                                 landau_cuts):
+    # a branch lost on a cut below the cap sends the sweep straight to the
+    # cap, whose result stands
+    track = coupled._track_pair
+
+    def lossy(blocks, *args, **kwargs):
+        if blocks.basis.l_max < 20:
+            raise BranchTrackingLost("lost below the cap")
+        return track(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(coupled, "_track_pair", lossy)
+    blocks = HamiltonianBlocks(vs15, ProductBasis(6, 20))
+    cfg = FieldConfiguration.from_v_cm(15.0, 0.0, 0.1)
+    with _single_threaded_blas:
+        got = minimum_gap(blocks, cfg, ((2, 0), (1, 1)))
+        want = _cap_gap(blocks, cfg, ((2, 0), (1, 1)))
+    assert landau_cuts == [5, 20]
+    assert got == want
+
+
+def _brentq_crossing(vs, pair, b_z_range):
+    """The bracketing root search find_crossing used before its closed
+    form, stopped at 1e-4 T."""
+    (n_a, l_a), (n_b, l_b) = pair
+
+    def gap(b_z):
+        w_c = cyclotron_frequency(b_z)
+        return (vs.energy(n_a) + HBAR * w_c * l_a
+                - vs.energy(n_b) - HBAR * w_c * l_b)
+
+    return brentq(gap, *b_z_range, xtol=1e-4)
+
+
+@pytest.mark.parametrize("pair, b_z_range", [
+    (((2, 0), (1, 1)), (1e-3, 20.0)),
+    (((3, 0), (2, 1)), (1e-3, 20.0)),
+    (((2, 0), (1, 1)), (0.05, 5.0)),
+    (((3, 0), (2, 1)), (0.05, 5.0)),
+    (((1, 1), (2, 0)), (0.5, 5.0)),
+    (((4, 0), (3, 1)), (0.5, 3.0)),
+    (((2, 3), (3, 2)), (0.5, 3.0)),
+])
+def test_find_crossing_closed_form_matches_root_search(vs15, pair,
+                                                       b_z_range):
+    got = find_crossing(vs15, pair, b_z_range)
+    assert abs(got - _brentq_crossing(vs15, pair, b_z_range)) < 1e-12
+
+
+def test_find_crossing_edge_cases(vs15):
+    # equal l: the gap is a constant, so no crossing
+    with pytest.raises(NoCrossingInRange, match="do not cross"):
+        find_crossing(vs15, ((1, 0), (2, 0)), (0.05, 5.0))
+    # the same n: the levels meet at b_z = 0 only
+    assert find_crossing(vs15, ((2, 0), (2, 1)), (0.0, 1.0)) == 0.0
+    with pytest.raises(NoCrossingInRange):
+        find_crossing(vs15, ((2, 0), (2, 1)), (0.1, 1.0))
+    with pytest.raises(ValueError, match="lo < hi"):
+        find_crossing(vs15, ((2, 0), (1, 1)), (3.0, 2.0))
+    # a root exactly on either end of the interval is returned as that end
+    levels = {1: 0.0, 2: HBAR * cyclotron_frequency(2.0)}
+    stub = SimpleNamespace(energy=levels.__getitem__)
+    assert find_crossing(stub, ((1, 1), (2, 0)), (0.5, 2.0)) == 2.0
+    assert find_crossing(stub, ((1, 1), (2, 0)), (2.0, 3.0)) == 2.0
+    # here the closed form rounds to one ulp below lo, where the gap
+    # already has the sign of hi: the result is held at lo
+    levels = {1: -2.7545065016949124e-23, 2: 2.067480775245445e-23}
+    stub = SimpleNamespace(energy=levels.__getitem__)
+    lo = 0.8665771769277962
+    assert find_crossing(stub, ((1, 3), (2, 0)), (lo, 1.0)) == lo

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+import scipy.constants
 from scipy.constants import e as QE, hbar as HBAR, h as PLANCK, m_e as ME
 
 from heliumjcm import (
@@ -12,6 +13,7 @@ from heliumjcm import (
     cyclotron_frequency,
     derived_frequencies,
     material_for,
+    materials,
 )
 
 MEV = 1e-3 * 1.602176634e-19
@@ -124,3 +126,16 @@ def test_cyclotron_frequency():
     # 27.99 GHz per tesla for a free electron
     assert cyclotron_frequency(1.0) / (2.0 * math.pi) == pytest.approx(
         27.9925e9, rel=1e-4)
+
+
+@pytest.mark.parametrize("name, scipy_name", [
+    ("ELEMENTARY_CHARGE", "e"),
+    ("ELECTRON_MASS", "m_e"),
+    ("VACUUM_PERMITTIVITY", "epsilon_0"),
+    ("PLANCK", "h"),
+    ("HBAR", "hbar"),
+    ("BOLTZMANN", "k"),
+])
+def test_constants_equal_scipy(name, scipy_name):
+    # the package writes the constants out instead of importing scipy
+    assert getattr(materials, name) == getattr(scipy.constants, scipy_name)

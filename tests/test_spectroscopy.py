@@ -494,12 +494,13 @@ def test_cap_pixels_bit_identical_to_cap_solve(he3):
 
 
 def test_every_map_solve_goes_through_diagonalize(he3, monkeypatch):
-    calls = {"diagonalize": 0, "eigh": 0}
+    calls = {"diagonalize": 0, "eigh": 0, "b_y = 0": 0}
     diagonalize, eigh = coupled.diagonalize, np.linalg.eigh
 
-    def counted_diagonalize(*args, **kwargs):
+    def counted_diagonalize(h, basis, cfg):
         calls["diagonalize"] += 1
-        return diagonalize(*args, **kwargs)
+        calls["b_y = 0"] += cfg.b_y == 0.0
+        return diagonalize(h, basis, cfg)
 
     def counted_eigh(*args, **kwargs):
         calls["eigh"] += 1
@@ -511,5 +512,8 @@ def test_every_map_solve_goes_through_diagonalize(he3, monkeypatch):
     amap = absorption_map(he3, base, "b_y", np.array([0.0, 0.6]),
                           np.array([28.0, 30.0]), 90.0,
                           basis=ProductBasis(6, 30))
-    # the b_y = 0.6 T pixels fail their first cut and are solved again
-    assert calls["eigh"] == calls["diagonalize"] > amap.intensity.size
+    # the b_y = 0.6 T pixels fail their first cut and are solved again;
+    # a b_y = 0 Hamiltonian is diagonal and needs no eigh
+    assert calls["diagonalize"] > amap.intensity.size
+    assert calls["b_y = 0"] > 0
+    assert calls["eigh"] == calls["diagonalize"] - calls["b_y = 0"]
