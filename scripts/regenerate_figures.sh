@@ -1,11 +1,19 @@
 #!/bin/sh
-# Regenerate every committed figure dataset into out/ (or $1 if given).
+# Regenerate every committed figure dataset into out/ (or $1 if given; a
+# relative path is taken from the root of the checkout). Runs the package
+# from src/, so it works from a checkout without installing it.
 # Maps run one worker thread per core unless THREADS=N says otherwise.
 set -e
 
 out="${1:-out}"
 threads="${THREADS:-$(nproc 2>/dev/null || echo 1)}"
 cd "$(dirname "$0")/.."
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONPATH
+
+heliumjcm() {
+    python3 -m heliumjcm.cli "$@"
+}
 
 for cfg in configs/fig2.cfg configs/fig3.cfg configs/fig4.cfg; do
     echo "== $cfg"

@@ -17,7 +17,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -93,20 +92,6 @@ def _write_csv(path: str, header: list[str], rows: list) -> None:
             fh.write(line)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
-    return obj
-
-
 def _sidecar(cfg: RunConfig, extra: dict) -> dict:
     mat = cfg.material()
     body = {
@@ -133,12 +118,14 @@ def _sidecar(cfg: RunConfig, extra: dict) -> dict:
         },
     }
     body.update(extra)
-    return _jsonable(body)
+    return body
 
 
 def _write_sidecar(path: str, cfg: RunConfig, extra: dict) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(_sidecar(cfg, extra), fh, indent=2, sort_keys=True)
+        # ndarrays and numpy scalars are the only values json cannot take
+        json.dump(_sidecar(cfg, extra), fh, indent=2, sort_keys=True,
+                  default=lambda obj: obj.tolist())
         fh.write("\n")
 
 
@@ -261,7 +248,7 @@ def _run_crossings(cfg: RunConfig, out_dir: str, threads: int) -> int:
             failures.append({"pair": [n_hi, n_lo], "error": _error(exc)})
             continue
         b_min = gap = float("nan")
-        if base.b_y > 0.0:
+        if base.b_y != 0.0:
             try:
                 b_min, gap = minimum_gap(blocks, base, pair)
             except HeliumJcmError as exc:

@@ -1,8 +1,10 @@
 """Run configuration: INI-style files with one section per concern.
 
 A config names a task's inputs; the task itself comes from the command
-line. Unknown sections or keys are hard errors so that typos cannot
-silently fall back to defaults.
+line. Each RunConfig field is the schema row of its key: the field's
+metadata holds the section, the key and the parser, and its default is
+the library's where one exists. Unknown sections or keys are hard errors
+so that typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 
 from .coupled import ProductBasis
 from .errors import ConfigError
@@ -27,62 +29,124 @@ from .vertical import GridSpec
 TASKS = ("spectrum-sweep", "absorption-map", "shifts", "crossings",
          "rates", "self-test")
 
+
+def _float(text: str) -> float:
+    """A finite float: nan and inf pass float() but no check after it."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(_float(tok) for tok in text.replace(";", ",").split(",")
+                 if tok.strip())
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.replace(";", ",").split(",")
+                 if tok.strip())
+
+
+def _pair(text: str) -> tuple[int, int]:
+    parts = _ints(text)
+    if len(parts) != 2:
+        raise ValueError(f"expected two integers, got {text!r}")
+    return parts[0], parts[1]
+
+
+def _pairs(text: str) -> tuple[tuple[int, int], ...]:
+    pairs = []
+    for chunk in text.split(";"):
+        if chunk.strip():
+            pairs.append(_pair(chunk))
+    return tuple(pairs)
+
+
+def _bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _key(section: str, key: str, parse, default=None):
+    """A RunConfig field set by `key` in [section], parsed from its text."""
+    return field(default=default,
+                 metadata={"section": section, "key": key, "parse": parse})
+
+
 @dataclass
 class RunConfig:
     """Flat, resolved view of one run. Every field has a value after
     loading; validate() reports what is inconsistent for the given task."""
 
-    task: str = ""
-    isotope: str = "he3"
-    barrier_height_ev: float | None = None
-    surface_tension: float | None = None
-    mass_density: float | None = None
-    binding_rydberg_mev: float | None = None
+    task: str = _key("run", "task", str.strip, "")
+    isotope: str = _key("material", "isotope", lambda s: s.strip().lower(),
+                        "he3")
+    barrier_height_ev: float | None = _key("material", "barrier_height_ev",
+                                           _float)
+    surface_tension: float | None = _key("material", "surface_tension", _float)
+    mass_density: float | None = _key("material", "mass_density", _float)
+    binding_rydberg_mev: float | None = _key("material",
+                                             "binding_rydberg_mev", _float)
 
-    e_perp_v_cm: float | None = None
-    b_z: float = 0.0
-    b_y: float = 0.0
-    temperature: float = 0.35
+    e_perp_v_cm: float | None = _key("fields", "e_perp_v_cm", _float)
+    b_z: float = _key("fields", "b_z", _float, 0.0)
+    b_y: float = _key("fields", "b_y", _float, 0.0)
+    temperature: float = _key("fields", "temperature", _float,
+                              FieldConfiguration.temperature)
 
-    n_max: int = 6
-    l_max: int = 50
-    z_max: float = 150.0
-    n_points: int = 4000
+    n_max: int = _key("basis", "n_max", int, ProductBasis.n_max)
+    l_max: int = _key("basis", "l_max", int, ProductBasis.l_max)
+    z_max: float = _key("grid", "z_max", _float, GridSpec.z_max)
+    n_points: int = _key("grid", "n_points", int, GridSpec.n_points)
 
-    sweep_axis: str = "b_z"
-    sweep_start: float | None = None
-    sweep_stop: float | None = None
-    sweep_steps: int = 61
-    b_y_values: tuple[float, ...] = ()
-    l_values: tuple[int, ...] = (0, 1)
+    sweep_axis: str = _key("sweep", "axis", str.strip, "b_z")
+    sweep_start: float | None = _key("sweep", "start", _float)
+    sweep_stop: float | None = _key("sweep", "stop", _float)
+    sweep_steps: int = _key("sweep", "steps", int, 61)
+    b_y_values: tuple[float, ...] = _key("sweep", "b_y_values", _floats, ())
+    l_values: tuple[int, ...] = _key("sweep", "l_values", _ints, (0, 1))
 
-    map_sweep_axis: str = "b_y"
-    map_sweep_start: float | None = None
-    map_sweep_stop: float | None = None
-    map_sweep_steps: int = 31
-    map_e_perp_start: float | None = None
-    map_e_perp_stop: float | None = None
-    map_e_perp_steps: int = 61
-    mw_frequency_ghz: float | None = None
-    band_ghz: float = 30.0
-    l_cut: int | None = None
+    map_sweep_axis: str = _key("map", "sweep_axis", str.strip, "b_y")
+    map_sweep_start: float | None = _key("map", "sweep_start", _float)
+    map_sweep_stop: float | None = _key("map", "sweep_stop", _float)
+    map_sweep_steps: int = _key("map", "sweep_steps", int, 31)
+    map_e_perp_start: float | None = _key("map", "e_perp_start_v_cm", _float)
+    map_e_perp_stop: float | None = _key("map", "e_perp_stop_v_cm", _float)
+    map_e_perp_steps: int = _key("map", "e_perp_steps", int, 61)
+    mw_frequency_ghz: float | None = _key("map", "mw_frequency_ghz", _float)
+    band_ghz: float = _key("map", "band_ghz", _float, 30.0)
+    l_cut: int | None = _key("map", "l_cut", int)
 
-    base_width_ghz: float = 0.2
-    kappa_ghz_cm_per_v: float = 0.74
-    areal_density_cm2: float = 1e7
-    fluct_field_coefficient: float = 4.3e-6
-    include_thermal: bool = True
+    base_width_ghz: float = _key("broadening", "base_width_ghz", _float,
+                                 BroadeningModel.base_width_ghz)
+    kappa_ghz_cm_per_v: float = _key("broadening", "kappa_ghz_cm_per_v",
+                                     _float,
+                                     BroadeningModel.kappa_ghz_cm_per_v)
+    areal_density_cm2: float = _key("broadening", "areal_density_cm2", _float,
+                                    BroadeningModel.areal_density_cm2)
+    fluct_field_coefficient: float = _key(
+        "broadening", "fluct_field_coefficient", _float,
+        BroadeningModel.fluct_field_coefficient)
+    include_thermal: bool = _key("broadening", "include_thermal", _bool,
+                                 BroadeningModel.include_thermal)
 
-    rates_pair: tuple[int, int] = (2, 1)
-    nu_0: float = 1e6
-    include_occupation: bool = False
+    rates_pair: tuple[int, int] = _key("rates", "pair", _pair, (2, 1))
+    nu_0: float = _key("rates", "nu_0", _float, 1e6)
+    include_occupation: bool = _key("rates", "include_occupation",
+                                    _bool, False)
 
-    crossing_pairs: tuple[tuple[int, int], ...] = ((2, 1),)
-    b_z_min: float = 0.05
-    b_z_max: float = 5.0
+    crossing_pairs: tuple[tuple[int, int], ...] = _key(
+        "crossings", "pairs", _pairs, ((2, 1),))
+    b_z_min: float = _key("crossings", "b_z_min", _float, 0.05)
+    b_z_max: float = _key("crossings", "b_z_max", _float, 5.0)
 
-    out_dir: str | None = None
-    prefix: str = "run"
+    out_dir: str | None = _key("output", "out_dir", str.strip)
+    prefix: str = _key("output", "prefix", str.strip, "run")
 
     def material(self) -> MaterialProperties:
         kwargs = {}
@@ -165,8 +229,8 @@ class RunConfig:
                           "n_max >= 3")
 
         if self.task == "spectrum-sweep":
-            self._check_range("sweep", self.sweep_start, self.sweep_stop,
-                              self.sweep_steps, errors)
+            self._check_range("sweep_start", "sweep_stop", "sweep_steps",
+                              errors)
             if self.sweep_axis not in ("b_z", "b_y"):
                 errors.append(f"sweep.axis: {self.sweep_axis!r} is not b_z "
                               "or b_y")
@@ -181,8 +245,8 @@ class RunConfig:
                               "on a b_z sweep")
 
         if self.task == "shifts":
-            self._check_range("sweep", self.sweep_start, self.sweep_stop,
-                              self.sweep_steps, errors)
+            self._check_range("sweep_start", "sweep_stop", "sweep_steps",
+                              errors)
             if self.sweep_axis != "b_y":
                 errors.append("sweep.axis: shifts sweep b_y")
             if self.b_z <= 0.0:
@@ -199,12 +263,10 @@ class RunConfig:
             if self.map_sweep_axis not in ("b_z", "b_y"):
                 errors.append(f"map.sweep_axis: {self.map_sweep_axis!r} is "
                               "not b_z or b_y")
-            self._check_range("map.sweep", self.map_sweep_start,
-                              self.map_sweep_stop, self.map_sweep_steps,
-                              errors)
-            self._check_range("map.e_perp", self.map_e_perp_start,
-                              self.map_e_perp_stop, self.map_e_perp_steps,
-                              errors)
+            self._check_range("map_sweep_start", "map_sweep_stop",
+                              "map_sweep_steps", errors)
+            self._check_range("map_e_perp_start", "map_e_perp_stop",
+                              "map_e_perp_steps", errors)
             if self.mw_frequency_ghz is None:
                 errors.append("map.mw_frequency_ghz: required")
             elif self.mw_frequency_ghz <= 0.0:
@@ -267,107 +329,27 @@ class RunConfig:
                             "consider a larger grid.z_max")
         return errors, warnings
 
-    @staticmethod
-    def _check_range(name, start, stop, steps, errors):
-        if start is None or stop is None:
-            errors.append(f"{name}.start/stop: required")
+    def _check_range(self, start, stop, steps, errors):
+        """Check a sweep given the names of its start, stop and steps
+        fields; the errors name the keys as the schema spells them."""
+        keys = {attr: (section, key) for section, key, attr, _ in _KEYS}
+        (section, start_key), (_, stop_key), (_, steps_key) = (
+            keys[start], keys[stop], keys[steps])
+        span = f"{section}.{start_key}/{stop_key}"
+        lo, hi = getattr(self, start), getattr(self, stop)
+        if lo is None or hi is None:
+            errors.append(f"{span}: required")
             return
-        if not start < stop:
-            errors.append(f"{name}.start/stop: need start < stop")
-        if steps < 2:
-            errors.append(f"{name}.steps: need at least 2")
+        if not lo < hi:
+            errors.append(f"{span}: need start < stop")
+        if getattr(self, steps) < 2:
+            errors.append(f"{section}.{steps_key}: need at least 2")
 
 
-def _parse_float(text: str) -> float:
-    """A finite float: nan and inf pass float() but no check after it."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text.strip()!r}")
-    return value
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(_parse_float(tok) for tok in text.replace(";", ",").split(",")
-                 if tok.strip())
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(";", ",").split(",")
-                 if tok.strip())
-
-
-def _parse_pair(text: str) -> tuple[int, int]:
-    parts = _parse_ints(text)
-    if len(parts) != 2:
-        raise ValueError(f"expected two integers, got {text!r}")
-    return parts[0], parts[1]
-
-
-def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for chunk in text.split(";"):
-        if chunk.strip():
-            pairs.append(_parse_pair(chunk))
-    return tuple(pairs)
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-# One row per config key: (section, key, RunConfig field, parser). The
-# unknown-key check and the parse loop both read this table.
-_KEYS = (
-    ("run", "task", "task", str.strip),
-    ("material", "isotope", "isotope", lambda s: s.strip().lower()),
-    ("material", "barrier_height_ev", "barrier_height_ev", _parse_float),
-    ("material", "surface_tension", "surface_tension", _parse_float),
-    ("material", "mass_density", "mass_density", _parse_float),
-    ("material", "binding_rydberg_mev", "binding_rydberg_mev", _parse_float),
-    ("fields", "e_perp_v_cm", "e_perp_v_cm", _parse_float),
-    ("fields", "b_z", "b_z", _parse_float),
-    ("fields", "b_y", "b_y", _parse_float),
-    ("fields", "temperature", "temperature", _parse_float),
-    ("basis", "n_max", "n_max", int),
-    ("basis", "l_max", "l_max", int),
-    ("grid", "z_max", "z_max", _parse_float),
-    ("grid", "n_points", "n_points", int),
-    ("sweep", "axis", "sweep_axis", str.strip),
-    ("sweep", "start", "sweep_start", _parse_float),
-    ("sweep", "stop", "sweep_stop", _parse_float),
-    ("sweep", "steps", "sweep_steps", int),
-    ("sweep", "b_y_values", "b_y_values", _parse_floats),
-    ("sweep", "l_values", "l_values", _parse_ints),
-    ("map", "sweep_axis", "map_sweep_axis", str.strip),
-    ("map", "sweep_start", "map_sweep_start", _parse_float),
-    ("map", "sweep_stop", "map_sweep_stop", _parse_float),
-    ("map", "sweep_steps", "map_sweep_steps", int),
-    ("map", "e_perp_start_v_cm", "map_e_perp_start", _parse_float),
-    ("map", "e_perp_stop_v_cm", "map_e_perp_stop", _parse_float),
-    ("map", "e_perp_steps", "map_e_perp_steps", int),
-    ("map", "mw_frequency_ghz", "mw_frequency_ghz", _parse_float),
-    ("map", "band_ghz", "band_ghz", _parse_float),
-    ("map", "l_cut", "l_cut", int),
-    ("broadening", "base_width_ghz", "base_width_ghz", _parse_float),
-    ("broadening", "kappa_ghz_cm_per_v", "kappa_ghz_cm_per_v", _parse_float),
-    ("broadening", "areal_density_cm2", "areal_density_cm2", _parse_float),
-    ("broadening", "fluct_field_coefficient", "fluct_field_coefficient",
-     _parse_float),
-    ("broadening", "include_thermal", "include_thermal", _parse_bool),
-    ("rates", "pair", "rates_pair", _parse_pair),
-    ("rates", "nu_0", "nu_0", _parse_float),
-    ("rates", "include_occupation", "include_occupation", _parse_bool),
-    ("crossings", "pairs", "crossing_pairs", _parse_pairs),
-    ("crossings", "b_z_min", "b_z_min", _parse_float),
-    ("crossings", "b_z_max", "b_z_max", _parse_float),
-    ("output", "out_dir", "out_dir", str.strip),
-    ("output", "prefix", "prefix", str.strip),
-)
+# (section, key, RunConfig field, parser) of every key, read from the
+# fields: the unknown-key check and the parse loop both walk it.
+_KEYS = tuple((f.metadata["section"], f.metadata["key"], f.name,
+               f.metadata["parse"]) for f in dc_fields(RunConfig))
 
 
 def load_run_config(path: str, task: str | None = None) -> RunConfig:

@@ -109,16 +109,6 @@ class MaterialProperties:
             if abs(want - got) > 1e-12 * abs(want):
                 raise ValueError(f"{name} inconsistent with lambda_coupling")
 
-    # Unit bridges.  Everything downstream converts through these.
-
-    def energy_scale(self) -> float:
-        """J per one internal energy unit (R_e)."""
-        return self.rydberg_energy
-
-    def length_scale(self) -> float:
-        """m per one internal length unit (r_B)."""
-        return self.bohr_radius
-
     def stark_parameter(self, e_perp: float) -> float:
         """Dimensionless tilt f = e E_perp r_B / R_e of the scaled potential
         -2/zeta + f zeta. e_perp in V/m."""

@@ -112,8 +112,10 @@ class TransitionLine:
 
 class _Lines(NamedTuple):
     """Transition catalog of one spectrum as parallel arrays, one entry per
-    line, in catalog order: by initial Landau index, then by final state."""
+    line, in catalog order: by initial Landau index, then by final state;
+    and the eigenstate each thermal label (1,l) starts from."""
 
+    initial_states: np.ndarray  # eigenstate index of (1,l), l = 0..l_cut
     initial_l: np.ndarray       # Landau index of the initial label (1, l)
     initial_index: np.ndarray   # eigenstate index of the initial state
     final_index: np.ndarray
@@ -162,6 +164,7 @@ def _catalog(
         np.concatenate, zip(*parts))
     dominant_n, dominant_l, _ = spec.dominant_labels()
     return _Lines(
+        initial_states=starts,
         initial_l=initial_l,
         initial_index=initial_index,
         final_index=final_index,
@@ -381,11 +384,10 @@ def absorption_map(
                 keep = area >= 1e-6 * area.max(initial=0.0)
                 near = (np.abs((lines.frequency_ghz - mw_frequency_ghz)
                                / width) <= _DEPOSIT_WINDOW)
-                # the initial states as _catalog labels them, and the final
-                # states of every deposited or traced line
-                states = np.union1d(
-                    np.argmax(spec.eigenvectors[:cut + 1] ** 2, axis=1),
-                    lines.final_index[near | keep])
+                # the thermal initial states, and the final states of every
+                # deposited or traced line
+                states = np.union1d(lines.initial_states,
+                                    lines.final_index[near | keep])
                 rungs = _rung_weights(spec, states)
                 edge = float(rungs[-2:].sum(axis=0).max())
                 if edge <= _EDGE_WEIGHT_LIMIT or landau == cap:

@@ -164,8 +164,8 @@ def solve_vertical(
     z_red = 0.5 * (z_red + z_red.T)
     z2_red = 0.5 * (z2_red + z2_red.T)
 
-    r_b = mat.length_scale()
-    r_e = mat.energy_scale()
+    r_b = mat.bohr_radius       # m per internal length unit
+    r_e = mat.rydberg_energy    # J per internal energy unit
     arrays = dict(
         grid=zeta * r_b,
         energies=vals * r_e,

@@ -2,6 +2,7 @@
 exit codes, and byte-level determinism."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,10 +22,12 @@ from heliumjcm import (
     resonant_wavenumber,
     solve_vertical,
 )
-from heliumjcm.config import TASKS, load_run_config
-from heliumjcm.coupled import _single_threaded_blas
+from heliumjcm.config import TASKS, RunConfig, load_run_config
+from heliumjcm.coupled import ProductBasis, _single_threaded_blas
 from heliumjcm.errors import ConfigError
-from heliumjcm.materials import HBAR
+from heliumjcm.materials import HBAR, FieldConfiguration
+from heliumjcm.spectroscopy import BroadeningModel
+from heliumjcm.vertical import GridSpec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -177,6 +180,21 @@ def test_committed_configs_validate(capsys):
         assert out.startswith("ok:")
 
 
+def test_each_field_is_the_schema_row_of_one_key():
+    # validate names keys from this schema, and the loader reads it
+    rows = [(f.metadata.get("section"), f.metadata.get("key"),
+             f.metadata.get("parse")) for f in dataclasses.fields(RunConfig)]
+    for section, key, parse in rows:
+        assert section and key and callable(parse), (section, key)
+    assert len({(section, key) for section, key, _ in rows}) == len(rows)
+
+    default = RunConfig()
+    assert default.basis() == ProductBasis()
+    assert default.grid() == GridSpec()
+    assert default.broadening() == BroadeningModel()
+    assert default.temperature == FieldConfiguration(0.0, 0.0).temperature
+
+
 def test_subcommands_are_the_task_table():
     sub = next(action for action in cli._build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
@@ -228,14 +246,157 @@ steps = 11
     (SHIFTS_CFG.replace("l_values = 0, 1", "l_values = 0, 21"),
      "sweep.l_values"),
     (SHIFTS_CFG.replace("prefix = t", "prefix = a/b"), "output.prefix"),
+    (MAP_CFG.replace("sweep_start = 0.0\nsweep_stop = 0.1\n", ""),
+     "map.sweep_start/sweep_stop"),
+    (MAP_CFG.replace("e_perp_start_v_cm = 28.0\ne_perp_stop_v_cm = 30.0\n",
+                     ""),
+     "map.e_perp_start_v_cm/e_perp_stop_v_cm"),
+    (MAP_CFG.replace("sweep_steps = 2", "sweep_steps = 1"), "map.sweep_steps"),
+    (MAP_CFG.replace("e_perp_steps = 3", "e_perp_steps = 1"),
+     "map.e_perp_steps"),
 ], ids=["b_y-sweep-without-b_z", "l_cut-negative", "l_cut-above-l_max",
         "band_ghz-zero", "base_width-zero", "l_values-above-l_max",
-        "prefix-with-separator"])
+        "prefix-with-separator", "map-without-sweep-range",
+        "map-without-e_perp-range", "map-sweep-steps-one",
+        "map-e_perp-steps-one"])
 def test_validate_reports_errors(tmp_path, capsys, text, key):
     bad = _write(tmp_path, text)
     assert cli.main(["validate", "--config", bad]) == 2
     err = capsys.readouterr().err
     assert f"error: {key}:" in err
+
+
+# One broken config per task, and every error validate prints for it, in
+# order: the messages are part of the command line's interface.
+BROKEN_CFGS = {
+    "spectrum-sweep": ("""
+[run]
+task = spectrum-sweep
+[material]
+isotope = he5
+[fields]
+e_perp_v_cm = -2.0
+temperature = -1.0
+[basis]
+n_max = 1
+l_max = 0
+[grid]
+z_max = 5.0
+n_points = 100
+[sweep]
+axis = b_x
+start = 0.5
+stop = 0.2
+steps = 1
+b_y_values = 0.1
+[output]
+prefix = a/b
+""", """\
+material.isotope: 'he5' is not he3 or he4
+fields.temperature: must be positive
+basis.n_max: need at least two levels
+basis.l_max: need at least two rungs
+grid.n_points: too coarse to trust
+grid.z_max: box must extend past the bound tails
+output.prefix: a file-name prefix, not a path; set directories in output.out_dir
+fields.e_perp_v_cm: must be non-negative
+sweep.start/stop: need start < stop
+sweep.steps: need at least 2
+sweep.axis: 'b_x' is not b_z or b_y
+sweep.b_y_values: overlays only make sense on a b_z sweep
+"""),
+    "absorption-map": ("""
+[run]
+task = absorption-map
+[basis]
+n_max = 2
+l_max = 8
+[map]
+sweep_axis = b_x
+sweep_start = 0.5
+sweep_stop = 0.2
+sweep_steps = 1
+mw_frequency_ghz = -90.0
+band_ghz = 0.0
+l_cut = 9
+[broadening]
+base_width_ghz = 0.0
+""", """\
+basis.n_max: interference between levels needs n_max >= 3
+map.sweep_axis: 'b_x' is not b_z or b_y
+map.sweep_start/sweep_stop: need start < stop
+map.sweep_steps: need at least 2
+map.e_perp_start_v_cm/e_perp_stop_v_cm: required
+map.mw_frequency_ghz: must be positive
+map.band_ghz: must be positive
+map.l_cut: need 0 <= l_cut <= basis.l_max
+broadening.base_width_ghz: must be positive
+"""),
+    "shifts": ("""
+[run]
+task = shifts
+[fields]
+e_perp_v_cm = 15.0
+[basis]
+n_max = 2
+l_max = 20
+[sweep]
+axis = b_z
+l_values = -1, 21
+""", """\
+basis.n_max: interference between levels needs n_max >= 3
+sweep.start/stop: required
+sweep.axis: shifts sweep b_y
+fields.b_z: a b_y sweep needs the quantizing field set
+sweep.l_values: Landau indices are non-negative
+sweep.l_values: Landau indices must not exceed basis.l_max
+"""),
+    "crossings": ("""
+[run]
+task = crossings
+[basis]
+n_max = 3
+[crossings]
+pairs = 1,1; 9,1
+b_z_min = 5.0
+b_z_max = 1.0
+""", """\
+fields.e_perp_v_cm: required for this task
+crossings.pairs: bad pair (1, 1)
+crossings.pairs: pair (9, 1) exceeds basis.n_max
+crossings.b_z_min/b_z_max: need 0 < min < max
+"""),
+    "rates": ("""
+[run]
+task = rates
+[fields]
+e_perp_v_cm = 15.0
+[rates]
+pair = 1, 1
+nu_0 = -1.0
+""", """\
+fields.b_z: rates need the quantizing field set
+rates.nu_0: must be non-negative
+rates.pair: bad pair (1, 1)
+"""),
+    "self-test": ("""
+[run]
+task = self-test
+[fields]
+temperature = 0.0
+""", """\
+fields.temperature: must be positive
+"""),
+}
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_validate_error_text(tmp_path, capsys, task):
+    text, errors = BROKEN_CFGS[task]
+    bad = _write(tmp_path, text)
+    assert cli.main(["validate", "--config", bad]) == 2
+    assert capsys.readouterr().err == "".join(
+        f"error: {line}\n" for line in errors.splitlines())
 
 
 def test_validate_unknown_key(tmp_path, capsys):
@@ -342,6 +503,21 @@ def test_crossings_artifacts(tmp_path):
     assert row[0] == "2" and row[1] == "1"
     assert float(row[2]) == pytest.approx(2.8306, abs=5e-3)
     assert float(row[4]) > 0.0
+
+
+def test_crossings_gap_is_even_in_b_y(tmp_path):
+    rows = {}
+    for b_y in ("0.1", "-0.1"):
+        path = _write(tmp_path, CROSSINGS_CFG.replace("b_y = 0.1",
+                                                      f"b_y = {b_y}"))
+        out_dir = tmp_path / b_y
+        assert cli.main(["crossings", "--config", path,
+                         "--out", str(out_dir)]) == 0
+        lines = (out_dir / "t_crossings.csv").read_text().splitlines()
+        rows[b_y] = lines[1].split(",")
+    plus, minus = rows["0.1"], rows["-0.1"]
+    assert minus[:4] == plus[:4]     # pair, crossing and minimum-gap fields
+    assert float(minus[4]) == pytest.approx(float(plus[4]), rel=1e-9)
 
 
 def test_rates_artifacts(tmp_path):
