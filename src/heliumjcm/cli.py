@@ -437,7 +437,7 @@ def main(argv=None) -> int:
                or os.environ.get(OUT_DIR_ENV, "out"))
     runner = _TASKS[args.task][1]
     try:
-        if validating:   # computes nothing, so skips the pin and its scipy
+        if validating:   # computes nothing, so skips the pin
             return runner(cfg, out_dir, args.threads)
         with _single_threaded_blas:
             return runner(cfg, out_dir, args.threads)

@@ -23,7 +23,7 @@ from .materials import (
     MaterialProperties,
     material_for,
 )
-from .spectroscopy import BroadeningModel
+from .spectroscopy import DEFAULT_BAND_GHZ, BroadeningModel
 from .vertical import GridSpec
 
 TASKS = ("spectrum-sweep", "absorption-map", "shifts", "crossings",
@@ -119,7 +119,7 @@ class RunConfig:
     map_e_perp_stop: float | None = _key("map", "e_perp_stop_v_cm", _float)
     map_e_perp_steps: int = _key("map", "e_perp_steps", int, 61)
     mw_frequency_ghz: float | None = _key("map", "mw_frequency_ghz", _float)
-    band_ghz: float = _key("map", "band_ghz", _float, 30.0)
+    band_ghz: float = _key("map", "band_ghz", _float, DEFAULT_BAND_GHZ)
     l_cut: int | None = _key("map", "l_cut", int)
 
     base_width_ghz: float = _key("broadening", "base_width_ghz", _float,
@@ -210,6 +210,10 @@ class RunConfig:
             errors.append("basis.l_max: need at least two rungs")
         if self.n_points < 200:
             errors.append("grid.n_points: too coarse to trust")
+        levels = max(self.n_max, 2)   # rates solves two levels at least
+        if 4 * levels > self.n_points:
+            errors.append(f"grid.n_points: {self.n_points} points cannot "
+                          f"hold {levels} levels; need at least {4 * levels}")
         if self.z_max <= 10.0:
             errors.append("grid.z_max: box must extend past the bound tails")
         if any(sep and sep in self.prefix for sep in (os.sep, os.altsep)):

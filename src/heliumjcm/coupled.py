@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import vertical
 from .errors import (
     BasisMismatch,
     BranchTrackingLost,
@@ -217,19 +218,17 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 def _openblas_thread_controls() -> list[tuple]:
     """(get, set) thread-count functions of every OpenBLAS mapped into this
-    process; empty where none is loaded or /proc is unavailable. Imports
-    scipy.linalg first, so that the OpenBLAS the vertical solve loads
-    lazily is among them."""
-    import scipy.linalg  # noqa: F401
+    process; empty where none is loaded or /proc is unavailable.
 
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower()})
-    except OSError:
-        return []
+    The vertical solve runs LAPACK from numpy's OpenBLAS, which is loaded
+    with numpy. Only where it falls back to scipy does this import
+    scipy.linalg first, so that the OpenBLAS scipy brings is pinned before
+    the first solve."""
+    if vertical._lapack_tridiagonal() is None:
+        import scipy.linalg  # noqa: F401
+
     controls = []
-    for path in paths:
+    for path in vertical._loaded_openblas():
         try:
             lib = ctypes.CDLL(path)
         except OSError:

@@ -186,9 +186,11 @@ class FieldConfiguration:
         return self.e_perp / V_PER_CM
 
     @classmethod
-    def from_v_cm(cls, e_perp_v_cm: float, b_z: float, b_y: float = 0.0,
-                  temperature: float = 0.35) -> "FieldConfiguration":
-        return cls(e_perp_v_cm * V_PER_CM, b_z, b_y, temperature)
+    def from_v_cm(cls, e_perp_v_cm: float, *args, **kwargs
+                  ) -> "FieldConfiguration":
+        """The constructor with E_perp in V/cm; b_z, b_y and temperature
+        and their defaults are the constructor's."""
+        return cls(e_perp_v_cm * V_PER_CM, *args, **kwargs)
 
     def replace(self, **kw) -> "FieldConfiguration":
         from dataclasses import replace as _replace

@@ -45,6 +45,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # A map pixel deposits the lines within this many widths of the drive.
 _DEPOSIT_WINDOW = 8.0
+# Default half-width, GHz, of the band around the drive whose lines a map
+# catalogs.
+DEFAULT_BAND_GHZ = 30.0
 
 
 def thermal_populations(cfg: FieldConfiguration, l_cut: int) -> np.ndarray:
@@ -321,7 +324,7 @@ def absorption_map(
     basis: ProductBasis = ProductBasis(),
     grid: GridSpec = GridSpec(),
     l_cut: int | None = None,
-    band_ghz: float = 30.0,
+    band_ghz: float = DEFAULT_BAND_GHZ,
     threads: int = 1,
 ) -> AbsorptionMap:
     """Simulate a 2D absorption map over a magnetic-field axis x E_perp.

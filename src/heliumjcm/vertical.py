@@ -8,10 +8,20 @@ the advertised grid-doubling stability of E_1, E_2, so they are Richardson
 extrapolated from the full and half resolution grids; wavefunctions and
 matrix elements come from the fine grid, whose O(dz^2) error is far inside
 every tolerance used downstream.
+
+The lowest states of each grid come from LAPACK's bisection dstebz (range
+"I", order "B", abstol 0) and inverse iteration dstein, the pair that
+scipy.linalg.eigh_tridiagonal(select="i") runs. They are called through
+ctypes on the ILP64 symbols of the OpenBLAS numpy already loads, so a solve
+imports no scipy. Where no loaded library exports them (a numpy built on
+MKL or Accelerate, or no /proc), eigh_tridiagonal itself is the fallback;
+both paths give the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +43,9 @@ _TAIL_TOLERANCE = 1e-6
 # find_transition_field, V/cm.
 _SLOPE_STEP_V_CM = 0.1
 _ROOT_TOL_V_CM = 1e-3
+# dstebz and dstein as numpy's bundled OpenBLAS exports them, with 64-bit
+# integers.
+_STEBZ, _STEIN = "scipy_dstebz_64_", "scipy_dstein_64_"
 
 
 @dataclass(frozen=True)
@@ -98,6 +111,99 @@ class VerticalSpectrum:
         return self.transition_energy(n, m) / GHZ
 
 
+def _loaded_openblas() -> list[str]:
+    """Paths of every OpenBLAS mapped into this process, sorted; empty where
+    none is loaded or /proc is unavailable."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower()})
+    except OSError:
+        return []
+
+
+@functools.cache
+def _lapack_tridiagonal():
+    """(dstebz, dstein) from a loaded OpenBLAS, or None where no loaded
+    library exports both; solve_vertical then falls back to scipy."""
+    for path in _loaded_openblas():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        stebz = getattr(lib, _STEBZ, None)
+        stein = getattr(lib, _STEIN, None)
+        if stebz is not None and stein is not None:
+            # Fortran passes everything by reference; dstebz's two
+            # CHARACTER*1 arguments add hidden trailing size_t lengths.
+            stebz.argtypes = [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 2
+            stein.argtypes = [ctypes.c_void_p] * 13
+            stebz.restype = stein.restype = None
+            return stebz, stein
+    return None
+
+
+def _check_info(info: int, routine: str, positive: str) -> None:
+    """scipy's LAPACK info check, with its texts."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal "
+                         f"{routine} (eigh_tridiagonal)")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{routine} (eigh_tridiagonal) {positive % info}")
+
+
+def _lowest_eigenpairs(diag: np.ndarray, off: np.ndarray, k: int):
+    """The k lowest eigenvalues (ascending) and eigenvectors (columns) of the
+    symmetric tridiagonal matrix (diag, off): what
+    eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    returns, bit for bit."""
+    routines = _lapack_tridiagonal()
+    if routines is None:
+        from scipy.linalg import eigh_tridiagonal   # scipy is slow to import
+
+        return eigh_tridiagonal(diag, off, select="i",
+                                select_range=(0, k - 1))
+    stebz, stein = routines
+    diag = np.ascontiguousarray(diag, dtype=float)
+    off = np.ascontiguousarray(off, dtype=float)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if diag.ndim != 1 or off.ndim != 1:
+        raise ValueError("expected a 1-D array")
+    n = diag.size
+    if off.size != n - 1:
+        raise ValueError(f"d ({n}) must have one more element than e "
+                         f"({off.size})")
+    if not 1 <= k <= n:
+        raise ValueError("select_range out of bounds")
+
+    # Every argument goes by reference, scalars as one-element arrays;
+    # passing an array's .ctypes keeps the array alive through the call.
+    def ref(value, dtype=np.int64):
+        return np.array([value], dtype=dtype).ctypes
+
+    m, nsplit, info = (np.zeros(1, np.int64) for _ in range(3))
+    w, work = np.zeros(n), np.zeros(5 * n)
+    iblock, isplit = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    iwork = np.zeros(3 * n, np.int64)
+    # RANGE, ORDER, N, VL, VU (unused for range "I"), IL, IU, ABSTOL, ...
+    stebz(b"I", b"B", ref(n), ref(0.0, float), ref(1.0, float), ref(1),
+          ref(k), ref(0.0, float), diag.ctypes, off.ctypes, m.ctypes,
+          nsplit.ctypes, w.ctypes, iblock.ctypes, isplit.ctypes,
+          work.ctypes, iwork.ctypes, info.ctypes, 1, 1)
+    _check_info(int(info[0]), "stebz", "did not converge (LAPACK info=%d)")
+    w = w[:m[0]]
+    vecs = np.zeros((n, w.size), order="F")
+    stein(ref(n), diag.ctypes, off.ctypes, ref(w.size), w.ctypes,
+          iblock.ctypes, isplit.ctypes, vecs.ctypes, ref(n), work.ctypes,
+          iwork.ctypes, np.zeros(w.size, np.int64).ctypes, info.ctypes)
+    _check_info(int(info[0]), "stein", "%d eigenvectors failed to converge")
+    # dstebz order "B" groups the eigenvalues by split block
+    order = np.argsort(w)
+    return w[order], vecs[:, order]
+
+
 def _solve_reduced(f: float, z_max: float, n_points: int, n_max: int):
     """Finite-difference eigenpairs of the reduced Hamiltonian.
 
@@ -109,12 +215,8 @@ def _solve_reduced(f: float, z_max: float, n_points: int, n_max: int):
     zeta = dz * np.arange(1, n_points + 1)
     diag = 2.0 / dz**2 - 2.0 / zeta + f * zeta
     off = np.full(n_points - 1, -1.0 / dz**2)
-    from scipy.linalg import eigh_tridiagonal   # scipy is slow to import
-
     try:
-        vals, vecs = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, n_max - 1)
-        )
+        vals, vecs = _lowest_eigenpairs(diag, off, n_max)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
     psi = (vecs / math.sqrt(dz)).T

@@ -3,6 +3,7 @@ exit codes, and byte-level determinism."""
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -21,12 +22,13 @@ from heliumjcm import (
     full_transition_shift_ghz,
     resonant_wavenumber,
     solve_vertical,
+    vertical,
 )
 from heliumjcm.config import TASKS, RunConfig, load_run_config
 from heliumjcm.coupled import ProductBasis, _single_threaded_blas
 from heliumjcm.errors import ConfigError
 from heliumjcm.materials import HBAR, FieldConfiguration
-from heliumjcm.spectroscopy import BroadeningModel
+from heliumjcm.spectroscopy import BroadeningModel, absorption_map
 from heliumjcm.vertical import GridSpec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -193,6 +195,8 @@ def test_each_field_is_the_schema_row_of_one_key():
     assert default.grid() == GridSpec()
     assert default.broadening() == BroadeningModel()
     assert default.temperature == FieldConfiguration(0.0, 0.0).temperature
+    assert default.band_ghz == \
+        inspect.signature(absorption_map).parameters["band_ghz"].default
 
 
 def test_subcommands_are_the_task_table():
@@ -670,8 +674,8 @@ def test_cli_import_leaves_scipy_optimize_out():
 
 
 def test_cli_import_and_validate_load_no_scipy(tmp_path):
-    # importing scipy costs about 0.4 s per CLI call; only the vertical
-    # solve and root finding need it, and validate runs neither
+    # importing scipy costs about 0.4 s per CLI call; only root finding
+    # needs it, and a vertical solve where numpy's OpenBLAS lacks LAPACK
     path = _write(tmp_path, SHIFTS_CFG)
     probe = ("import sys; {}; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
@@ -681,6 +685,40 @@ def test_cli_import_and_validate_load_no_scipy(tmp_path):
         "from heliumjcm import cli; "
         f"assert cli.main(['validate', '--config', {str(path)!r}]) == 0")])
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_computing_tasks_load_no_scipy(tmp_path):
+    # the vertical solve runs LAPACK from numpy's OpenBLAS, so no task the
+    # command line computes imports scipy
+    if vertical._lapack_tridiagonal() is None:
+        pytest.skip("numpy's BLAS exports no dstebz/dstein")
+    runs = [["self-test"]]
+    for task, text in (("spectrum-sweep", SMALL_SWEEP_CFG),
+                       ("crossings", CROSSINGS_CFG),
+                       ("absorption-map", MAP_CFG)):
+        runs.append([task, "--config", _write(tmp_path, text, f"{task}.cfg"),
+                     "--out", str(tmp_path / task)])
+    probe = ("import sys; from heliumjcm import cli\n"
+             f"for argv in {runs!r}:\n"
+             "    assert cli.main(argv) == 0, argv\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = _run_python(["-c", probe])
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+GRID_TOO_COARSE_CFG = CROSSINGS_CFG.replace("n_max = 6", "n_max = 51") \
+    .replace("n_points = 2000", "n_points = 200")
+
+
+@pytest.mark.parametrize("task", ["validate", "crossings"])
+def test_grid_too_coarse_for_the_basis_exits_2(tmp_path, capsys, task):
+    # the vertical solve needs four grid points per level
+    path = _write(tmp_path, GRID_TOO_COARSE_CFG)
+    assert cli.main([task, "--config", path, "--out",
+                     str(tmp_path / "o")]) == 2
+    assert "error: grid.n_points: 200 points cannot hold 51 levels; need " \
+        "at least 204\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_absorption_map_thread_independent(tmp_path):

@@ -102,6 +102,9 @@ def test_field_configuration_units():
     assert cfg.e_perp == pytest.approx(1500.0)
     assert cfg.e_perp_v_cm == pytest.approx(15.0)
     assert cfg.replace(b_y=-0.2).b_y == -0.2   # negative coupling field ok
+    # b_y and temperature default as the constructor's do
+    assert FieldConfiguration.from_v_cm(15.0, 0.65) == \
+        FieldConfiguration(cfg.e_perp, 0.65)
     with pytest.raises(ValueError):
         FieldConfiguration(-1.0, 0.5)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from scipy.constants import e as QE
 
 from heliumjcm import (
+    ConvergenceFailure,
     GridSpec,
     GridTooSmall,
     find_transition_field,
@@ -13,6 +14,7 @@ from heliumjcm import (
     stark_slope,
     truncation_report,
 )
+from heliumjcm import vertical
 from heliumjcm.vertical import V_PER_CM
 
 
@@ -129,3 +131,54 @@ def test_grid_guards(he3):
     with pytest.raises(GridTooSmall):
         solve_vertical(he3, 0.0, n_max=6, grid=GridSpec(40.0, 2000))
 
+
+
+@pytest.fixture
+def scipy_fallback(monkeypatch):
+    """Hides numpy's dstebz/dstein, as on a numpy without OpenBLAS."""
+    if vertical._lapack_tridiagonal() is None:
+        pytest.skip("numpy's BLAS exports no dstebz/dstein")
+    monkeypatch.setattr(vertical, "_lapack_tridiagonal", lambda: None)
+
+
+def _solve_or_error(he3, e_v_cm, n_max, n_points):
+    try:
+        vs = solve_vertical(he3, e_v_cm * V_PER_CM, n_max,
+                            GridSpec(n_points=n_points))
+    except GridTooSmall as exc:
+        return str(exc)
+    return [arr.tobytes() for arr in (vs.energies, vs.wavefunctions,
+                                      vs.z_matrix, vs.z2_matrix)]
+
+
+@pytest.mark.parametrize("n_points", [200, 4000])
+def test_solver_paths_bit_identical(he3, request, n_points):
+    # numpy's LAPACK and scipy's eigh_tridiagonal give the same bits
+    cases = [(e, n_max) for e in (0.0, 2.0, 15.0, 29.0, 58.0)
+             for n_max in (2, 6, 8)]
+    direct = [_solve_or_error(he3, e, n_max, n_points) for e, n_max in cases]
+    request.getfixturevalue("scipy_fallback")
+    for (e, n_max), first in zip(cases, direct):
+        assert _solve_or_error(he3, e, n_max, n_points) == first, (e, n_max)
+    assert any(isinstance(first, list) for first in direct)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "scipy"])
+@pytest.mark.parametrize("f", [float("nan"), float("inf")])
+def test_non_finite_tilt_is_a_convergence_failure(request, fallback, f):
+    if fallback:
+        request.getfixturevalue("scipy_fallback")
+    with pytest.raises(ConvergenceFailure) as failed:
+        vertical._solve_reduced(f, 150.0, 400, 4)
+    assert str(failed.value) == ("tridiagonal eigensolver failed: array "
+                                 "must not contain infs or NaNs")
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "scipy"])
+def test_more_states_than_points_is_a_convergence_failure(request, fallback):
+    if fallback:
+        request.getfixturevalue("scipy_fallback")
+    with pytest.raises(ConvergenceFailure) as failed:
+        vertical._solve_reduced(0.0, 150.0, 16, 17)
+    assert str(failed.value) == ("tridiagonal eigensolver failed: "
+                                 "select_range out of bounds")
