@@ -13,8 +13,8 @@ from heliumjcm import (
     solve_vertical,
     stark_slope,
     truncation_report,
+    vertical,
 )
-from heliumjcm import vertical
 from heliumjcm.vertical import V_PER_CM
 
 
@@ -130,7 +130,6 @@ def test_grid_guards(he3):
     # a box shorter than the n = 6 state leaks norm into the tail
     with pytest.raises(GridTooSmall):
         solve_vertical(he3, 0.0, n_max=6, grid=GridSpec(40.0, 2000))
-
 
 
 @pytest.fixture
