@@ -31,11 +31,6 @@ from .vertical import VerticalSpectrum
 # comes within this many couplings of zero.
 _GUARD_FACTOR = 3.0
 
-# e B_y / m_e without requiring b_z > 0.
-def _omega_y(b_y: float) -> float:
-    return ELEMENTARY_CHARGE * b_y / ELECTRON_MASS
-
-
 def coupling_constant(
     vs: VerticalSpectrum, cfg: FieldConfiguration, n: int, n_prime: int
 ) -> float:
@@ -54,7 +49,7 @@ def tilde_energy(
     quadratic in w_y as the operator m w_y^2 z^2 / 2 dictates.
     """
     omega_c = cyclotron_frequency(cfg.b_z)
-    omega_y = _omega_y(cfg.b_y)
+    omega_y = cyclotron_frequency(cfg.b_y)
     return (vs.energy(n) + HBAR * omega_c * l
             + 0.5 * ELECTRON_MASS * omega_y**2 * vs.z2_elem(n, n))
 
@@ -166,7 +161,7 @@ def perturbative_shift(
     if l < 0:
         raise ValueError("l must be non-negative")
     hw_c = _resonance_guard(vs, cfg, n)
-    omega_y = _omega_y(cfg.b_y)
+    omega_y = cyclotron_frequency(cfg.b_y)
     total = 0.0
     for n_prime in range(1, vs.n_max + 1):
         if n_prime == n:
@@ -227,7 +222,7 @@ def bethe_cancellation_check(
     if cfg.b_y == 0.0:
         return 0.0, 0.0, 0.0
     hw_c = _resonance_guard(vs, cfg, n)
-    omega_y = _omega_y(cfg.b_y)
+    omega_y = cyclotron_frequency(cfg.b_y)
     prefactor = 0.5 * ELECTRON_MASS * omega_y**2
 
     diamagnetic = prefactor * vs.z2_elem(n, n)

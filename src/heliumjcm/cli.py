@@ -2,12 +2,12 @@
 
 Usage: heliumjcm <task> --config <path> [--out <dir>] [--threads N]
 
-Artifacts are CSV (fixed number format, LF line endings, so identical
-inputs and version give identical bytes) plus a JSON sidecar that echoes
-everything needed to rerun: resolved config, physical constants, material
-calibration, and any per-point failures. Every computing task runs with
-OpenBLAS pinned to one thread, so the bytes do not depend on the BLAS thread
-setting of the environment either.
+Artifacts are CSV (every value printed as %.10g, LF line endings, so
+identical inputs and version give identical bytes) plus a JSON sidecar that
+echoes everything needed to rerun: resolved config, physical constants,
+material calibration, and any per-point failures. Every computing task runs
+with OpenBLAS pinned to one thread, so the bytes do not depend on the BLAS
+thread setting of the environment either.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (artifacts still written, failures listed in the sidecar), 4 self-test
@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from itertools import repeat
 
 import numpy as np
 
@@ -57,39 +55,22 @@ from .vertical import solve_vertical, truncation_report
 OUT_DIR_ENV = "HELIUMJCM_OUT"
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if value == 0.0:
-            return "0"
-        return f"{value:.10g}"
-    return str(value)
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Header and rows, every value printed as %.10g.
 
-
-def _write_csv(path: str, header: list[str], rows: list) -> None:
-    """Header and rows, every value formatted by _fmt.
-
-    Each row goes through one printf template per sequence of value types:
-    %.10g for a float prints what _fmt does except "-0" for -0.0, so a row
-    with that token is formatted value by value instead; anything else is
-    %s, which is str().
+    rows is anything np.asarray takes as an (n, len(header)) float table; a
+    row of another width raises ValueError. %.10g prints a float as
+    format(v, ".10g") does, an integer below 1e10 as str() does, and nan and
+    inf literally; adding 0.0 turns -0.0 into 0.0, which prints as 0.
     """
-    templates: dict[tuple[type, ...], str] = {}
+    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    table = table + 0.0
+    line = ",".join(["%.10g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            template = templates.get(kinds)
-            if template is None:
-                template = templates[kinds] = ",".join(
-                    "%.10g" if issubclass(kind, float) else "%s"
-                    for kind in kinds) + "\n"
-            line = template % row
-            if "-0" in line and "-0" in line[:-1].split(","):
-                line = ",".join(map(_fmt, row)) + "\n"
-            fh.write(line)
+        for start in range(0, len(table), 4096):
+            block = table[start:start + 4096]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _sidecar(cfg: RunConfig, extra: dict) -> dict:
@@ -140,7 +121,7 @@ def _artifact(cfg: RunConfig, out_dir: str, name: str) -> str:
 
 
 def _emit(cfg: RunConfig, out_dir: str, stem: str, header: list[str],
-          rows: list, extra: dict, failures: list) -> int:
+          rows, extra: dict, failures: list) -> int:
     """Write <prefix>_<stem>.csv and its sidecar, print the summary line, and
     return the exit code: 3 if any point failed, else 0."""
     csv_path = _artifact(cfg, out_dir, f"{stem}.csv")
@@ -155,20 +136,28 @@ def _fixed_e_perp(
     cfg: RunConfig,
 ) -> tuple[FieldConfiguration, HamiltonianBlocks]:
     """The base field point and the Hamiltonian blocks of its one vertical
-    solve, which every field point of a fixed-E_perp task shares."""
+    solve, which every field point of a fixed-E_perp task shares. If that
+    solve fails, a task writes its CSV header alone and lists the error."""
     base = cfg.field_config()
     vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max, cfg.grid())
     return base, HamiltonianBlocks(vs, cfg.basis())
 
 
 def _run_spectrum_sweep(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    base, blocks = _fixed_e_perp(cfg)
+    header = ["sweep_value", "b_y", "state", "energy_ghz", "energy_rel_ghz",
+              "dominant_n", "dominant_l", "dominant_weight"]
+    try:
+        base, blocks = _fixed_e_perp(cfg)
+    except HeliumJcmError as exc:
+        return _emit(cfg, out_dir, "spectrum", header, [], {},
+                     [{"error": _error(exc)}])
     vs = blocks.vs
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
     overlays = cfg.b_y_values if (cfg.sweep_axis == "b_z"
                                   and cfg.b_y_values) else (base.b_y,)
 
-    rows = []
+    size = blocks.basis.size
+    tables = []
     failures = []
     for b_y in overlays:
         for value in values:
@@ -185,19 +174,13 @@ def _run_spectrum_sweep(cfg: RunConfig, out_dir: str, threads: int) -> int:
                 continue
             ground = spec.eigenvalues[spec.locate(1, 0)]
             n_dom, l_dom, weight = spec.dominant_labels()
-            rows.extend(zip(
-                repeat(float(value)), repeat(float(point.b_y)),
-                range(blocks.basis.size),
-                (spec.eigenvalues / GHZ).tolist(),
-                ((spec.eigenvalues - ground) / GHZ).tolist(),
-                n_dom.tolist(), l_dom.tolist(), weight.tolist(),
-            ))
+            tables.append(np.column_stack((
+                np.full(size, value), np.full(size, point.b_y),
+                np.arange(size), spec.eigenvalues / GHZ,
+                (spec.eigenvalues - ground) / GHZ, n_dom, l_dom, weight)))
 
-    return _emit(cfg, out_dir, "spectrum",
-                 ["sweep_value", "b_y", "state", "energy_ghz",
-                  "energy_rel_ghz", "dominant_n", "dominant_l",
-                  "dominant_weight"],
-                 rows,
+    rows = np.concatenate(tables) if tables else []
+    return _emit(cfg, out_dir, "spectrum", header, rows,
                  {"sweep_axis": cfg.sweep_axis,
                   "overlay_b_y": list(overlays),
                   "vertical_levels_ghz":
@@ -207,7 +190,12 @@ def _run_spectrum_sweep(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
 
 def _run_shifts(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    base, blocks = _fixed_e_perp(cfg)
+    header = ["b_y", "l", "perturbative_ghz", "full_ghz"]
+    try:
+        base, blocks = _fixed_e_perp(cfg)
+    except HeliumJcmError as exc:
+        return _emit(cfg, out_dir, "shifts", header, [], {},
+                     [{"error": _error(exc)}])
     vs = blocks.vs
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
 
@@ -228,14 +216,18 @@ def _run_shifts(cfg: RunConfig, out_dir: str, threads: int) -> int:
                                  "error": _error(exc)})
             rows.append((float(b_y), l, pert, full_l))
 
-    return _emit(cfg, out_dir, "shifts",
-                 ["b_y", "l", "perturbative_ghz", "full_ghz"], rows,
+    return _emit(cfg, out_dir, "shifts", header, rows,
                  {"transition_ghz": vs.transition_frequency_ghz(1, 2)},
                  failures)
 
 
 def _run_crossings(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    base, blocks = _fixed_e_perp(cfg)
+    header = ["n_upper", "n_lower", "b_z_cross_t", "b_z_min_gap_t", "gap_ghz"]
+    try:
+        base, blocks = _fixed_e_perp(cfg)
+    except HeliumJcmError as exc:
+        return _emit(cfg, out_dir, "crossings", header, [], {},
+                     [{"error": _error(exc)}])
     vs = blocks.vs
 
     rows = []
@@ -255,10 +247,7 @@ def _run_crossings(cfg: RunConfig, out_dir: str, threads: int) -> int:
                 failures.append({"pair": [n_hi, n_lo], "error": _error(exc)})
         rows.append((n_hi, n_lo, b_star, b_min, gap / GHZ))
 
-    return _emit(cfg, out_dir, "crossings",
-                 ["n_upper", "n_lower", "b_z_cross_t", "b_z_min_gap_t",
-                  "gap_ghz"],
-                 rows, {}, failures)
+    return _emit(cfg, out_dir, "crossings", header, rows, {}, failures)
 
 
 def _run_absorption_map(cfg: RunConfig, out_dir: str, threads: int) -> int:
@@ -277,10 +266,10 @@ def _run_absorption_map(cfg: RunConfig, out_dir: str, threads: int) -> int:
         threads=threads,
     )
 
-    rows = []
-    for i, s in enumerate(amap.sweep_values):
-        for j, e in enumerate(amap.e_perp_v_cm):
-            rows.append((float(s), float(e), float(amap.intensity[i, j])))
+    sweep_col, e_col = np.meshgrid(amap.sweep_values, amap.e_perp_v_cm,
+                                   indexing="ij")
+    rows = np.column_stack((sweep_col.ravel(), e_col.ravel(),
+                            amap.intensity.ravel()))
     return _emit(cfg, out_dir, "map",
                  [cfg.map_sweep_axis, "e_perp_v_cm", "intensity"], rows,
                  {"mw_frequency_ghz": amap.mw_frequency_ghz,
@@ -292,13 +281,16 @@ def _run_absorption_map(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
 
 def _run_rates(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    base = cfg.field_config()
-    vs = solve_vertical(cfg.material(), base.e_perp, max(cfg.n_max, 2),
-                        cfg.grid())
-    report = strong_coupling_report(vs, base, pair=cfg.rates_pair,
-                                    nu_0=cfg.nu_0,
-                                    include_occupation=cfg.include_occupation)
     path = _artifact(cfg, out_dir, "rates.json")
+    try:
+        base, blocks = _fixed_e_perp(cfg)
+        report = strong_coupling_report(
+            blocks.vs, base, pair=cfg.rates_pair, nu_0=cfg.nu_0,
+            include_occupation=cfg.include_occupation)
+    except HeliumJcmError as exc:
+        _write_sidecar(path, cfg, {"failures": [{"error": _error(exc)}]})
+        print(f"wrote {path}")
+        return 3
     _write_sidecar(path, cfg, {"report": {
         "g_over_h_ghz": report.g_ghz,
         "rate_vertical_per_s": report.rate_vertical,

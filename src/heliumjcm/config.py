@@ -210,10 +210,10 @@ class RunConfig:
             errors.append("basis.l_max: need at least two rungs")
         if self.n_points < 200:
             errors.append("grid.n_points: too coarse to trust")
-        levels = max(self.n_max, 2)   # rates solves two levels at least
-        if 4 * levels > self.n_points:
+        if 4 * self.n_max > self.n_points:
             errors.append(f"grid.n_points: {self.n_points} points cannot "
-                          f"hold {levels} levels; need at least {4 * levels}")
+                          f"hold {self.n_max} levels; need at least "
+                          f"{4 * self.n_max}")
         if self.z_max <= 10.0:
             errors.append("grid.z_max: box must extend past the bound tails")
         if any(sep and sep in self.prefix for sep in (os.sep, os.altsep)):

@@ -205,12 +205,13 @@ def derived_frequencies(cfg: FieldConfiguration) -> tuple[float, float, float]:
     """
     if cfg.b_z == 0.0:
         raise DegenerateField("l_B is undefined at b_z = 0")
-    omega_c = ELEMENTARY_CHARGE * cfg.b_z / ELECTRON_MASS
-    omega_y = ELEMENTARY_CHARGE * cfg.b_y / ELECTRON_MASS
+    omega_c = cyclotron_frequency(cfg.b_z)
+    omega_y = cyclotron_frequency(cfg.b_y)
     l_b = math.sqrt(HBAR / (ELEMENTARY_CHARGE * cfg.b_z))
     return omega_c, omega_y, l_b
 
 
 def cyclotron_frequency(b_z: float) -> float:
-    """omega_c in rad/s; valid at any b_z >= 0."""
+    """e B / m_e in rad/s for any field component B, of either sign and at
+    B = 0: omega_c from b_z, and the coupling frequency omega_y from b_y."""
     return ELEMENTARY_CHARGE * b_z / ELECTRON_MASS

@@ -27,7 +27,7 @@ from heliumjcm import (
 from heliumjcm.config import TASKS, RunConfig, load_run_config
 from heliumjcm.coupled import ProductBasis, _single_threaded_blas
 from heliumjcm.errors import ConfigError
-from heliumjcm.materials import HBAR, FieldConfiguration
+from heliumjcm.materials import GHZ, HBAR, FieldConfiguration
 from heliumjcm.spectroscopy import BroadeningModel, absorption_map
 from heliumjcm.vertical import GridSpec
 
@@ -781,11 +781,20 @@ def test_missing_config_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_fmt_normalizes_floats():
-    assert cli._fmt(-0.0) == "0"
-    assert cli._fmt(float("nan")) == "nan"
-    assert cli._fmt(2.8306471801) == "2.83064718"
-    assert cli._fmt(3) == "3"
+def _cell(value) -> str:
+    """A CSV cell as the format promises: an integer as str() prints it, a
+    float to ten significant digits, -0 as 0, nan and inf literally."""
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    value = float(value)
+    return "0" if value == 0.0 else format(value, ".10g")
+
+
+def test_fmt_normalizes_floats(tmp_path):
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), ["a", "b", "c", "d"],
+                   [(-0.0, float("nan"), 2.8306471801, 3)])
+    assert path.read_text() == "a,b,c,d\n0,nan,2.83064718,3\n"
 
 
 def test_shifts_csv_is_full_shift_bit_for_bit(tmp_path, monkeypatch):
@@ -816,22 +825,116 @@ def test_shifts_csv_is_full_shift_bit_for_bit(tmp_path, monkeypatch):
                 [want] = full_transition_shift_ghz(
                     blocks, base.replace(b_y=b_y), [l])
         assert full == want
-        assert cell == cli._fmt(want)
+        assert cell == _cell(want)
 
 
 def test_write_csv_matches_per_value_fmt(tmp_path):
     rows = [
         (float("nan"), 0.0, -0.0, float("inf"), float("-inf")),
-        (0, -7, 12345678901234567890, True, "-0"),
+        [0, -7, 1, 2.5, -0.0],               # a list row, ints and floats
         (1e16, 1e-5, 9.9999999995e-5, 9999999999.5, 123456789012.0),
         (5e-324, 1.7976931348623157e308, -1e-300, 0.1, 1.0 / 3.0),
         (np.float64(-0.0), np.float64(2.8306471801), np.int64(3), -0.0, 2),
-        [1, 2.5, -0.0, "x", None],          # a list row, same types mixed
-        (),
-        (-0.0,),
+        (9999999999, -9999999999, 10**9, 42, np.int64(-1)),
     ]
+    header = ["a", "b", "c", "d", "e"]
     path = tmp_path / "t.csv"
-    cli._write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+    cli._write_csv(str(path), header, rows)
     want = "a,b,c,d,e\n" + "".join(
-        ",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+        ",".join(_cell(v) for v in row) + "\n" for row in rows)
     assert path.read_bytes() == want.encode()
+
+    cli._write_csv(str(path), header, [])
+    assert path.read_bytes() == b"a,b,c,d,e\n"
+    with pytest.raises(ValueError):
+        cli._write_csv(str(path), header, [(1.0, 2.0, 3.0, 4.0)])
+
+
+def _data_lines(path) -> list[str]:
+    return Path(path).read_text().splitlines()[1:]
+
+
+def test_spectrum_sweep_csv_cells_are_the_solver_values(tmp_path):
+    path = _write(tmp_path, SMALL_SWEEP_CFG)
+    out_dir = tmp_path / "o"
+    assert cli.main(["spectrum-sweep", "--config", path,
+                     "--out", str(out_dir)]) == 0
+    cfg = load_run_config(path)
+    base = cfg.field_config()
+    vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max, cfg.grid())
+    blocks = HamiltonianBlocks(vs, cfg.basis())
+    want = []
+    for b_y in cfg.b_y_values:
+        for b_z in np.linspace(cfg.sweep_start, cfg.sweep_stop,
+                               cfg.sweep_steps):
+            with _single_threaded_blas:
+                spec = blocks.solve(base.replace(b_z=float(b_z), b_y=b_y))
+            energies = spec.eigenvalues
+            ground = energies[spec.locate(1, 0)]
+            n_dom, l_dom, weight = spec.dominant_labels()
+            for k in range(blocks.basis.size):
+                want.append(",".join(map(_cell, (
+                    float(b_z), b_y, k, energies[k] / GHZ,
+                    (energies[k] - ground) / GHZ, int(n_dom[k]),
+                    int(l_dom[k]), weight[k]))))
+    assert _data_lines(out_dir / "t_spectrum.csv") == want
+
+
+def test_absorption_map_csv_cells_are_the_library_map(tmp_path):
+    path = _write(tmp_path, MAP_CFG)
+    out_dir = tmp_path / "o"
+    assert cli.main(["absorption-map", "--config", path,
+                     "--out", str(out_dir)]) == 0
+    cfg = load_run_config(path)
+    sweep = np.linspace(cfg.map_sweep_start, cfg.map_sweep_stop,
+                        cfg.map_sweep_steps)
+    e_grid = np.linspace(cfg.map_e_perp_start, cfg.map_e_perp_stop,
+                         cfg.map_e_perp_steps)
+    with _single_threaded_blas:
+        amap = absorption_map(
+            cfg.material(), cfg.field_config(), cfg.map_sweep_axis, sweep,
+            e_grid, cfg.mw_frequency_ghz, broadening=cfg.broadening(),
+            basis=cfg.basis(), grid=cfg.grid(), l_cut=cfg.l_cut,
+            band_ghz=cfg.band_ghz)
+    assert not amap.failures
+    want = [",".join(map(_cell, (s, e, amap.intensity[i, j])))
+            for i, s in enumerate(sweep) for j, e in enumerate(e_grid)]
+    assert _data_lines(out_dir / "t_map.csv") == want
+
+
+# e_perp = 0 with n_max = 8 on the default grid passes validate, and the one
+# vertical solve fails with GridTooSmall: state n = 8 reaches the box edge
+UNSOLVED_CFGS = {
+    "spectrum-sweep": (SMALL_SWEEP_CFG, "t_spectrum.csv"),
+    "shifts": (SHIFTS_CFG, "t_shifts.csv"),
+    "crossings": (CROSSINGS_CFG, "t_crossings.csv"),
+    "rates": (RATES_CFG.format(occupation="false"), None),
+}
+
+
+@pytest.mark.parametrize("task", list(UNSOLVED_CFGS))
+def test_failed_vertical_solve_still_writes_artifacts(tmp_path, capsys,
+                                                       task):
+    text, csv_name = UNSOLVED_CFGS[task]
+    lines = [line for line in text.splitlines()
+             if not line.startswith(("[basis]", "n_max", "l_max", "[grid]",
+                                     "n_points", "z_max"))]
+    text = "\n".join(lines).replace("e_perp_v_cm = 15.0", "e_perp_v_cm = 0.0")
+    path = _write(tmp_path, text + "\n[basis]\nn_max = 8\nl_max = 20\n")
+    assert cli.main(["validate", "--config", path]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "o"
+    assert cli.main([task, "--config", path, "--out", str(out_dir)]) == 3
+    out = capsys.readouterr().out
+    if csv_name is None:
+        json_path = out_dir / "t_rates.json"
+        assert out == f"wrote {json_path}\n"
+    else:
+        csv_path = out_dir / csv_name
+        json_path = csv_path.with_suffix(".json")
+        assert csv_path.read_text().count("\n") == 1
+        assert out == f"wrote {csv_path} (0 rows, 1 failed)\n"
+    body = json.loads(json_path.read_text())
+    [failure] = body["failures"]
+    assert failure["error"].startswith("GridTooSmall: state n=8")
+    assert body["resolved_config"]["n_max"] == 8
