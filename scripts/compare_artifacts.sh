@@ -3,14 +3,18 @@
 #
 #   scripts/compare_artifacts.sh <rev> [extra.cfg ...]
 #
-# Checks <rev> out in a temporary git worktree, runs
+# Extracts <rev> into a temporary directory with git archive, runs
 # scripts/regenerate_figures.sh from both trees with the same THREADS
 # (default: one per core), runs the task of each extra config in both trees
 # too, and compares the two output directories with diff -rq, which names
-# each file that differs. The worktree is removed on exit. Exits 0 if every
-# CSV and JSON is byte-identical, 1 on any difference, and with the status
-# of a failing run otherwise; an extra config that exits 3 (a numerical
-# failure, which still writes its artifacts) is compared like the others.
+# each file that differs. The checkout then runs once more with THREADS=1
+# and OPENBLAS_NUM_THREADS=2, and that output is compared with its first, so
+# a broken BLAS thread pin or a dependence on --threads fails even when
+# <rev> has the same fault. The temporary directory is removed on exit.
+# Exits 0 if every CSV and JSON is byte-identical, 1 on any difference, and
+# with the status of a failing run otherwise; an extra config that exits 3
+# (a numerical failure, which still writes its artifacts) is compared like
+# the others.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -24,17 +28,16 @@ here="$(cd "$(dirname "$0")/.." && pwd)"
 THREADS="${THREADS:-$(nproc 2>/dev/null || echo 1)}"
 export THREADS
 tmp="$(mktemp -d)"
-cleanup() {
-    git -C "$here" worktree remove --force "$tmp/tree" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$here" worktree add --quiet --detach "$tmp/tree" "$rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/tree"
+git -C "$here" archive "$rev" | tar -x -C "$tmp/tree"
 
-for side in base change; do
-    if [ "$side" = base ]; then tree="$tmp/tree"; else tree="$here"; fi
-    out="$tmp/$side"
-    echo "== $side: $tree"
+# run <tree> <out> [extra.cfg ...]: every artifact of <tree> into <out>
+run() {
+    tree="$1"
+    out="$2"
+    shift 2
+    echo "== $out: $tree (THREADS=$THREADS)"
     "$tree/scripts/regenerate_figures.sh" "$out"
     for cfg in "$@"; do
         echo "== $cfg"
@@ -44,11 +47,28 @@ for side in base change; do
             --config "$cfg" --out "$out" --threads "$THREADS" \
             || [ $? -eq 3 ]
     done
-done
+}
 
+run "$tmp/tree" "$tmp/base" "$@"
+run "$here" "$tmp/change" "$@"
+(
+    THREADS=1 OPENBLAS_NUM_THREADS=2
+    export THREADS OPENBLAS_NUM_THREADS
+    run "$here" "$tmp/pinned" "$@"
+)
+
+status=0
 if diff -rq "$tmp/base" "$tmp/change"; then
     echo "identical: $(ls "$tmp/change" | wc -l) files against $rev"
 else
     echo "artifacts differ from $rev" >&2
-    exit 1
+    status=1
 fi
+if diff -rq "$tmp/change" "$tmp/pinned"; then
+    echo "identical: $(ls "$tmp/pinned" | wc -l) files with THREADS=1" \
+        "OPENBLAS_NUM_THREADS=2"
+else
+    echo "artifacts differ with THREADS=1 OPENBLAS_NUM_THREADS=2" >&2
+    status=1
+fi
+exit "$status"

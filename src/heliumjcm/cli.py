@@ -29,7 +29,6 @@ from .config import RunConfig, load_run_config
 from .coupled import (
     HamiltonianBlocks,
     ProductBasis,
-    _single_threaded_blas,
     find_crossing,
     minimum_gap,
 )
@@ -50,7 +49,7 @@ from .materials import (
     material_for,
 )
 from .spectroscopy import absorption_map
-from .vertical import solve_vertical, truncation_report
+from .vertical import _single_threaded_blas, solve_vertical, truncation_report
 
 OUT_DIR_ENV = "HELIUMJCM_OUT"
 

@@ -12,15 +12,12 @@ matrix in n.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import vertical
 from .errors import (
     BasisMismatch,
     BranchTrackingLost,
@@ -80,7 +77,6 @@ class CoupledSpectrum:
     """
 
     basis: ProductBasis
-    config: FieldConfiguration
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
@@ -127,10 +123,10 @@ class HamiltonianBlocks:
 
     The diagonal E_n + hbar w_c l needs only b_z, and the diamagnetic and
     coupling blocks kron(z^2, 1_l) and kron(z, a + a^dagger) need no field at
-    all, so a column of field points at fixed E_perp builds the two Kronecker
-    products once (on first use) and every matrix from them. Reuse one
-    instance across the field points of one E_perp. assemble_hamiltonian
-    goes through the same code, so both routes give bit-identical matrices.
+    all, so an instance builds the two Kronecker products once (on first
+    use) and every matrix from them; an instance restricted returns for a
+    lower cut builds its own. assemble_hamiltonian goes through the same
+    code, so both routes give bit-identical matrices.
     """
 
     def __init__(
@@ -194,7 +190,7 @@ class HamiltonianBlocks:
         return h
 
     def solve(self, cfg: FieldConfiguration) -> CoupledSpectrum:
-        return diagonalize(self.hamiltonian(cfg), self.basis, cfg)
+        return diagonalize(self.hamiltonian(cfg), self.basis)
 
 
 def assemble_hamiltonian(
@@ -206,107 +202,12 @@ def assemble_hamiltonian(
     return HamiltonianBlocks(vs, basis).hamiltonian(cfg)
 
 
-# (get, set) thread-count symbols: numpy's bundled OpenBLAS (64-bit integer
-# interface), scipy's, and an unprefixed system OpenBLAS.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS mapped into this
-    process; empty where none is loaded or /proc is unavailable.
-
-    The vertical solve runs LAPACK from numpy's OpenBLAS, which is loaded
-    with numpy. Only where it falls back to scipy does this import
-    scipy.linalg first, so that the OpenBLAS scipy brings is pinned before
-    the first solve."""
-    if vertical._lapack_tridiagonal() is None:
-        import scipy.linalg  # noqa: F401
-
-    controls = []
-    for path in vertical._loaded_openblas():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            getter = getattr(lib, get_name, None)
-            setter = getattr(lib, set_name, None)
-            if getter is not None and setter is not None:
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                controls.append((getter, setter))
-                break
-    return controls
-
-
-class _SingleThreadedBlas:
-    """Context manager pinning every loaded OpenBLAS to one thread and
-    restoring each library's previous count on exit.
-
-    The setting is process-wide, so nested or concurrent entries share one
-    pin: the first entry sets it and the last exit restores it. Inside it
-    diagonalize and solve_vertical give the same bits whatever the BLAS
-    thread setting of the environment.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved: list[tuple] = []
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._saved = [
-                    (setter, getter())
-                    for getter, setter in _openblas_thread_controls()]
-                for setter, _ in self._saved:
-                    setter(1)
-            self._depth += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                for setter, count in self._saved:
-                    setter(count)
-                self._saved = []
-
-
-_single_threaded_blas = _SingleThreadedBlas()
-
-
-def _diagonal_order(d: np.ndarray) -> np.ndarray:
-    """The order in which np.linalg.eigh returns the eigenpairs of diag(d):
-    LAPACK's selection sort, which swaps the first minimum of d[i:] into
-    place i. That is the sorted order when d has no ties; among ties it is
-    not stable."""
-    order = np.argsort(d, kind="stable")
-    if np.all(np.diff(d[order]) > 0.0):
-        return order
-    d, order = d.copy(), np.arange(d.size)
-    for i in range(d.size - 1):
-        k = i + int(np.argmin(d[i:]))
-        d[[i, k]] = d[[k, i]]
-        order[[i, k]] = order[[k, i]]
-    return order
-
-
-def diagonalize(
-    h: np.ndarray,
-    basis: ProductBasis,
-    cfg: FieldConfiguration,
-) -> CoupledSpectrum:
-    """Eigendecomposition of h. A diagonal h (every b_y = 0 Hamiltonian) is
-    read off without eigh: its diagonal in eigh's order and the matching unit
-    vectors, which are eigh's result bit for bit."""
+def diagonalize(h: np.ndarray, basis: ProductBasis) -> CoupledSpectrum:
+    """Eigendecomposition of h. A diagonal h whose entries are all distinct
+    (every b_y = 0 Hamiltonian at b_z > 0) is read off without eigh: its
+    diagonal sorted and the matching unit vectors, which are eigh's result
+    bit for bit. A diagonal with ties goes to eigh, whose order among equal
+    entries is its own."""
     if h.shape != (basis.size, basis.size):
         raise BasisMismatch(
             f"matrix shape {h.shape} does not match basis size {basis.size}"
@@ -314,8 +215,9 @@ def diagonalize(
     if not np.all(np.isfinite(h)):
         raise ConvergenceFailure("Hamiltonian contains non-finite entries")
     d = np.diagonal(h)
-    if np.count_nonzero(h) == np.count_nonzero(d):
-        order = _diagonal_order(d)
+    order = (np.argsort(d) if np.count_nonzero(h) == np.count_nonzero(d)
+             else None)
+    if order is not None and np.all(np.diff(d[order]) > 0.0):
         vals = d[order]
         vecs = np.zeros_like(h)
         vecs[order, np.arange(d.size)] = 1.0
@@ -327,8 +229,7 @@ def diagonalize(
                 f"dense eigensolver failed: {exc}") from exc
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return CoupledSpectrum(basis=basis, config=cfg,
-                           eigenvalues=vals, eigenvectors=vecs)
+    return CoupledSpectrum(basis=basis, eigenvalues=vals, eigenvectors=vecs)
 
 
 def _rung_weights(spec: CoupledSpectrum, states: np.ndarray) -> np.ndarray:

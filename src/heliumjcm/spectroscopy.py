@@ -25,7 +25,6 @@ from .coupled import (
     ProductBasis,
     _next_landau_cut,
     _rung_weights,
-    _single_threaded_blas,
 )
 from .errors import DegenerateField, HeliumJcmError
 from .materials import (
@@ -39,7 +38,12 @@ from .materials import (
     MaterialProperties,
     cyclotron_frequency,
 )
-from .vertical import GridSpec, VerticalSpectrum, solve_vertical
+from .vertical import (
+    GridSpec,
+    VerticalSpectrum,
+    _single_threaded_blas,
+    solve_vertical,
+)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -331,8 +335,8 @@ def absorption_map(
 
     sweep_name must be "b_y" or "b_z"; the tuning axis is always E_perp, so
     sweeping it as the outer axis too is rejected. The map is computed one
-    E_perp column at a time: one vertical solve and one set of
-    field-independent Hamiltonian blocks serve every pixel of the column.
+    E_perp column at a time: one vertical solve serves every pixel of the
+    column, and a solve on a Landau cut below the cap builds its own blocks.
 
     basis.l_max is a cap on the Landau ladder. Each pixel is first solved
     on the cut _first_landau_cut gives for its field point, and climbs by

@@ -16,6 +16,9 @@ ctypes on the ILP64 symbols of the OpenBLAS numpy already loads, so a solve
 imports no scipy. Where no loaded library exports them (a numpy built on
 MKL or Accelerate, or no /proc), eigh_tridiagonal itself is the fallback;
 both paths give the same bits.
+
+This is the one module that talks to OpenBLAS: it also holds the
+process-wide one-thread pin that every command-line task runs under.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,36 +115,109 @@ class VerticalSpectrum:
         return self.transition_energy(n, m) / GHZ
 
 
-def _loaded_openblas() -> list[str]:
-    """Paths of every OpenBLAS mapped into this process, sorted; empty where
-    none is loaded or /proc is unavailable."""
+# (get, set) thread-count symbols: numpy's bundled OpenBLAS (64-bit integer
+# interface), scipy's, and an unprefixed system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_functions(groups) -> list[tuple]:
+    """For every OpenBLAS mapped into this process, in path order, the
+    functions of the first group of symbol names in groups that it exports
+    in full; empty where none is loaded or /proc is unavailable."""
     try:
         with open("/proc/self/maps") as fh:
-            return sorted({line.split()[-1] for line in fh
-                           if "openblas" in line.lower()})
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
     except OSError:
         return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for names in groups:
+            funcs = tuple(getattr(lib, name, None) for name in names)
+            if None not in funcs:
+                found.append(funcs)
+                break
+    return found
 
 
 @functools.cache
 def _lapack_tridiagonal():
     """(dstebz, dstein) from a loaded OpenBLAS, or None where no loaded
     library exports both; solve_vertical then falls back to scipy."""
-    for path in _loaded_openblas():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        stebz = getattr(lib, _STEBZ, None)
-        stein = getattr(lib, _STEIN, None)
-        if stebz is not None and stein is not None:
-            # Fortran passes everything by reference; dstebz's two
-            # CHARACTER*1 arguments add hidden trailing size_t lengths.
-            stebz.argtypes = [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 2
-            stein.argtypes = [ctypes.c_void_p] * 13
-            stebz.restype = stein.restype = None
-            return stebz, stein
+    for stebz, stein in _openblas_functions([(_STEBZ, _STEIN)]):
+        # Fortran passes everything by reference; dstebz's two CHARACTER*1
+        # arguments add hidden trailing size_t lengths.
+        stebz.argtypes = [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 2
+        stein.argtypes = [ctypes.c_void_p] * 13
+        stebz.restype = stein.restype = None
+        return stebz, stein
     return None
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
+    process; empty where none is loaded or /proc is unavailable.
+
+    The vertical solve runs LAPACK from numpy's OpenBLAS, which is loaded
+    with numpy. Only where it falls back to scipy does this import
+    scipy.linalg first, so that the OpenBLAS scipy brings is pinned before
+    the first solve."""
+    if _lapack_tridiagonal() is None:
+        import scipy.linalg  # noqa: F401
+
+    controls = _openblas_functions(_OPENBLAS_THREAD_SYMBOLS)
+    for getter, setter in controls:
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+    return controls
+
+
+class _SingleThreadedBlas:
+    """Context manager pinning every loaded OpenBLAS to one thread and
+    restoring each library's previous count on exit.
+
+    The setting is process-wide, so nested or concurrent entries share one
+    pin: the first entry sets it and the last exit restores it. Inside it
+    coupled.diagonalize and solve_vertical give the same bits whatever the
+    BLAS thread setting of the environment.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list[tuple] = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [
+                    (setter, getter())
+                    for getter, setter in _openblas_thread_controls()]
+                for setter, _ in self._saved:
+                    setter(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for setter, count in self._saved:
+                    setter(count)
+                self._saved = []
+
+
+_single_threaded_blas = _SingleThreadedBlas()
 
 
 def _check_info(info: int, routine: str, positive: str) -> None:
@@ -169,35 +246,33 @@ def _lowest_eigenpairs(diag: np.ndarray, off: np.ndarray, k: int):
     off = np.ascontiguousarray(off, dtype=float)
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("array must not contain infs or NaNs")
-    if diag.ndim != 1 or off.ndim != 1:
-        raise ValueError("expected a 1-D array")
     n = diag.size
-    if off.size != n - 1:
-        raise ValueError(f"d ({n}) must have one more element than e "
-                         f"({off.size})")
     if not 1 <= k <= n:
         raise ValueError("select_range out of bounds")
 
-    # Every argument goes by reference, scalars as one-element arrays;
-    # passing an array's .ctypes keeps the array alive through the call.
-    def ref(value, dtype=np.int64):
-        return np.array([value], dtype=dtype).ctypes
+    # Every argument goes by reference: scalars through byref, arrays by
+    # address (an array's .ctypes would sit in a reference cycle and keep
+    # the array alive until the cyclic collector runs).
+    def ref(value, ctype=ctypes.c_int64):
+        return ctypes.byref(ctype(value))
 
     m, nsplit, info = (np.zeros(1, np.int64) for _ in range(3))
     w, work = np.zeros(n), np.zeros(5 * n)
     iblock, isplit = np.zeros(n, np.int64), np.zeros(n, np.int64)
     iwork = np.zeros(3 * n, np.int64)
     # RANGE, ORDER, N, VL, VU (unused for range "I"), IL, IU, ABSTOL, ...
-    stebz(b"I", b"B", ref(n), ref(0.0, float), ref(1.0, float), ref(1),
-          ref(k), ref(0.0, float), diag.ctypes, off.ctypes, m.ctypes,
-          nsplit.ctypes, w.ctypes, iblock.ctypes, isplit.ctypes,
-          work.ctypes, iwork.ctypes, info.ctypes, 1, 1)
+    stebz(b"I", b"B", ref(n), ref(0.0, ctypes.c_double),
+          ref(1.0, ctypes.c_double), ref(1), ref(k),
+          ref(0.0, ctypes.c_double),
+          *(a.ctypes.data for a in (diag, off, m, nsplit, w, iblock, isplit,
+                                    work, iwork, info)), 1, 1)
     _check_info(int(info[0]), "stebz", "did not converge (LAPACK info=%d)")
     w = w[:m[0]]
     vecs = np.zeros((n, w.size), order="F")
-    stein(ref(n), diag.ctypes, off.ctypes, ref(w.size), w.ctypes,
-          iblock.ctypes, isplit.ctypes, vecs.ctypes, ref(n), work.ctypes,
-          iwork.ctypes, np.zeros(w.size, np.int64).ctypes, info.ctypes)
+    ifail = np.zeros(w.size, np.int64)
+    stein(ref(n), diag.ctypes.data, off.ctypes.data, ref(w.size),
+          *(a.ctypes.data for a in (w, iblock, isplit, vecs)), ref(n),
+          *(a.ctypes.data for a in (work, iwork, ifail, info)))
     _check_info(int(info[0]), "stein", "%d eigenvectors failed to converge")
     # dstebz order "B" groups the eigenvalues by split block
     order = np.argsort(w)

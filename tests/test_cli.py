@@ -25,11 +25,11 @@ from heliumjcm import (
     vertical,
 )
 from heliumjcm.config import TASKS, RunConfig, load_run_config
-from heliumjcm.coupled import ProductBasis, _single_threaded_blas
+from heliumjcm.coupled import ProductBasis
 from heliumjcm.errors import ConfigError
 from heliumjcm.materials import GHZ, HBAR, FieldConfiguration
 from heliumjcm.spectroscopy import BroadeningModel, absorption_map
-from heliumjcm.vertical import GridSpec
+from heliumjcm.vertical import GridSpec, _single_threaded_blas
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

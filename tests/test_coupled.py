@@ -23,7 +23,7 @@ from heliumjcm import (
     minimum_gap,
 )
 from heliumjcm import coupled
-from heliumjcm.coupled import _single_threaded_blas
+from heliumjcm.vertical import _single_threaded_blas
 
 GHZ = 1e9 * PLANCK
 
@@ -59,7 +59,7 @@ def test_eigenvector_orthonormality(vs15):
 def test_trace_preserved(vs15):
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.2)
     h = assemble_hamiltonian(vs15, cfg, ProductBasis(6, 12))
-    spec = diagonalize(h, ProductBasis(6, 12), cfg)
+    spec = diagonalize(h, ProductBasis(6, 12))
     assert spec.eigenvalues.sum() == pytest.approx(np.trace(h), rel=1e-10)
 
 
@@ -119,7 +119,7 @@ def test_shared_blocks_solve_equals_solve_coupled(vs15):
                                   assemble_hamiltonian(vs15, cfg, basis))
             shared = blocks.solve(cfg)
             one_shot = diagonalize(assemble_hamiltonian(vs15, cfg, basis),
-                                   basis, cfg)
+                                   basis)
             assert np.array_equal(shared.eigenvalues, one_shot.eigenvalues)
             assert np.array_equal(shared.eigenvectors,
                                   one_shot.eigenvectors)
@@ -214,23 +214,30 @@ def _eigh_bytes(h):
 
 
 def test_diagonal_hamiltonian_solved_without_eigh(vs15, monkeypatch):
-    # b_y = 0 matrices of the fig3 sweep, the b_z = 0 ladder (each E_n tied
-    # l_max + 1 times) and random diagonals with exact ties: the shortcut
-    # gives eigh's eigenvalues and eigenvectors byte for byte
+    # b_y = 0 matrices of the fig3 sweep have distinct diagonal entries: the
+    # shortcut gives eigh's eigenvalues and eigenvectors byte for byte. The
+    # b_z = 0 ladder (each E_n tied l_max + 1 times) and random diagonals
+    # with exact ties go through eigh itself.
     basis = ProductBasis(6, 50)
     blocks = HamiltonianBlocks(vs15, basis)
-    cases = [(blocks.hamiltonian(FieldConfiguration.from_v_cm(15.0, b_z, 0.0)),
-              basis) for b_z in (1.0, 1.2, 1.4, 0.0)]
+    untied = [(blocks.hamiltonian(FieldConfiguration.from_v_cm(15.0, b_z, 0.0)),
+               basis) for b_z in (1.0, 1.2, 1.4)]
+    tied = [(blocks.hamiltonian(FieldConfiguration.from_v_cm(15.0, 0.0, 0.0)),
+             basis)]
     rng = np.random.default_rng(7)
     for n_max, l_max in ((1, 2), (2, 4), (6, 50)):
         small = ProductBasis(n_max, l_max)
         d = rng.integers(-2, 3, small.size) * 1e-23
-        cases.append((np.diag(d), small))
+        tied.append((np.diag(d), small))
     with _single_threaded_blas:
-        want = [_eigh_bytes(h) for h, _ in cases]
+        want = [_eigh_bytes(h) for h, _ in untied + tied]
+        for (h, b), (vals, vecs) in zip(tied, want[len(untied):]):
+            spec = diagonalize(h, b)
+            assert spec.eigenvalues.tobytes() == vals
+            assert spec.eigenvectors.tobytes() == vecs
         monkeypatch.setattr(np.linalg, "eigh", None)   # must not be called
-        for (h, b), (vals, vecs) in zip(cases, want):
-            spec = diagonalize(h, b, FieldConfiguration(0.0, 0.0, 0.0))
+        for (h, b), (vals, vecs) in zip(untied, want):
+            spec = diagonalize(h, b)
             assert spec.eigenvalues.tobytes() == vals
             assert spec.eigenvectors.tobytes() == vecs
 

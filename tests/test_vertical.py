@@ -1,6 +1,8 @@
 """Vertical (image-charge) solver: hydrogenic limit, grid convergence,
 matrix-element quality, Stark utilities."""
 
+import gc
+
 import numpy as np
 import pytest
 from scipy.constants import e as QE
@@ -181,3 +183,19 @@ def test_more_states_than_points_is_a_convergence_failure(request, fallback):
         vertical._solve_reduced(0.0, 150.0, 16, 17)
     assert str(failed.value) == ("tridiagonal eigensolver failed: "
                                  "select_range out of bounds")
+
+
+def test_lapack_solve_leaves_no_reference_cycles(he3):
+    # arrays passed to dstebz/dstein must be freed by reference counting,
+    # not left for the cyclic collector, or peak memory follows its timing
+    if vertical._lapack_tridiagonal() is None:
+        pytest.skip("numpy's BLAS exports no dstebz/dstein")
+    solve_vertical(he3, 1500.0)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            solve_vertical(he3, 1500.0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
