@@ -5,16 +5,17 @@
 #
 # Extracts <rev> into a temporary directory with git archive, runs
 # scripts/regenerate_figures.sh from both trees with the same THREADS
-# (default: one per core), runs the task of each extra config in both trees
-# too, and compares the two output directories with diff -rq, which names
-# each file that differs. The checkout then runs once more with THREADS=1
-# and OPENBLAS_NUM_THREADS=2, and that output is compared with its first, so
-# a broken BLAS thread pin or a dependence on --threads fails even when
-# <rev> has the same fault. The temporary directory is removed on exit.
-# Exits 0 if every CSV and JSON is byte-identical, 1 on any difference, and
-# with the status of a failing run otherwise; an extra config that exits 3
-# (a numerical failure, which still writes its artifacts) is compared like
-# the others.
+# (default: one per core), runs the task of this checkout's
+# scripts/crossings.cfg (the certified minimum-gap climb) and of each extra
+# config in both trees too, and compares the two output directories with
+# diff -rq, which names each file that differs. The checkout then runs once
+# more with THREADS=1 and OPENBLAS_NUM_THREADS=2, and that output is
+# compared with its first, so a broken BLAS thread pin or a dependence on
+# --threads fails even when <rev> has the same fault. The temporary
+# directory is removed on exit. Exits 0 if every CSV and JSON is
+# byte-identical, 1 on any difference, and with the status of a failing
+# run otherwise; an extra config that exits 3 (a numerical failure, which
+# still writes its artifacts) is compared like the others.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -25,6 +26,7 @@ rev="$1"
 shift
 
 here="$(cd "$(dirname "$0")/.." && pwd)"
+set -- "$here/scripts/crossings.cfg" "$@"
 THREADS="${THREADS:-$(nproc 2>/dev/null || echo 1)}"
 export THREADS
 tmp="$(mktemp -d)"

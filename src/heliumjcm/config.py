@@ -270,7 +270,7 @@ class RunConfig:
             self._check_range("map_sweep_start", "map_sweep_stop",
                               "map_sweep_steps", errors)
             self._check_range("map_e_perp_start", "map_e_perp_stop",
-                              "map_e_perp_steps", errors)
+                              "map_e_perp_steps", errors, non_negative=True)
             if self.mw_frequency_ghz is None:
                 errors.append("map.mw_frequency_ghz: required")
             elif self.mw_frequency_ghz <= 0.0:
@@ -333,9 +333,10 @@ class RunConfig:
                             "consider a larger grid.z_max")
         return errors, warnings
 
-    def _check_range(self, start, stop, steps, errors):
+    def _check_range(self, start, stop, steps, errors, non_negative=False):
         """Check a sweep given the names of its start, stop and steps
-        fields; the errors name the keys as the schema spells them."""
+        fields, with both ends >= 0 if non_negative; the errors name the
+        keys as the schema spells them."""
         keys = {attr: (section, key) for section, key, attr, _ in _KEYS}
         (section, start_key), (_, stop_key), (_, steps_key) = (
             keys[start], keys[stop], keys[steps])
@@ -346,6 +347,8 @@ class RunConfig:
             return
         if not lo < hi:
             errors.append(f"{span}: need start < stop")
+        if non_negative and min(lo, hi) < 0.0:
+            errors.append(f"{span}: must be non-negative")
         if getattr(self, steps) < 2:
             errors.append(f"{section}.{steps_key}: need at least 2")
 

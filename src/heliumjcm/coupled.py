@@ -111,10 +111,8 @@ class CoupledSpectrum:
 
 def _landau_ladder(l_max: int) -> np.ndarray:
     """Matrix of <l'| a + a^dagger |l> on 0..l_max."""
-    s = np.zeros((l_max + 1, l_max + 1))
-    for l in range(l_max):
-        s[l + 1, l] = s[l, l + 1] = np.sqrt(l + 1.0)
-    return s
+    s = np.diag(np.sqrt(np.arange(1.0, l_max + 1)), 1)
+    return s + s.T
 
 
 class HamiltonianBlocks:
@@ -124,9 +122,12 @@ class HamiltonianBlocks:
     The diagonal E_n + hbar w_c l needs only b_z, and the diamagnetic and
     coupling blocks kron(z^2, 1_l) and kron(z, a + a^dagger) need no field at
     all, so an instance builds the two Kronecker products once (on first
-    use) and every matrix from them; an instance restricted returns for a
-    lower cut builds its own. assemble_hamiltonian goes through the same
-    code, so both routes give bit-identical matrices.
+    use, at its cap basis.l_max) and every matrix from them. A Kronecker
+    entry is one product of a z (or z^2) entry and a ladder (or identity)
+    entry, so the blocks of a Landau cut l <= L are the cap's with
+    l, l' <= L, entry for entry those of a ProductBasis(n_max, L) assembly.
+    assemble_hamiltonian goes through the same code, so both routes give
+    bit-identical matrices.
     """
 
     def __init__(
@@ -138,59 +139,56 @@ class HamiltonianBlocks:
             raise BasisMismatch(
                 f"basis wants n_max={basis.n_max}, spectrum has {vs.n_max}"
             )
-        nb, lb = basis.n_max, basis.l_max
         self.vs = vs
         self.basis = basis
-        self._energies = np.repeat(vs.energies[:nb], lb + 1)
-        self._landau = np.tile(np.arange(lb + 1.0), nb)
 
-    def restricted(self, l_max: int) -> HamiltonianBlocks:
-        """The same problem on the Landau cut l <= l_max: this instance at
-        its own cut, else a new one, which builds its blocks only if asked
-        to. A Kronecker entry is one product of a z (or z^2) entry and a
-        ladder (or identity) entry, the same at every cut, so the blocks of
-        a cut are entry for entry those of the full ladder restricted to
-        l <= l_max."""
-        if l_max == self.basis.l_max:
-            return self
+    @functools.cached_property
+    def _blocks(self) -> list[np.ndarray]:
+        """The diamagnetic and coupling blocks at the cap, indexed
+        (n, l, n', l')."""
+        nb, lb = self.basis.n_max, self.basis.l_max
+        return [np.kron(m[:nb, :nb], s).reshape(nb, lb + 1, nb, lb + 1)
+                for m, s in ((self.vs.z2_matrix, np.eye(lb + 1)),
+                             (self.vs.z_matrix, _landau_ladder(lb)))]
+
+    def _cut(self, l_max: int | None) -> ProductBasis:
+        """The basis of the Landau cut l <= l_max (the cap if None)."""
+        if l_max is None or l_max == self.basis.l_max:
+            return self.basis
         if not 0 <= l_max < self.basis.l_max:
             raise ValueError(
                 f"Landau cut {l_max} outside 0..{self.basis.l_max}")
-        return HamiltonianBlocks(self.vs, ProductBasis(self.basis.n_max,
-                                                       l_max))
+        return ProductBasis(self.basis.n_max, l_max)
 
-    @functools.cached_property
-    def _diamagnetic_block(self) -> np.ndarray:
-        nb = self.basis.n_max
-        return np.kron(self.vs.z2_matrix[:nb, :nb],
-                       np.eye(self.basis.l_max + 1))
-
-    @functools.cached_property
-    def _coupling_block(self) -> np.ndarray:
-        nb = self.basis.n_max
-        return np.kron(self.vs.z_matrix[:nb, :nb],
-                       _landau_ladder(self.basis.l_max))
-
-    def hamiltonian(self, cfg: FieldConfiguration) -> np.ndarray:
-        """Dense Hamiltonian in J at cfg, exactly symmetric because every
-        term is (solve_vertical symmetrizes the z and z^2 matrices)."""
+    def hamiltonian(self, cfg: FieldConfiguration,
+                    l_max: int | None = None) -> np.ndarray:
+        """Dense Hamiltonian in J at cfg on the Landau cut l <= l_max (the
+        cap if None), exactly symmetric because every term is
+        (solve_vertical symmetrizes the z and z^2 matrices)."""
         vs = self.vs
         if abs(cfg.e_perp - vs.e_perp) > 1e-9 * max(1.0, abs(vs.e_perp)):
             raise BasisMismatch(
                 "field configuration e_perp differs from the vertical solve"
             )
+        basis = self._cut(l_max)
+        nb, rungs = basis.n_max, basis.l_max + 1
         omega_c = cyclotron_frequency(cfg.b_z)
-        h = np.diag(self._energies + HBAR * omega_c * self._landau)
+        h = np.diag((vs.energies[:nb, None]
+                     + HBAR * omega_c * np.arange(float(rungs))).ravel())
 
         if cfg.b_y != 0.0:
             _, omega_y, l_b = derived_frequencies(cfg)
-            h += 0.5 * ELECTRON_MASS * omega_y**2 * self._diamagnetic_block
+            z2, z = (block[:, :rungs, :, :rungs].reshape(h.shape)
+                     for block in self._blocks)
+            h += 0.5 * ELECTRON_MASS * omega_y**2 * z2
             coupling = HBAR * omega_y / (np.sqrt(2.0) * l_b)
-            h += coupling * self._coupling_block
+            h += coupling * z
         return h
 
-    def solve(self, cfg: FieldConfiguration) -> CoupledSpectrum:
-        return diagonalize(self.hamiltonian(cfg), self.basis)
+    def solve(self, cfg: FieldConfiguration,
+              l_max: int | None = None) -> CoupledSpectrum:
+        """Spectrum at cfg on the Landau cut l <= l_max (the cap if None)."""
+        return diagonalize(self.hamiltonian(cfg, l_max), self._cut(l_max))
 
 
 def assemble_hamiltonian(
@@ -232,27 +230,30 @@ def diagonalize(h: np.ndarray, basis: ProductBasis) -> CoupledSpectrum:
     return CoupledSpectrum(basis=basis, eigenvalues=vals, eigenvectors=vecs)
 
 
-def _rung_weights(spec: CoupledSpectrum, states: np.ndarray) -> np.ndarray:
-    """(l_max + 1, len(states)): the weight of each state on each rung."""
-    nb, lb = spec.basis.n_max, spec.basis.l_max
-    c = spec.eigenvectors[:, states].reshape(nb, lb + 1, -1)
-    return (c ** 2).sum(axis=0)
-
-
-def _next_landau_cut(rungs: np.ndarray, cap: int) -> int:
-    """Cut after a failed certificate on rungs = _rung_weights at cut
-    L = len(rungs) - 1: each failing state's weight on rungs L-4..L-3
-    against L-1..L gives its tail decay, extrapolated to the rung where the
-    edge weight passes, plus 2. The cap without a decaying tail."""
-    landau = len(rungs) - 1
+def _certify(spec: CoupledSpectrum, states: np.ndarray,
+             cap: int) -> tuple[float, int | None]:
+    """The Landau-cut certificate of states in spec: (edge weight, next
+    cut). The edge weight is the largest weight a state holds on the top
+    two rungs. The next cut is None if that passes (at most
+    _EDGE_WEIGHT_LIMIT) or spec is at the cap; after a failed certificate
+    at cut L, each failing state's weight on rungs L-4..L-3 against L-1..L
+    gives its tail decay, extrapolated to the rung where the edge weight
+    passes, plus 2. The cap without a decaying tail."""
+    nb, landau = spec.basis.n_max, spec.basis.l_max
+    c = spec.eigenvectors[:, states].reshape(nb, landau + 1, -1)
+    rungs = (c ** 2).sum(axis=0)
     edge = rungs[-2:].sum(axis=0)
+    worst = float(edge.max())
+    if worst <= _EDGE_WEIGHT_LIMIT or landau == cap:
+        return worst, None
     far = rungs[-5:-3].sum(axis=0)
     failing = edge > _EDGE_WEIGHT_LIMIT
     edge, far = edge[failing], far[failing]
     if landau < 4 or not np.all(far > edge):
-        return cap
+        return worst, cap
     rungs_needed = 3.0 * np.log(edge / _EDGE_WEIGHT_LIMIT) / np.log(far / edge)
-    return min(cap, landau + 2 + math.ceil(min(rungs_needed.max(), cap)))
+    return worst, min(cap,
+                      landau + 2 + math.ceil(min(rungs_needed.max(), cap)))
 
 
 def find_crossing(
@@ -308,11 +309,10 @@ def minimum_gap(
 
     blocks.basis.l_max is a cap on the Landau ladder. The sweep is first
     solved on the cut l <= (larger l of the pair) + 4. When either tracked
-    branch holds more than _EDGE_WEIGHT_LIMIT on the top two rungs at some
-    step, the sweep starts over on the cut _next_landau_cut predicts, as a
-    map pixel climbs. A sweep that loses a branch below the cap is redone
-    at the cap, so the error raised is the full ladder's, and at the cap
-    the result is the full ladder's, bit for bit.
+    branch fails _certify at some step, the sweep starts over on the cut
+    _certify predicts, as a map pixel climbs. A sweep that loses a branch
+    below the cap is redone at the cap, so the error raised is the full
+    ladder's, and at the cap the result is the full ladder's, bit for bit.
     """
     if b_z_range is None:
         center = find_crossing(blocks.vs, pair, (1e-3, 20.0))
@@ -320,31 +320,28 @@ def minimum_gap(
     values = np.linspace(b_z_range[0], b_z_range[1], n_steps)
     cap = blocks.basis.l_max
     landau = min(cap, max(pair[0][1], pair[1][1]) + 4)
-    while True:
+    while landau is not None:
         try:
-            best, rungs = _track_pair(blocks.restricted(landau), cfg_template,
-                                      pair, values, certify=landau < cap)
+            best, landau = _track_pair(blocks, landau, cfg_template, pair,
+                                       values)
         except BranchTrackingLost:
             if landau == cap:
                 raise
             landau = cap
-            continue
-        if rungs is None:
-            return best
-        landau = _next_landau_cut(rungs, cap)
+    return best
 
 
 def _track_pair(
     blocks: HamiltonianBlocks,
+    landau: int,
     cfg_template: FieldConfiguration,
     pair: tuple[tuple[int, int], tuple[int, int]],
     values: np.ndarray,
-    certify: bool,
-) -> tuple[tuple[float, float] | None, np.ndarray | None]:
-    """The sweep of minimum_gap on one cut: ((b_z, gap), None), or, with
-    certify, (None, _rung_weights of the two branches) at the first step
-    where one of them fails the edge-weight certificate."""
-    spec = blocks.solve(cfg_template.replace(b_z=float(values[0])))
+) -> tuple[tuple[float, float] | None, int | None]:
+    """The sweep of minimum_gap on the cut l <= landau: ((b_z, gap), None),
+    or (None, next cut) at the first step where one of the two branches
+    fails _certify."""
+    spec = blocks.solve(cfg_template.replace(b_z=float(values[0])), landau)
     tracked = [spec.eigenvectors[:, spec.locate(*label)].copy()
                for label in pair]
     if np.allclose(tracked[0], tracked[1]):
@@ -356,7 +353,7 @@ def _track_pair(
     best = (float(values[0]), float("inf"))
     for step, b_z in enumerate(values):
         if step:
-            spec = blocks.solve(cfg_template.replace(b_z=float(b_z)))
+            spec = blocks.solve(cfg_template.replace(b_z=float(b_z)), landau)
         energies = []
         taken = []
         for i, prev in enumerate(tracked):
@@ -372,10 +369,9 @@ def _track_pair(
             taken.append(k)
             tracked[i] = spec.eigenvectors[:, k].copy()
             energies.append(spec.eigenvalues[k])
-        if certify:
-            rungs = _rung_weights(spec, np.array(taken))
-            if rungs[-2:].sum(axis=0).max() > _EDGE_WEIGHT_LIMIT:
-                return None, rungs
+        _, next_cut = _certify(spec, np.array(taken), blocks.basis.l_max)
+        if next_cut is not None:
+            return None, next_cut
         gap = abs(energies[1] - energies[0])
         if gap < best[1]:
             best = (float(b_z), float(gap))

@@ -23,8 +23,7 @@ from .coupled import (
     CoupledSpectrum,
     HamiltonianBlocks,
     ProductBasis,
-    _next_landau_cut,
-    _rung_weights,
+    _certify,
 )
 from .errors import DegenerateField, HeliumJcmError
 from .materials import (
@@ -335,12 +334,12 @@ def absorption_map(
 
     sweep_name must be "b_y" or "b_z"; the tuning axis is always E_perp, so
     sweeping it as the outer axis too is rejected. The map is computed one
-    E_perp column at a time: one vertical solve serves every pixel of the
-    column, and a solve on a Landau cut below the cap builds its own blocks.
+    E_perp column at a time: one vertical solve and one HamiltonianBlocks
+    serve every pixel of the column, on every Landau cut.
 
     basis.l_max is a cap on the Landau ladder. Each pixel is first solved
     on the cut _first_landau_cut gives for its field point, and climbs by
-    the jumps _next_landau_cut predicts until every state that reaches the
+    the jumps _certify predicts until every state that reaches the
     output (the thermal initial states, and the final states of lines
     deposited or traced) holds at most _EDGE_WEIGHT_LIMIT on the top two
     rungs. A pixel that still fails at the cap keeps the cap's result and
@@ -364,6 +363,8 @@ def absorption_map(
     e_grid = np.asarray(e_perp_values_v_cm, dtype=float)
     if sweep_values.size == 0 or e_grid.size == 0:
         raise ValueError("sweep and e_perp axes must be non-empty")
+    if (e_grid < 0.0).any():
+        raise ValueError("e_perp must be non-negative")
     band = (mw_frequency_ghz - band_ghz, mw_frequency_ghz + band_ghz)
     if band[0] >= band[1]:
         raise ValueError("empty frequency band")
@@ -381,8 +382,8 @@ def absorption_map(
             populations = thermal_populations(cfg, cut)
             width = broadening.width_ghz(cfg)
             landau = _first_landau_cut(cfg, cut, band[1], cap)
-            while True:
-                spec = blocks.restricted(landau).solve(cfg)
+            while landau is not None:
+                spec = blocks.solve(cfg, landau)
                 lines = _catalog(spec, blocks.vs, populations, band)
                 area = lines.weight * lines.moment_sq
                 # The traces below drop lines under 1e-6 of the strongest
@@ -395,11 +396,7 @@ def absorption_map(
                 # deposited or traced line
                 states = np.union1d(lines.initial_states,
                                     lines.final_index[near | keep])
-                rungs = _rung_weights(spec, states)
-                edge = float(rungs[-2:].sum(axis=0).max())
-                if edge <= _EDGE_WEIGHT_LIMIT or landau == cap:
-                    break
-                landau = _next_landau_cut(rungs, cap)
+                edge, landau = _certify(spec, states, cap)
         except HeliumJcmError as exc:
             return _Pixel(exc)
         value = _deposit(spec, blocks.vs, lines, mw_frequency_ghz, width)
@@ -410,7 +407,7 @@ def absorption_map(
                           area[keep].tolist()))
         # the automatic thermal cut wanted more rungs than the cap has
         clamped = l_cut is None and _auto_l_cut(cfg, cap + 1) > cap
-        return _Pixel(value, traced, landau, edge, clamped)
+        return _Pixel(value, traced, spec.basis.l_max, edge, clamped)
 
     def run_column(j: int):
         e_perp = float(e_grid[j] * V_PER_CM)

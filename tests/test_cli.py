@@ -255,14 +255,16 @@ steps = 11
     (MAP_CFG.replace("e_perp_start_v_cm = 28.0\ne_perp_stop_v_cm = 30.0\n",
                      ""),
      "map.e_perp_start_v_cm/e_perp_stop_v_cm"),
+    (MAP_CFG.replace("e_perp_start_v_cm = 28.0", "e_perp_start_v_cm = -5"),
+     "map.e_perp_start_v_cm/e_perp_stop_v_cm"),
     (MAP_CFG.replace("sweep_steps = 2", "sweep_steps = 1"), "map.sweep_steps"),
     (MAP_CFG.replace("e_perp_steps = 3", "e_perp_steps = 1"),
      "map.e_perp_steps"),
 ], ids=["b_y-sweep-without-b_z", "l_cut-negative", "l_cut-above-l_max",
         "band_ghz-zero", "base_width-zero", "l_values-above-l_max",
         "prefix-with-separator", "map-without-sweep-range",
-        "map-without-e_perp-range", "map-sweep-steps-one",
-        "map-e_perp-steps-one"])
+        "map-without-e_perp-range", "map-negative-e_perp",
+        "map-sweep-steps-one", "map-e_perp-steps-one"])
 def test_validate_reports_errors(tmp_path, capsys, text, key):
     bad = _write(tmp_path, text)
     assert cli.main(["validate", "--config", bad]) == 2
