@@ -11,7 +11,9 @@
 # diff -rq, which names each file that differs. The checkout then runs once
 # more with THREADS=1 and OPENBLAS_NUM_THREADS=2, and that output is
 # compared with its first, so a broken BLAS thread pin or a dependence on
-# --threads fails even when <rev> has the same fault. The temporary
+# --threads fails even when <rev> has the same fault. Last it prints the
+# source line count, wc -l of src/heliumjcm/*.py, of <rev> and of the
+# checkout; the count does not change the exit status. The temporary
 # directory is removed on exit. Exits 0 if every CSV and JSON is
 # byte-identical, 1 on any difference, and with the status of a failing
 # run otherwise; an extra config that exits 3 (a numerical failure, which
@@ -73,4 +75,7 @@ else
     echo "artifacts differ with THREADS=1 OPENBLAS_NUM_THREADS=2" >&2
     status=1
 fi
+lines() { cat "$1"/src/heliumjcm/*.py | wc -l; }
+echo "source lines (src/heliumjcm/*.py): $(lines "$tmp/tree") at $rev," \
+    "$(lines "$here") in the checkout"
 exit "$status"

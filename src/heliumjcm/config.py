@@ -202,8 +202,15 @@ class RunConfig:
         if self.isotope not in ("he3", "he4"):
             errors.append(f"material.isotope: {self.isotope!r} is not he3 "
                           "or he4")
+        for key in ("barrier_height_ev", "surface_tension", "mass_density",
+                    "binding_rydberg_mev"):
+            value = getattr(self, key)
+            if value is not None and value <= 0.0:
+                errors.append(f"material.{key}: must be positive")
         if self.temperature <= 0.0:
             errors.append("fields.temperature: must be positive")
+        if self.b_z < 0.0:
+            errors.append("fields.b_z: must be non-negative")
         if self.n_max < 2:
             errors.append("basis.n_max: need at least two levels")
         if self.l_max < 1:
@@ -287,6 +294,9 @@ class RunConfig:
                 errors.append("map.l_cut: need 0 <= l_cut <= basis.l_max")
             if not self.base_width_ghz > 0.0:
                 errors.append("broadening.base_width_ghz: must be positive")
+            if self.areal_density_cm2 < 0.0:
+                errors.append("broadening.areal_density_cm2: must be "
+                              "non-negative")
 
         if self.task == "crossings":
             if not self.crossing_pairs:

@@ -211,16 +211,6 @@ def transition_catalog(
     ]
 
 
-class _Pixel(NamedTuple):
-    """One solved map pixel, or its error as value with the rest unset."""
-
-    value: float | Exception
-    lines: list | None = None   # (l, n_final, l_final, frequency, area)
-    landau_cut: int = -1
-    edge_weight: float = math.nan
-    clamped: bool = False
-
-
 @dataclass(frozen=True)
 class AbsorptionMap:
     """Simulated absorption over (swept field) x (tuning field).
@@ -346,11 +336,12 @@ def absorption_map(
     is counted in basis_report(). No pixel starts from another's cut, so
     the cuts do not depend on the grid order or on threads.
 
-    threads is the number of worker threads, each taking whole columns; up
-    to one per core helps. For the whole call, and process-wide, every loaded
-    OpenBLAS runs on one thread (the previous count is restored on return),
-    so the result is bit-identical for any threads value and any BLAS
-    thread setting of the environment.
+    threads is the number of worker threads; each takes whole columns and
+    writes their pixels into the map's arrays, and up to one per core
+    helps. For the whole call, and process-wide, every loaded OpenBLAS runs
+    on one thread (the previous count is restored on return), so the result
+    is bit-identical for any threads value and any BLAS thread setting of
+    the environment.
     """
     if sweep_name not in ("b_y", "b_z"):
         raise ValueError(
@@ -372,11 +363,21 @@ def absorption_map(
     if l_cut is not None and not 0 <= l_cut <= cap:
         raise ValueError(f"l_cut = {l_cut} outside 0..basis.l_max = {cap}")
 
-    def run_pixel(blocks: HamiltonianBlocks, i: int, e_perp: float):
-        """_Pixel at (i, column), on the first Landau cut that passes the
-        edge-weight certificate, or on the cap."""
+    shape = (sweep_values.size, e_grid.size)
+    intensity = np.full(shape, np.nan)
+    landau_cut = np.full(shape, -1)
+    edge_weight = np.full(shape, np.nan)
+    clamped = np.zeros(shape, dtype=bool)
+    # each pixel's traced lines as (l, n_final, l_final, frequency, area),
+    # and its error; None where unset
+    traced = np.empty(shape, dtype=object)
+    errors = np.empty(shape, dtype=object)
+
+    def run_pixel(blocks: HamiltonianBlocks, i: int, j: int):
+        """Write pixel (i, j), solved on the first Landau cut that passes
+        the edge-weight certificate or on the cap, or its error."""
         cfg = base_cfg.replace(**{sweep_name: float(sweep_values[i]),
-                                  "e_perp": e_perp})
+                                  "e_perp": blocks.vs.e_perp})
         try:
             cut = _auto_l_cut(cfg, cap) if l_cut is None else l_cut
             populations = thermal_populations(cfg, cut)
@@ -398,16 +399,19 @@ def absorption_map(
                                     lines.final_index[near | keep])
                 edge, landau = _certify(spec, states, cap)
         except HeliumJcmError as exc:
-            return _Pixel(exc)
-        value = _deposit(spec, blocks.vs, lines, mw_frequency_ghz, width)
-        traced = list(zip(lines.initial_l[keep].tolist(),
-                          lines.final_n[keep].tolist(),
-                          lines.final_l[keep].tolist(),
-                          lines.frequency_ghz[keep].tolist(),
-                          area[keep].tolist()))
+            errors[i, j] = exc
+            return
+        intensity[i, j] = _deposit(spec, blocks.vs, lines, mw_frequency_ghz,
+                                   width)
+        landau_cut[i, j] = spec.basis.l_max
+        edge_weight[i, j] = edge
         # the automatic thermal cut wanted more rungs than the cap has
-        clamped = l_cut is None and _auto_l_cut(cfg, cap + 1) > cap
-        return _Pixel(value, traced, spec.basis.l_max, edge, clamped)
+        clamped[i, j] = l_cut is None and _auto_l_cut(cfg, cap + 1) > cap
+        traced[i, j] = list(zip(lines.initial_l[keep].tolist(),
+                                lines.final_n[keep].tolist(),
+                                lines.final_l[keep].tolist(),
+                                lines.frequency_ghz[keep].tolist(),
+                                area[keep].tolist()))
 
     def run_column(j: int):
         e_perp = float(e_grid[j] * V_PER_CM)
@@ -415,44 +419,28 @@ def absorption_map(
             vs = solve_vertical(mat, e_perp, basis.n_max, grid)
             blocks = HamiltonianBlocks(vs, basis)
         except HeliumJcmError as exc:
-            return [_Pixel(exc)] * sweep_values.size
-        return [run_pixel(blocks, i, e_perp) for i in range(sweep_values.size)]
+            errors[:, j] = exc
+            return
+        for i in range(sweep_values.size):
+            run_pixel(blocks, i, j)
 
+    # consuming the results re-raises a worker's unexpected exception here
     with _single_threaded_blas, ThreadPoolExecutor(
             max_workers=min(threads, e_grid.size)) as pool:
-        columns = list(pool.map(run_column, range(e_grid.size)))
-
-    shape = (sweep_values.size, e_grid.size)
-    intensity = np.full(shape, np.nan)
-    landau_cut = np.full(shape, -1)
-    edge_weight = np.full(shape, np.nan)
-    clamped = 0
-    failures: list[tuple[int, int, str]] = []
-    for i in range(sweep_values.size):
-        for j in range(e_grid.size):
-            pixel = columns[j][i]
-            if isinstance(pixel.value, Exception):
-                failures.append(
-                    (i, j, f"{type(pixel.value).__name__}: {pixel.value}"))
-            else:
-                intensity[i, j] = pixel.value
-                landau_cut[i, j] = pixel.landau_cut
-                edge_weight[i, j] = pixel.edge_weight
-                clamped += pixel.clamped
+        list(pool.map(run_column, range(e_grid.size)))
+    failures = [(i, j, f"{type(exc).__name__}: {exc}")
+                for (i, j), exc in np.ndenumerate(errors) if exc is not None]
 
     # Line-center traces: along E_perp at fixed sweep value, find where each
     # labeled line crosses the drive frequency. Lines carrying under 1e-6 of
     # the strongest area are invisible on any map and are dropped here.
-    area_floor = 1e-6 * max(
-        (line[4] for column in columns for pixel in column if pixel.lines
-         for line in pixel.lines),
-        default=0.0,
-    )
+    area_floor = 1e-6 * max((line[4] for lines in traced.flat if lines
+                             for line in lines), default=0.0)
     traces: list[dict] = []
     for i in range(sweep_values.size):
         by_label: dict[tuple, list[tuple[float, float, float]]] = {}
         for j in range(e_grid.size):
-            for l0, n_f, l_f, freq, area in columns[j][i].lines or ():
+            for l0, n_f, l_f, freq, area in traced[i, j] or ():
                 if area < area_floor:
                     continue
                 by_label.setdefault(((1, l0), (n_f, l_f)), []).append(
@@ -491,5 +479,5 @@ def absorption_map(
         landau_cut=landau_cut,
         edge_weight=edge_weight,
         landau_cap=cap,
-        l_cut_clamped=clamped,
+        l_cut_clamped=int(clamped.sum()),
     )

@@ -128,6 +128,24 @@ b_y_values = 0.0, 0.1
 prefix = t
 """
 
+RATES_CFG = """
+[run]
+task = rates
+[material]
+isotope = he3
+[fields]
+e_perp_v_cm = 15.0
+b_z = 2.8306
+b_y = 1.5
+temperature = 1.0
+[rates]
+pair = 2,1
+nu_0 = 1e6
+include_occupation = {occupation}
+[output]
+prefix = t
+"""
+
 # fig3-like zoom at the full basis, large enough for BLAS threading to move
 # the last printed digit of some dominant weight when it is not pinned
 SWEEP_CFG = """
@@ -260,11 +278,33 @@ steps = 11
     (MAP_CFG.replace("sweep_steps = 2", "sweep_steps = 1"), "map.sweep_steps"),
     (MAP_CFG.replace("e_perp_steps = 3", "e_perp_steps = 1"),
      "map.e_perp_steps"),
+    (CROSSINGS_CFG.replace("b_y = 0.1", "b_y = 0.1\nb_z = -1"), "fields.b_z"),
+    (SMALL_SWEEP_CFG.replace("e_perp_v_cm = 15.0",
+                             "e_perp_v_cm = 15.0\nb_z = -1"), "fields.b_z"),
+    (RATES_CFG.format(occupation="false").replace(
+        "isotope = he3", "isotope = he3\nsurface_tension = -1"),
+     "material.surface_tension"),
+    (RATES_CFG.format(occupation="false").replace(
+        "isotope = he3", "isotope = he3\nmass_density = 0"),
+     "material.mass_density"),
+    (RATES_CFG.format(occupation="false").replace(
+        "isotope = he3", "isotope = he3\nbarrier_height_ev = 0"),
+     "material.barrier_height_ev"),
+    (RATES_CFG.format(occupation="false").replace(
+        "isotope = he3", "isotope = he3\nbinding_rydberg_mev = -0.3"),
+     "material.binding_rydberg_mev"),
+    (MAP_CFG.replace("[output]",
+                     "[broadening]\nareal_density_cm2 = -5e6\n[output]"),
+     "broadening.areal_density_cm2"),
 ], ids=["b_y-sweep-without-b_z", "l_cut-negative", "l_cut-above-l_max",
         "band_ghz-zero", "base_width-zero", "l_values-above-l_max",
         "prefix-with-separator", "map-without-sweep-range",
         "map-without-e_perp-range", "map-negative-e_perp",
-        "map-sweep-steps-one", "map-e_perp-steps-one"])
+        "map-sweep-steps-one", "map-e_perp-steps-one",
+        "crossings-negative-b_z", "sweep-negative-b_z",
+        "rates-negative-surface_tension", "rates-zero-mass_density",
+        "rates-zero-barrier_height", "rates-negative-binding_rydberg",
+        "map-negative-areal_density"])
 def test_validate_reports_errors(tmp_path, capsys, text, key):
     bad = _write(tmp_path, text)
     assert cli.main(["validate", "--config", bad]) == 2
@@ -549,25 +589,6 @@ prefix = t
     assert report["g_over_h_ghz"] == pytest.approx(12.218, abs=0.01)
     assert report["coherence_ratio"] > 1e4
     assert report["rate_ladder_per_s"] > report["rate_vertical_per_s"]
-
-
-RATES_CFG = """
-[run]
-task = rates
-[material]
-isotope = he3
-[fields]
-e_perp_v_cm = 15.0
-b_z = 2.8306
-b_y = 1.5
-temperature = 1.0
-[rates]
-pair = 2,1
-nu_0 = 1e6
-include_occupation = {occupation}
-[output]
-prefix = t
-"""
 
 
 def test_rates_include_occupation(tmp_path):

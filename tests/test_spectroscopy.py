@@ -319,6 +319,44 @@ def test_map_failed_pixels_recorded_as_nan(he3):
     assert np.isfinite(amap.intensity[1]).all()
 
 
+def test_map_failed_column_recorded_in_every_pixel(he3):
+    # the default grid cannot hold n = 8 at 0 V/cm, so the vertical solve of
+    # column 0 fails and every pixel of that column carries its error
+    base = FieldConfiguration.from_v_cm(15.0, 0.584, temperature=0.33)
+    maps = [absorption_map(he3, base, "b_y", np.array([0.0, 0.1]),
+                           np.array([0.0, 30.0]), 90.0,
+                           basis=ProductBasis(8, 8), l_cut=5, threads=threads)
+            for threads in (1, 2)]
+    amap = maps[0]
+    assert [(i, j) for i, j, _ in amap.failures] == [(0, 0), (1, 0)]
+    assert all(msg.startswith("GridTooSmall: state n=8")
+               for _, _, msg in amap.failures)
+    assert np.isnan(amap.intensity[:, 0]).all()
+    assert (amap.landau_cut[:, 0] == -1).all()
+    assert np.isnan(amap.edge_weight[:, 0]).all()
+    assert np.isfinite(amap.intensity[:, 1]).all()
+    assert (amap.landau_cut[:, 1] >= 0).all()
+    assert np.isfinite(amap.edge_weight[:, 1]).all()
+    pooled = maps[1]
+    assert pooled.failures == amap.failures
+    for name in ("intensity", "landau_cut", "edge_weight"):
+        assert np.array_equal(getattr(pooled, name), getattr(amap, name),
+                              equal_nan=True), name
+
+
+def test_map_worker_exception_propagates(he3, monkeypatch):
+    # an error that is not a recorded pixel failure ends the map
+    def broken(*args):
+        raise RuntimeError("deposit broke")
+
+    monkeypatch.setattr(spectroscopy, "_deposit", broken)
+    base = FieldConfiguration.from_v_cm(15.0, 0.584, temperature=0.33)
+    with pytest.raises(RuntimeError, match="deposit broke"):
+        absorption_map(he3, base, "b_y", np.array([0.1]),
+                       np.array([28.0, 30.0]), 90.0,
+                       basis=ProductBasis(4, 8), l_cut=5, threads=2)
+
+
 @pytest.mark.parametrize("l_cut", [-1, 9])
 def test_map_rejects_l_cut_outside_basis(he3, l_cut):
     base = FieldConfiguration.from_v_cm(15.0, 0.584)
