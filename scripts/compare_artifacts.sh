@@ -12,8 +12,10 @@
 # more with THREADS=1 and OPENBLAS_NUM_THREADS=2, and that output is
 # compared with its first, so a broken BLAS thread pin or a dependence on
 # --threads fails even when <rev> has the same fault. Last it prints the
-# source line count, wc -l of src/heliumjcm/*.py, of <rev> and of the
-# checkout; the count does not change the exit status. The temporary
+# source line count, wc -l of src/heliumjcm/*.py, and the figure-run peak
+# RSS, the largest resident set of any process regenerate_figures.sh ran
+# (getrusage RUSAGE_CHILDREN ru_maxrss), of <rev> and of the checkout;
+# neither changes the exit status. The temporary
 # directory is removed on exit. Exits 0 if every CSV and JSON is
 # byte-identical, 1 on any difference, and with the status of a failing
 # run otherwise; an extra config that exits 3 (a numerical failure, which
@@ -36,13 +38,25 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/tree"
 git -C "$here" archive "$rev" | tar -x -C "$tmp/tree"
 
-# run <tree> <out> [extra.cfg ...]: every artifact of <tree> into <out>
+# peak <file> <command ...>: run the command and write to <file> the
+# largest resident set, in MB, of any process it waited for
+peak() {
+    python3 -c 'import resource, subprocess, sys
+status = subprocess.call(sys.argv[2:])
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+with open(sys.argv[1], "w") as fh:
+    fh.write("%.1f MB\n" % rss)
+sys.exit(status)' "$@"
+}
+
+# run <tree> <out> [extra.cfg ...]: every artifact of <tree> into <out>,
+# and the figure run's peak RSS into <out>.rss
 run() {
     tree="$1"
     out="$2"
     shift 2
     echo "== $out: $tree (THREADS=$THREADS)"
-    "$tree/scripts/regenerate_figures.sh" "$out"
+    peak "$out.rss" "$tree/scripts/regenerate_figures.sh" "$out"
     for cfg in "$@"; do
         echo "== $cfg"
         task=$(sed -n 's/^task *= *//p' "$cfg")
@@ -78,4 +92,6 @@ fi
 lines() { cat "$1"/src/heliumjcm/*.py | wc -l; }
 echo "source lines (src/heliumjcm/*.py): $(lines "$tmp/tree") at $rev," \
     "$(lines "$here") in the checkout"
+echo "figure-run peak RSS: $(cat "$tmp/base.rss") at $rev," \
+    "$(cat "$tmp/change.rss") in the checkout"
 exit "$status"

@@ -58,17 +58,18 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     """Header and rows, every value printed as %.10g.
 
     rows is anything np.asarray takes as an (n, len(header)) float table; a
-    row of another width raises ValueError. %.10g prints a float as
-    format(v, ".10g") does, an integer below 1e10 as str() does, and nan and
-    inf literally; adding 0.0 turns -0.0 into 0.0, which prints as 0.
+    row of another width raises ValueError. A float array is printed where
+    it lies, 4,096 rows at a time: only the block being printed is copied.
+    %.10g prints a float as format(v, ".10g") does, an integer below 1e10
+    as str() does, and nan and inf literally; adding 0.0 to each block turns
+    -0.0 into 0.0, which prints as 0.
     """
     table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    table = table + 0.0
     line = ",".join(["%.10g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), 4096):
-            block = table[start:start + 4096]
+            block = table[start:start + 4096] + 0.0
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -155,8 +156,10 @@ def _run_spectrum_sweep(cfg: RunConfig, out_dir: str, threads: int) -> int:
     overlays = cfg.b_y_values if (cfg.sweep_axis == "b_z"
                                   and cfg.b_y_values) else (base.b_y,)
 
+    # one table, a block of basis-size rows per solved point, filled in place
     size = blocks.basis.size
-    tables = []
+    rows = np.empty((len(overlays) * values.size * size, len(header)))
+    filled = 0
     failures = []
     for b_y in overlays:
         for value in values:
@@ -173,13 +176,13 @@ def _run_spectrum_sweep(cfg: RunConfig, out_dir: str, threads: int) -> int:
                 continue
             ground = spec.eigenvalues[spec.locate(1, 0)]
             n_dom, l_dom, weight = spec.dominant_labels()
-            tables.append(np.column_stack((
+            rows[filled:filled + size] = np.column_stack((
                 np.full(size, value), np.full(size, point.b_y),
                 np.arange(size), spec.eigenvalues / GHZ,
-                (spec.eigenvalues - ground) / GHZ, n_dom, l_dom, weight)))
+                (spec.eigenvalues - ground) / GHZ, n_dom, l_dom, weight))
+            filled += size
 
-    rows = np.concatenate(tables) if tables else []
-    return _emit(cfg, out_dir, "spectrum", header, rows,
+    return _emit(cfg, out_dir, "spectrum", header, rows[:filled],
                  {"sweep_axis": cfg.sweep_axis,
                   "overlay_b_y": list(overlays),
                   "vertical_levels_ghz":

@@ -207,6 +207,14 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and value <= 0.0:
                 errors.append(f"material.{key}: must be positive")
+        if not errors:
+            # Each material key passed alone, so the material every task
+            # builds can fail only on a binding energy above 13.6 eV / 16,
+            # whose image-charge strength is unphysical.
+            try:
+                self.material()
+            except ValueError as exc:
+                errors.append(f"material.binding_rydberg_mev: {exc}")
         if self.temperature <= 0.0:
             errors.append("fields.temperature: must be positive")
         if self.b_z < 0.0:
@@ -321,6 +329,12 @@ class RunConfig:
             if min(pair) < 1 or pair[0] == pair[1] or max(pair) > self.n_max:
                 errors.append(f"rates.pair: bad pair {pair}")
 
+        for key in self._swept_fields():
+            value = getattr(self, key)
+            if value != getattr(RunConfig, key):   # the field's default
+                errors.append(f"fields.{key}: {value:g} would go unused; "
+                              f"{self.task} sets {key} from its sweep")
+
         # Convergence advisories, not errors.
         b_y_reach = max([abs(self.b_y)] + [abs(v) for v in self.b_y_values]
                         + [abs(x) for x in (self.sweep_start,
@@ -342,6 +356,20 @@ class RunConfig:
             warnings.append("basis.n_max: high levels are loosely bound; "
                             "consider a larger grid.z_max")
         return errors, warnings
+
+    def _swept_fields(self) -> tuple[str, ...]:
+        """The [fields] keys whose value the task replaces by the values it
+        sweeps, so that a value set there would never be used."""
+        if self.task == "absorption-map":
+            swept = ("e_perp_v_cm", self.map_sweep_axis)
+        elif self.task == "spectrum-sweep":
+            swept = (self.sweep_axis,) + (("b_y",) if self.b_y_values else ())
+        else:
+            swept = {"shifts": ("b_y",), "crossings": ("b_z",)}.get(
+                self.task, ())
+        # an axis that names no field is reported where the axis is checked
+        return tuple(key for key in swept
+                     if key in ("e_perp_v_cm", "b_z", "b_y"))
 
     def _check_range(self, start, stop, steps, errors, non_negative=False):
         """Check a sweep given the names of its start, stop and steps

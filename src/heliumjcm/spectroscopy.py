@@ -368,8 +368,8 @@ def absorption_map(
     landau_cut = np.full(shape, -1)
     edge_weight = np.full(shape, np.nan)
     clamped = np.zeros(shape, dtype=bool)
-    # each pixel's traced lines as (l, n_final, l_final, frequency, area),
-    # and its error; None where unset
+    # each pixel's traced lines as five arrays (initial l, final n, final l,
+    # frequency, area), and its error; None where unset
     traced = np.empty(shape, dtype=object)
     errors = np.empty(shape, dtype=object)
 
@@ -407,11 +407,9 @@ def absorption_map(
         edge_weight[i, j] = edge
         # the automatic thermal cut wanted more rungs than the cap has
         clamped[i, j] = l_cut is None and _auto_l_cut(cfg, cap + 1) > cap
-        traced[i, j] = list(zip(lines.initial_l[keep].tolist(),
-                                lines.final_n[keep].tolist(),
-                                lines.final_l[keep].tolist(),
-                                lines.frequency_ghz[keep].tolist(),
-                                area[keep].tolist()))
+        traced[i, j] = (lines.initial_l[keep], lines.final_n[keep],
+                        lines.final_l[keep], lines.frequency_ghz[keep],
+                        area[keep])
 
     def run_column(j: int):
         e_perp = float(e_grid[j] * V_PER_CM)
@@ -434,13 +432,18 @@ def absorption_map(
     # Line-center traces: along E_perp at fixed sweep value, find where each
     # labeled line crosses the drive frequency. Lines carrying under 1e-6 of
     # the strongest area are invisible on any map and are dropped here.
-    area_floor = 1e-6 * max((line[4] for lines in traced.flat if lines
-                             for line in lines), default=0.0)
+    area_floor = 1e-6 * max((pixel[4].max() for pixel in traced.flat
+                             if pixel is not None and pixel[4].size),
+                            default=0.0)
     traces: list[dict] = []
     for i in range(sweep_values.size):
         by_label: dict[tuple, list[tuple[float, float, float]]] = {}
         for j in range(e_grid.size):
-            for l0, n_f, l_f, freq, area in traced[i, j] or ():
+            if traced[i, j] is None:
+                continue
+            # one pixel's lines as Python numbers, dropped after the pixel
+            for l0, n_f, l_f, freq, area in zip(
+                    *(column.tolist() for column in traced[i, j])):
                 if area < area_floor:
                     continue
                 by_label.setdefault(((1, l0), (n_f, l_f)), []).append(

@@ -296,6 +296,24 @@ steps = 11
     (MAP_CFG.replace("[output]",
                      "[broadening]\nareal_density_cm2 = -5e6\n[output]"),
      "broadening.areal_density_cm2"),
+    # above 13.6 eV / 16 the image-charge strength it calibrates is unphysical
+    (RATES_CFG.format(occupation="false").replace(
+        "isotope = he3", "isotope = he3\nbinding_rydberg_mev = 1000"),
+     "material.binding_rydberg_mev"),
+    # a [fields] value the task replaces by the values it sweeps
+    (MAP_CFG.replace("b_z = 0.584", "b_z = 0.584\ne_perp_v_cm = 99"),
+     "fields.e_perp_v_cm"),
+    (MAP_CFG.replace("b_z = 0.584", "b_z = 0.584\nb_y = 0.3"), "fields.b_y"),
+    (SMALL_SWEEP_CFG.replace("e_perp_v_cm = 15.0",
+                             "e_perp_v_cm = 15.0\nb_z = 0.65"), "fields.b_z"),
+    (SMALL_SWEEP_CFG.replace("e_perp_v_cm = 15.0",
+                             "e_perp_v_cm = 15.0\nb_y = 0.3"), "fields.b_y"),
+    (B_Y_SWEEP_WITHOUT_B_Z_CFG.replace(
+        "e_perp_v_cm = 15.0", "e_perp_v_cm = 15.0\nb_z = 0.65\nb_y = 0.3"),
+     "fields.b_y"),
+    (SHIFTS_CFG.replace("b_z = 0.65", "b_z = 0.65\nb_y = 0.1"), "fields.b_y"),
+    (CROSSINGS_CFG.replace("b_y = 0.1", "b_y = 0.1\nb_z = 1.0"),
+     "fields.b_z"),
 ], ids=["b_y-sweep-without-b_z", "l_cut-negative", "l_cut-above-l_max",
         "band_ghz-zero", "base_width-zero", "l_values-above-l_max",
         "prefix-with-separator", "map-without-sweep-range",
@@ -304,7 +322,10 @@ steps = 11
         "crossings-negative-b_z", "sweep-negative-b_z",
         "rates-negative-surface_tension", "rates-zero-mass_density",
         "rates-zero-barrier_height", "rates-negative-binding_rydberg",
-        "map-negative-areal_density"])
+        "map-negative-areal_density", "rates-unphysical-binding_rydberg",
+        "map-sets-e_perp", "map-sets-swept-b_y", "sweep-sets-swept-b_z",
+        "sweep-sets-overlaid-b_y", "sweep-sets-swept-b_y", "shifts-sets-b_y",
+        "crossings-sets-b_z"])
 def test_validate_reports_errors(tmp_path, capsys, text, key):
     bad = _write(tmp_path, text)
     assert cli.main(["validate", "--config", bad]) == 2
@@ -871,6 +892,43 @@ def test_write_csv_matches_per_value_fmt(tmp_path):
     assert path.read_bytes() == b"a,b,c,d,e\n"
     with pytest.raises(ValueError):
         cli._write_csv(str(path), header, [(1.0, 2.0, 3.0, 4.0)])
+
+
+def test_write_csv_copies_one_block_at_a_time(tmp_path, traced_memory):
+    # A 3.2 MB table. Normalising a copy of the whole table took the peak to
+    # 1.54 tables; one 4,096-row block at a time it is 0.62 (the block, its
+    # values as Python floats, and their text). The bound is one table,
+    # which any whole copy reaches alone.
+    table = np.random.default_rng(0).standard_normal((50_000, 8))
+    table[-1, 0] = -0.0               # in the last block
+    path = tmp_path / "t.csv"
+    _, _, peak = traced_memory(
+        lambda: cli._write_csv(str(path), list("abcdefgh"), table))
+    assert peak < 1.0 * table.nbytes
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + len(table)
+    assert lines[-1].startswith("0,")
+    assert np.signbit(table[-1, 0])   # the caller's table is untouched
+
+
+def test_spectrum_sweep_holds_one_table(tmp_path, traced_memory):
+    # 301 steps x 3 overlays x 33 states: a 1.9 MB table. With a block per
+    # point, their concatenation and a normalised copy of that, the peak
+    # was 3.9 tables; filled in place and written a block at a time it is
+    # 2.0: the table, one block's Python floats and text, and the solver.
+    # The bound sits about one table from each.
+    text = (SMALL_SWEEP_CFG.replace("n_max = 4\nl_max = 6",
+                                    "n_max = 3\nl_max = 10")
+            .replace("steps = 3\nb_y_values = 0.0, 0.1",
+                     "steps = 301\nb_y_values = 0.0, 0.1, 0.2"))
+    path = _write(tmp_path, text)
+    out_dir = tmp_path / "o"
+    code, _, peak = traced_memory(lambda: cli.main(
+        ["spectrum-sweep", "--config", path, "--out", str(out_dir)]))
+    assert code == 0
+    rows = 301 * 3 * 33
+    assert len(_data_lines(out_dir / "t_spectrum.csv")) == rows
+    assert peak < 3.0 * rows * 8 * 8
 
 
 def _data_lines(path) -> list[str]:

@@ -588,3 +588,24 @@ def test_every_map_solve_goes_through_diagonalize(he3, monkeypatch):
     assert calls["diagonalize"] > amap.intensity.size
     assert calls["b_y = 0"] > 0
     assert calls["eigh"] == calls["diagonalize"] - calls["b_y = 0"]
+
+
+def test_absorption_map_keeps_traced_lines_as_arrays(he3, traced_memory):
+    # At b_z = 0.05-0.1 T and 0.37 K the thermal cut reaches the 41-rung
+    # cap, so each of the 16 pixels traces several hundred lines. Kept as a
+    # tuple of Python numbers per line until the traces were built, they
+    # took the call's peak to 2.64 times the map it returns; as five arrays
+    # per pixel it is 1.68. The bound sits about 0.45 from each.
+    base = FieldConfiguration.from_v_cm(0.0, 0.2, b_y=0.2, temperature=0.37)
+
+    def run(sweep, e_perp):
+        return absorption_map(he3, base, "b_z", sweep, e_perp, 90.0,
+                              basis=ProductBasis(3, 40),
+                              grid=GridSpec(n_points=1000, z_max=120.0))
+
+    run(np.array([0.05]), np.array([2.0]))   # one-time allocations
+    amap, held, peak = traced_memory(
+        lambda: run(np.linspace(0.05, 0.1, 8), np.array([2.0, 58.0])))
+    assert not amap.failures
+    assert len(amap.lines) > 1000
+    assert peak < 2.2 * held
