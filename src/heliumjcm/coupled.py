@@ -7,7 +7,9 @@ The Hamiltonian (with the cyclotron zero-point energy already dropped) is
 
 assembled in SI Joules with Kronecker products, flat index
 k = (n - 1) (l_max + 1) + l. The diamagnetic z^2 block is kept as the full
-matrix in n.
+matrix in n. CoupledSpectrum is the one reader of that layout: its weights
+array, indexed (state, n - 1, l), serves every label lookup, the Landau-cut
+certificate and the line deposit.
 """
 
 from __future__ import annotations
@@ -61,12 +63,6 @@ class ProductBasis:
             raise IndexError(f"state ({n},{l}) outside basis")
         return (n - 1) * (self.l_max + 1) + l
 
-    def label(self, k: int) -> tuple[int, int]:
-        if not 0 <= k < self.size:
-            raise IndexError(f"flat index {k} outside basis")
-        n, l = divmod(k, self.l_max + 1)
-        return n + 1, l
-
 
 @dataclass(frozen=True)
 class CoupledSpectrum:
@@ -80,17 +76,26 @@ class CoupledSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Squared eigenvector components, read-only, indexed
+        (state, n - 1, l). Not cached: an N^2 array held as long as each
+        spectrum fragments the map workers' heap (up to +10% peak RSS)."""
+        basis = self.basis
+        w = self.eigenvectors.T.reshape(-1, basis.n_max, basis.l_max + 1) ** 2
+        w.setflags(write=False)
+        return w
+
     def dominant(self, k: int) -> tuple[int, int, float]:
         """(n, l, weight) of the strongest product component of state k."""
-        weights = self.eigenvectors[:, k] ** 2
-        idx = int(np.argmax(weights))
-        n, l = self.basis.label(idx)
-        return n, l, float(weights[idx])
+        w = self.weights[k]
+        n, l = divmod(int(np.argmax(w)), self.basis.l_max + 1)
+        return n + 1, l, float(w[n, l])
 
     def locate(self, n: int, l: int) -> int:
         """Eigenstate index with the largest weight on |n,l>."""
-        row = self.eigenvectors[self.basis.index(n, l), :] ** 2
-        return int(np.argmax(row))
+        self.basis.index(n, l)   # IndexError outside the basis
+        return int(np.argmax(self.weights[:, n - 1, l]))
 
     def moments(self, z_matrix: np.ndarray, k: int) -> np.ndarray:
         """<k'|z|k> for every eigenstate k', from the vertical z_nn' matrix
@@ -103,10 +108,10 @@ class CoupledSpectrum:
     def dominant_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, l, weight) arrays over every eigenstate: dominant(k) for all k
         at once."""
-        weights = self.eigenvectors ** 2
-        idx = np.argmax(weights, axis=0)
+        w = self.weights.reshape(len(self.eigenvalues), -1)
+        idx = np.argmax(w, axis=1)
         n, l = np.divmod(idx, self.basis.l_max + 1)
-        return n + 1, l, weights[idx, np.arange(idx.size)]
+        return n + 1, l, w[np.arange(idx.size), idx]
 
 
 def _landau_ladder(l_max: int) -> np.ndarray:
@@ -239,14 +244,13 @@ def _certify(spec: CoupledSpectrum, states: np.ndarray,
     at cut L, each failing state's weight on rungs L-4..L-3 against L-1..L
     gives its tail decay, extrapolated to the rung where the edge weight
     passes, plus 2. The cap without a decaying tail."""
-    nb, landau = spec.basis.n_max, spec.basis.l_max
-    c = spec.eigenvectors[:, states].reshape(nb, landau + 1, -1)
-    rungs = (c ** 2).sum(axis=0)
-    edge = rungs[-2:].sum(axis=0)
+    landau = spec.basis.l_max
+    rungs = spec.weights[states].sum(axis=1)
+    edge = rungs[:, -2:].sum(axis=1)
     worst = float(edge.max())
     if worst <= _EDGE_WEIGHT_LIMIT or landau == cap:
         return worst, None
-    far = rungs[-5:-3].sum(axis=0)
+    far = rungs[:, -5:-3].sum(axis=1)
     failing = edge > _EDGE_WEIGHT_LIMIT
     edge, far = edge[failing], far[failing]
     if landau < 4 or not np.all(far > edge):
@@ -342,9 +346,9 @@ def _track_pair(
     or (None, next cut) at the first step where one of the two branches
     fails _certify."""
     spec = blocks.solve(cfg_template.replace(b_z=float(values[0])), landau)
-    tracked = [spec.eigenvectors[:, spec.locate(*label)].copy()
-               for label in pair]
-    if np.allclose(tracked[0], tracked[1]):
+    starts = [spec.locate(*label) for label in pair]
+    tracked = [spec.eigenvectors[:, k].copy() for k in starts]
+    if starts[0] == starts[1]:
         raise BranchTrackingLost(
             f"branches of {pair} start on the same eigenstate; "
             "widen b_z_range or reduce b_y"

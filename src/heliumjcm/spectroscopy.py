@@ -123,7 +123,6 @@ class _Lines(NamedTuple):
 
     initial_states: np.ndarray  # eigenstate index of (1,l), l = 0..l_cut
     initial_l: np.ndarray       # Landau index of the initial label (1, l)
-    initial_index: np.ndarray   # eigenstate index of the initial state
     final_index: np.ndarray
     final_n: np.ndarray         # dominant product label of the final state
     final_l: np.ndarray
@@ -150,10 +149,9 @@ def _catalog(
         raise ValueError(
             f"{n_init} thermal labels but the basis stops at "
             f"l_max = {spec.basis.l_max}")
-    # the flat index of (1,l) is l
-    starts = np.argmax(spec.eigenvectors[:n_init] ** 2, axis=1)
+    starts = np.argmax(spec.weights[:, 0, :n_init], axis=0)
     no_int, no_float = np.empty(0, dtype=int), np.empty(0)
-    parts = [(no_int, no_int, no_int, no_float, no_float)]
+    parts = [(no_int, no_int, no_float, no_float)]
     for l0 in range(n_init):
         k_init = int(starts[l0])
         freqs = (spec.eigenvalues - spec.eigenvalues[k_init]) / GHZ
@@ -164,15 +162,14 @@ def _catalog(
         moments = spec.moments(vs.z_matrix, k_init)[ks]
         # float_power squares through libm pow, as a float's ** does;
         # np.square rounds differently in about one value in a thousand
-        parts.append((np.full(ks.size, l0), np.full(ks.size, k_init), ks,
-                      freqs[ks], np.float_power(moments, 2)))
-    initial_l, initial_index, final_index, freqs, moment_sq = map(
-        np.concatenate, zip(*parts))
+        parts.append((np.full(ks.size, l0), ks, freqs[ks],
+                      np.float_power(moments, 2)))
+    initial_l, final_index, freqs, moment_sq = map(np.concatenate,
+                                                   zip(*parts))
     dominant_n, dominant_l, _ = spec.dominant_labels()
     return _Lines(
         initial_states=starts,
         initial_l=initial_l,
-        initial_index=initial_index,
         final_index=final_index,
         final_n=dominant_n[final_index],
         final_l=dominant_l[final_index],
@@ -288,15 +285,14 @@ def _deposit(
     """
     if not lines.final_index.size:
         return 0.0
-    nb, lb = spec.basis.n_max, spec.basis.l_max
-    weights_n = (spec.eigenvectors.T.reshape(-1, nb, lb + 1) ** 2).sum(axis=2)
-    zbar = weights_n @ np.diag(vs.z_matrix)[:nb]    # m, per eigenstate
+    zbar = (spec.weights.sum(axis=2)                 # m, per eigenstate
+            @ np.diag(vs.z_matrix)[:spec.basis.n_max])
 
     detuning = (lines.frequency_ghz - mw_frequency_ghz) / width_ghz
     near = np.abs(detuning) <= _DEPOSIT_WINDOW
     slope = np.abs(ELEMENTARY_CHARGE
                    * (zbar[lines.final_index[near]]
-                      - zbar[lines.initial_index[near]])
+                      - zbar[lines.initial_states[lines.initial_l[near]]])
                    * V_PER_CM) / GHZ          # GHz per V/cm
     area = lines.weight[near] * lines.moment_sq[near]
     total = 0.0

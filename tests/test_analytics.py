@@ -211,6 +211,23 @@ def test_interference_moment_identity(vs20):
     assert abs(im.upper_moment) < abs(im.lower_moment)
 
 
+def test_interference_moments_doublet_is_two_states(vs20):
+    # at b_z = 1.16 T, b_y = 0.3 T both (2,1) and (3,0) locate state 5: the
+    # (3,0) partner is the strongest on |3,0> other than the (2,1) state
+    basis = ProductBasis(6, 50)
+    cfg = FieldConfiguration.from_v_cm(20.0, 1.16, 0.3)
+    blocks = HamiltonianBlocks(vs20, basis)
+    spec = blocks.solve(cfg)
+    k1 = spec.locate(2, 1)
+    assert k1 == spec.locate(3, 0) == 5
+    weights_30 = spec.eigenvectors[basis.index(3, 0), :] ** 2
+    weights_30[k1] = -1.0
+    k2 = int(np.argmax(weights_30))
+    upper, lower = sorted((k1, k2), key=lambda k: -spec.eigenvalues[k])
+    im = interference_moments(blocks, cfg)
+    assert (im.upper_index, im.lower_index) == (upper, lower) == (6, 5)
+
+
 def test_cancellation_field_closed_form(he3):
     b = doublet_cancellation_field(he3, 1.18, 3.91 * he3.bohr_radius, 0.5)
     l_b = math.sqrt(HBAR / (QE * 1.18))

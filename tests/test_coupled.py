@@ -21,8 +21,10 @@ from heliumjcm import (
     diagonalize,
     find_crossing,
     minimum_gap,
+    solve_vertical,
+    thermal_populations,
 )
-from heliumjcm import coupled
+from heliumjcm import coupled, spectroscopy
 from heliumjcm.vertical import _single_threaded_blas
 
 GHZ = 1e9 * PLANCK
@@ -31,13 +33,10 @@ GHZ = 1e9 * PLANCK
 def test_basis_indexing():
     basis = ProductBasis(n_max=3, l_max=4)
     assert basis.size == 15
-    for k in range(basis.size):
-        n, l = basis.label(k)
-        assert basis.index(n, l) == k
+    assert [basis.index(n, l) for n in range(1, 4)
+            for l in range(5)] == list(range(basis.size))
     with pytest.raises(IndexError):
         basis.index(4, 0)
-    with pytest.raises(IndexError):
-        basis.label(15)
     with pytest.raises(ValueError):
         ProductBasis(0, 4)
 
@@ -170,6 +169,43 @@ def test_locate_and_dominant(vs15):
     n, l, w = spec.dominant(k)
     assert (n, l) == (2, 1)
     assert w > 0.9
+
+
+def test_locate_range_guard_and_weights(vs15):
+    # weights is read-only, the squared eigenvector components in
+    # (state, n - 1, l) order; locate refuses labels outside the basis,
+    # where weights[:, n - 1, l] would wrap a negative index
+    cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.2)
+    spec = HamiltonianBlocks(vs15, ProductBasis(4, 8)).solve(cfg)
+    for n, l in ((0, 0), (5, 0), (1, -1), (1, 9)):
+        with pytest.raises(IndexError):
+            spec.locate(n, l)
+    weights = spec.weights
+    assert not weights.flags.writeable
+    assert weights.shape == (36, 4, 9)
+    want = spec.eigenvectors.T.reshape(-1, 4, 9) ** 2
+    assert weights.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def fig6_blocks(he3):
+    # fig6 regime: 29 V/cm, capped at l_max = 50
+    return HamiltonianBlocks(solve_vertical(he3, 2900.0), ProductBasis(6, 50))
+
+
+@pytest.mark.parametrize("b_y, next_cut", [
+    (0.0, None), (0.1, 20), (0.3, 25), (0.45, 34), (0.6, 50)])
+def test_certify_on_catalog_states(fig6_blocks, b_y, next_cut):
+    # the thermal initial states and every in-band final state on the cut
+    # l <= 17: the edge weight is their largest weight on rungs 16 and 17
+    cfg = FieldConfiguration.from_v_cm(29.0, 0.584, b_y, temperature=0.33)
+    spec = fig6_blocks.solve(cfg, 17)
+    pops = thermal_populations(cfg, spectroscopy._auto_l_cut(cfg, 50))
+    lines = spectroscopy._catalog(spec, fig6_blocks.vs, pops, (60.0, 120.0))
+    states = np.union1d(lines.initial_states, lines.final_index)
+    c = spec.eigenvectors[:, states].reshape(6, 18, -1)
+    want_edge = float(((c ** 2).sum(axis=0))[-2:].sum(axis=0).max())
+    assert coupled._certify(spec, states, 50) == (want_edge, next_cut)
 
 
 def test_find_crossing_oracle(vs15):
@@ -309,6 +345,16 @@ def test_minimum_gap_tracking_loss_is_the_full_ladders(vs15):
         minimum_gap(blocks, cfg, ((3, 0), (2, 1)), (0.5, 2.0), n_steps=4)
     assert str(lost.value) == (
         "overlap 0.479 below 0.5 at b_z = 1.0000 T; refine the sweep")
+
+
+def test_minimum_gap_refuses_pair_on_one_eigenstate(vs20):
+    # at 20 V/cm, b_z = 1.16 T, b_y = 0.3 T both (2,1) and (3,0) locate
+    # eigenstate 5, on the first cut and at the cap
+    blocks = HamiltonianBlocks(vs20, ProductBasis(6, 50))
+    cfg = FieldConfiguration.from_v_cm(20.0, 1.16, 0.3)
+    with _single_threaded_blas, pytest.raises(BranchTrackingLost,
+                                              match="same eigenstate"):
+        minimum_gap(blocks, cfg, ((2, 1), (3, 0)), (1.16, 1.2), n_steps=5)
 
 
 def test_minimum_gap_loss_below_cap_moves_to_cap(vs15, monkeypatch):
