@@ -12,14 +12,14 @@
 # more with THREADS=1 and OPENBLAS_NUM_THREADS=2, and that output is
 # compared with its first, so a broken BLAS thread pin or a dependence on
 # --threads fails even when <rev> has the same fault. Last it prints the
-# source line count, wc -l of src/heliumjcm/*.py, and the figure-run peak
-# RSS, the largest resident set of any process regenerate_figures.sh ran
-# (getrusage RUSAGE_CHILDREN ru_maxrss), of <rev> and of the checkout;
-# neither changes the exit status. The temporary
-# directory is removed on exit. Exits 0 if every CSV and JSON is
-# byte-identical, 1 on any difference, and with the status of a failing
-# run otherwise; an extra config that exits 3 (a numerical failure, which
-# still writes its artifacts) is compared like the others.
+# source line count, wc -l of src/heliumjcm/*.py, and the peak RSS of each
+# config's run (getrusage RUSAGE_CHILDREN ru_maxrss, taken by a python3
+# wrapper put first on PATH), of <rev> and of the checkout; neither
+# changes the exit status. The temporary directory is removed on exit.
+# Exits 0 if every CSV and JSON is byte-identical, 1 on any difference,
+# and with the status of a failing run otherwise; an extra config that
+# exits 3 (a numerical failure, which still writes its artifacts) is
+# compared like the others.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -38,25 +38,34 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/tree"
 git -C "$here" archive "$rev" | tar -x -C "$tmp/tree"
 
-# peak <file> <command ...>: run the command and write to <file> the
-# largest resident set, in MB, of any process it waited for
-peak() {
-    python3 -c 'import resource, subprocess, sys
+# peak.py <log> <command ...>: run the command and append to <log> its
+# config and the largest resident set, in MB, of any process it waited for
+python="$(command -v python3)"
+mkdir "$tmp/bin"
+cat >"$tmp/bin/peak.py" <<'PY'
+import os, resource, subprocess, sys
 status = subprocess.call(sys.argv[2:])
 rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-with open(sys.argv[1], "w") as fh:
-    fh.write("%.1f MB\n" % rss)
-sys.exit(status)' "$@"
-}
+if "--config" in sys.argv:
+    cfg = sys.argv[sys.argv.index("--config") + 1]
+    with open(sys.argv[1], "a") as fh:
+        fh.write("%s %.1f\n" % (os.path.basename(cfg), rss))
+sys.exit(status)
+PY
+PATH="$tmp/bin:$PATH"
 
 # run <tree> <out> [extra.cfg ...]: every artifact of <tree> into <out>,
-# and the figure run's peak RSS into <out>.rss
+# and each config's peak RSS into <out>.rss, through a python3 first on
+# PATH that runs the real one under peak.py
 run() {
     tree="$1"
     out="$2"
     shift 2
     echo "== $out: $tree (THREADS=$THREADS)"
-    peak "$out.rss" "$tree/scripts/regenerate_figures.sh" "$out"
+    printf '#!/bin/sh\nexec "%s" "%s" "%s" "%s" "$@"\n' "$python" \
+        "$tmp/bin/peak.py" "$out.rss" "$python" >"$tmp/bin/python3"
+    chmod +x "$tmp/bin/python3"
+    "$tree/scripts/regenerate_figures.sh" "$out"
     for cfg in "$@"; do
         echo "== $cfg"
         task=$(sed -n 's/^task *= *//p' "$cfg")
@@ -92,6 +101,8 @@ fi
 lines() { cat "$1"/src/heliumjcm/*.py | wc -l; }
 echo "source lines (src/heliumjcm/*.py): $(lines "$tmp/tree") at $rev," \
     "$(lines "$here") in the checkout"
-echo "figure-run peak RSS: $(cat "$tmp/base.rss") at $rev," \
-    "$(cat "$tmp/change.rss") in the checkout"
+echo "peak RSS per config: $rev -> checkout"
+awk 'NR == FNR { base[$1] = $2; next }
+     { printf "  %-14s %6s -> %6s MB\n", $1, base[$1], $2 }' \
+    "$tmp/base.rss" "$tmp/change.rss"
 exit "$status"

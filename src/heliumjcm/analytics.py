@@ -312,7 +312,7 @@ def interference_moments(
     spec = blocks.solve(cfg)
     ground = spec.locate(1, 0)
     k1 = spec.locate(2, 1)
-    masked = spec.weights[:, 2, 0].copy()
+    masked = spec.weights(n=3, l=0).copy()
     masked[k1] = -1.0
     k2 = int(np.argmax(masked))
     if spec.eigenvalues[k1] >= spec.eigenvalues[k2]:

@@ -27,6 +27,7 @@ from . import __version__
 from .analytics import full_transition_shift_ghz, transition_shift_ghz
 from .config import RunConfig, load_run_config
 from .coupled import (
+    CoupledSpectrum,
     HamiltonianBlocks,
     ProductBasis,
     find_crossing,
@@ -57,20 +58,63 @@ OUT_DIR_ENV = "HELIUMJCM_OUT"
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Header and rows, every value printed as %.10g.
 
-    rows is anything np.asarray takes as an (n, len(header)) float table; a
-    row of another width raises ValueError. A float array is printed where
-    it lies, 4,096 rows at a time: only the block being printed is copied.
-    %.10g prints a float as format(v, ".10g") does, an integer below 1e10
-    as str() does, and nan and inf literally; adding 0.0 to each block turns
-    -0.0 into 0.0, which prints as 0.
+    rows is a sized sequence of rows of len(header) numbers each (a list of
+    tuples, a float array, or _SweepRows), read 4,096 rows at a time by
+    slicing: each slice np.asarray takes as a float table, and only that
+    block is held as floats and text. A row of another width raises
+    ValueError. %.10g prints a float as format(v, ".10g") does, an integer
+    below 1e10 as str() does, and nan and inf literally; adding 0.0 to each
+    block turns -0.0 into 0.0, which prints as 0.
     """
-    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     line = ",".join(["%.10g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), 4096):
-            block = table[start:start + 4096] + 0.0
+        for start in range(0, len(rows), 4096):
+            block = np.asarray(rows[start:start + 4096], dtype=float)
+            block = block.reshape(len(block), len(header)) + 0.0
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
+class _SweepRows:
+    """The spectrum-sweep table, filled in place one solved point at a time
+    and held in compact columns: per row the eigenvalue (J) and dominant
+    weight as float64 and the dominant n and l in the basis's narrow label
+    dtype; per point the sweep value, b_y and ground energy. Its length is
+    the row count, and a slice gives those rows as the float table
+    _write_csv prints: sweep_value, b_y, state, energy_ghz, energy_rel_ghz,
+    dominant_n, dominant_l, dominant_weight."""
+
+    def __init__(self, points: int, basis: ProductBasis):
+        self.size = basis.size
+        self.energy = np.empty(points * self.size)
+        self.weight = np.empty(points * self.size)
+        self.n = np.empty(points * self.size, basis.label_dtype)
+        self.l = np.empty(points * self.size, basis.label_dtype)
+        self.point = np.empty((points, 3))   # sweep value, b_y, ground (J)
+        self.points = 0
+
+    def append(self, value: float, b_y: float,
+               spec: CoupledSpectrum) -> None:
+        block = slice(self.points * self.size, (self.points + 1) * self.size)
+        self.energy[block] = spec.eigenvalues
+        self.n[block], self.l[block], self.weight[block] = (
+            spec.dominant_labels())
+        self.point[self.points] = (value, b_y,
+                                   spec.eigenvalues[spec.locate(1, 0)])
+        self.points += 1
+
+    def __len__(self) -> int:
+        return self.points * self.size
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        span = range(len(self))[rows]
+        index = np.arange(span.start, span.stop, span.step)
+        point, state = np.divmod(index, self.size)
+        value, b_y, ground = self.point[point].T
+        energy = self.energy[index]
+        return np.column_stack((value, b_y, state, energy / GHZ,
+                                (energy - ground) / GHZ, self.n[index],
+                                self.l[index], self.weight[index]))
 
 
 def _sidecar(cfg: RunConfig, extra: dict) -> dict:
@@ -156,10 +200,7 @@ def _run_spectrum_sweep(cfg: RunConfig, out_dir: str, threads: int) -> int:
     overlays = cfg.b_y_values if (cfg.sweep_axis == "b_z"
                                   and cfg.b_y_values) else (base.b_y,)
 
-    # one table, a block of basis-size rows per solved point, filled in place
-    size = blocks.basis.size
-    rows = np.empty((len(overlays) * values.size * size, len(header)))
-    filled = 0
+    rows = _SweepRows(len(overlays) * values.size, blocks.basis)
     failures = []
     for b_y in overlays:
         for value in values:
@@ -174,15 +215,9 @@ def _run_spectrum_sweep(cfg: RunConfig, out_dir: str, threads: int) -> int:
                                  "b_y": float(point.b_y),
                                  "error": _error(exc)})
                 continue
-            ground = spec.eigenvalues[spec.locate(1, 0)]
-            n_dom, l_dom, weight = spec.dominant_labels()
-            rows[filled:filled + size] = np.column_stack((
-                np.full(size, value), np.full(size, point.b_y),
-                np.arange(size), spec.eigenvalues / GHZ,
-                (spec.eigenvalues - ground) / GHZ, n_dom, l_dom, weight))
-            filled += size
+            rows.append(value, point.b_y, spec)
 
-    return _emit(cfg, out_dir, "spectrum", header, rows[:filled],
+    return _emit(cfg, out_dir, "spectrum", header, rows,
                  {"sweep_axis": cfg.sweep_axis,
                   "overlay_b_y": list(overlays),
                   "vertical_levels_ghz":

@@ -7,9 +7,10 @@ The Hamiltonian (with the cyclotron zero-point energy already dropped) is
 
 assembled in SI Joules with Kronecker products, flat index
 k = (n - 1) (l_max + 1) + l. The diamagnetic z^2 block is kept as the full
-matrix in n. CoupledSpectrum is the one reader of that layout: its weights
-array, indexed (state, n - 1, l), serves every label lookup, the Landau-cut
-certificate and the line deposit.
+matrix in n. CoupledSpectrum is the one reader of that layout: its weights,
+indexed (state, n - 1, l) and squared for the states or labels a caller
+asks for, serve every label lookup, the Landau-cut certificate and the line
+deposit.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ class ProductBasis:
     def size(self) -> int:
         return self.n_max * (self.l_max + 1)
 
+    @property
+    def label_dtype(self) -> np.dtype:
+        """The narrowest integer dtype that holds every label n and l."""
+        return np.min_scalar_type(max(self.n_max, self.l_max))
+
     def index(self, n: int, l: int) -> int:
         if not (1 <= n <= self.n_max and 0 <= l <= self.l_max):
             raise IndexError(f"state ({n},{l}) outside basis")
@@ -76,26 +82,30 @@ class CoupledSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def weights(self) -> np.ndarray:
+    def weights(self, states=slice(None), n: int | None = None,
+                l=slice(None)) -> np.ndarray:
         """Squared eigenvector components, read-only, indexed
-        (state, n - 1, l). Not cached: an N^2 array held as long as each
-        spectrum fragments the map workers' heap (up to +10% peak RSS)."""
+        (state, n - 1, l): of the selected states, on the label n (every n
+        if None) and the Landau indices l (an int or a slice); an int drops
+        its axis. Only the returned components are squared, and nothing is
+        cached: an N^2 array held as long as each spectrum fragments the
+        map workers' heap (up to +10% peak RSS)."""
         basis = self.basis
-        w = self.eigenvectors.T.reshape(-1, basis.n_max, basis.l_max + 1) ** 2
+        w = self.eigenvectors.T.reshape(-1, basis.n_max, basis.l_max + 1)
+        w = w[:, slice(None) if n is None else n - 1, l][states] ** 2
         w.setflags(write=False)
         return w
 
     def dominant(self, k: int) -> tuple[int, int, float]:
         """(n, l, weight) of the strongest product component of state k."""
-        w = self.weights[k]
+        w = self.weights(k)
         n, l = divmod(int(np.argmax(w)), self.basis.l_max + 1)
         return n + 1, l, float(w[n, l])
 
     def locate(self, n: int, l: int) -> int:
         """Eigenstate index with the largest weight on |n,l>."""
         self.basis.index(n, l)   # IndexError outside the basis
-        return int(np.argmax(self.weights[:, n - 1, l]))
+        return int(np.argmax(self.weights(n=n, l=l)))
 
     def moments(self, z_matrix: np.ndarray, k: int) -> np.ndarray:
         """<k'|z|k> for every eigenstate k', from the vertical z_nn' matrix
@@ -108,7 +118,7 @@ class CoupledSpectrum:
     def dominant_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, l, weight) arrays over every eigenstate: dominant(k) for all k
         at once."""
-        w = self.weights.reshape(len(self.eigenvalues), -1)
+        w = self.weights().reshape(len(self.eigenvalues), -1)
         idx = np.argmax(w, axis=1)
         n, l = np.divmod(idx, self.basis.l_max + 1)
         return n + 1, l, w[np.arange(idx.size), idx]
@@ -245,7 +255,7 @@ def _certify(spec: CoupledSpectrum, states: np.ndarray,
     gives its tail decay, extrapolated to the rung where the edge weight
     passes, plus 2. The cap without a decaying tail."""
     landau = spec.basis.l_max
-    rungs = spec.weights[states].sum(axis=1)
+    rungs = spec.weights(states).sum(axis=1)
     edge = rungs[:, -2:].sum(axis=1)
     worst = float(edge.max())
     if worst <= _EDGE_WEIGHT_LIMIT or landau == cap:

@@ -149,7 +149,7 @@ def _catalog(
         raise ValueError(
             f"{n_init} thermal labels but the basis stops at "
             f"l_max = {spec.basis.l_max}")
-    starts = np.argmax(spec.weights[:, 0, :n_init], axis=0)
+    starts = np.argmax(spec.weights(n=1, l=slice(n_init)), axis=0)
     no_int, no_float = np.empty(0, dtype=int), np.empty(0)
     parts = [(no_int, no_int, no_float, no_float)]
     for l0 in range(n_init):
@@ -285,7 +285,7 @@ def _deposit(
     """
     if not lines.final_index.size:
         return 0.0
-    zbar = (spec.weights.sum(axis=2)                 # m, per eigenstate
+    zbar = (spec.weights().sum(axis=2)               # m, per eigenstate
             @ np.diag(vs.z_matrix)[:spec.basis.n_max])
 
     detuning = (lines.frequency_ghz - mw_frequency_ghz) / width_ghz
@@ -364,8 +364,9 @@ def absorption_map(
     landau_cut = np.full(shape, -1)
     edge_weight = np.full(shape, np.nan)
     clamped = np.zeros(shape, dtype=bool)
-    # each pixel's traced lines as five arrays (initial l, final n, final l,
-    # frequency, area), and its error; None where unset
+    # each pixel's traced lines as five arrays (initial l, final n, final l
+    # in the basis's narrow label dtype, frequency, area), and its error;
+    # None where unset
     traced = np.empty(shape, dtype=object)
     errors = np.empty(shape, dtype=object)
 
@@ -403,9 +404,10 @@ def absorption_map(
         edge_weight[i, j] = edge
         # the automatic thermal cut wanted more rungs than the cap has
         clamped[i, j] = l_cut is None and _auto_l_cut(cfg, cap + 1) > cap
-        traced[i, j] = (lines.initial_l[keep], lines.final_n[keep],
-                        lines.final_l[keep], lines.frequency_ghz[keep],
-                        area[keep])
+        traced[i, j] = (*(labels[keep].astype(basis.label_dtype)
+                          for labels in (lines.initial_l, lines.final_n,
+                                         lines.final_l)),
+                        lines.frequency_ghz[keep], area[keep])
 
     def run_column(j: int):
         e_perp = float(e_grid[j] * V_PER_CM)

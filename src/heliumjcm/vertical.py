@@ -9,11 +9,12 @@ extrapolated from the full and half resolution grids; wavefunctions and
 matrix elements come from the fine grid, whose O(dz^2) error is far inside
 every tolerance used downstream.
 
-The lowest states of each grid come from LAPACK's bisection dstebz (range
-"I", order "B", abstol 0) and inverse iteration dstein, the pair that
-scipy.linalg.eigh_tridiagonal(select="i") runs. They are called through
-ctypes on the ILP64 symbols of the OpenBLAS numpy already loads, so a solve
-imports no scipy. Where no loaded library exports them (a numpy built on
+The lowest states of the fine grid come from LAPACK's bisection dstebz
+(range "I", order "B", abstol 0) and inverse iteration dstein, the pair that
+scipy.linalg.eigh_tridiagonal(select="i") runs; the half-resolution grid
+gives eigenvalues only, so it stops after dstebz, as eigh_tridiagonal does
+with eigvals_only. They are called through ctypes on the ILP64 symbols of
+the OpenBLAS numpy already loads, so a solve imports no scipy. Where no loaded library exports them (a numpy built on
 MKL or Accelerate, or no /proc), eigh_tridiagonal itself is the fallback;
 both paths give the same bits.
 
@@ -230,17 +231,19 @@ def _check_info(info: int, routine: str, positive: str) -> None:
             f"{routine} (eigh_tridiagonal) {positive % info}")
 
 
-def _lowest_eigenpairs(diag: np.ndarray, off: np.ndarray, k: int):
+def _lowest_eigenpairs(diag: np.ndarray, off: np.ndarray, k: int,
+                       eigvals_only: bool = False):
     """The k lowest eigenvalues (ascending) and eigenvectors (columns) of the
-    symmetric tridiagonal matrix (diag, off): what
-    eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-    returns, bit for bit."""
+    symmetric tridiagonal matrix (diag, off), or with eigvals_only the
+    eigenvalues alone: what eigh_tridiagonal(diag, off, eigvals_only,
+    select="i", select_range=(0, k - 1)) returns, bit for bit. The
+    eigenvalues alone stop after dstebz, as scipy does."""
     routines = _lapack_tridiagonal()
     if routines is None:
         from scipy.linalg import eigh_tridiagonal   # scipy is slow to import
 
-        return eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, k - 1))
+        return eigh_tridiagonal(diag, off, eigvals_only=eigvals_only,
+                                select="i", select_range=(0, k - 1))
     stebz, stein = routines
     diag = np.ascontiguousarray(diag, dtype=float)
     off = np.ascontiguousarray(off, dtype=float)
@@ -260,14 +263,17 @@ def _lowest_eigenpairs(diag: np.ndarray, off: np.ndarray, k: int):
     w, work = np.zeros(n), np.zeros(5 * n)
     iblock, isplit = np.zeros(n, np.int64), np.zeros(n, np.int64)
     iwork = np.zeros(3 * n, np.int64)
-    # RANGE, ORDER, N, VL, VU (unused for range "I"), IL, IU, ABSTOL, ...
-    stebz(b"I", b"B", ref(n), ref(0.0, ctypes.c_double),
-          ref(1.0, ctypes.c_double), ref(1), ref(k),
-          ref(0.0, ctypes.c_double),
+    # RANGE, ORDER, N, VL, VU (unused for range "I"), IL, IU, ABSTOL, ...;
+    # order "B" for dstein, "E" (ascending) for the eigenvalues alone
+    stebz(b"I", b"E" if eigvals_only else b"B", ref(n),
+          ref(0.0, ctypes.c_double), ref(1.0, ctypes.c_double), ref(1),
+          ref(k), ref(0.0, ctypes.c_double),
           *(a.ctypes.data for a in (diag, off, m, nsplit, w, iblock, isplit,
                                     work, iwork, info)), 1, 1)
     _check_info(int(info[0]), "stebz", "did not converge (LAPACK info=%d)")
     w = w[:m[0]]
+    if eigvals_only:
+        return w
     vecs = np.zeros((n, w.size), order="F")
     ifail = np.zeros(w.size, np.int64)
     stein(ref(n), diag.ctypes.data, off.ctypes.data, ref(w.size),
@@ -279,21 +285,26 @@ def _lowest_eigenpairs(diag: np.ndarray, off: np.ndarray, k: int):
     return w[order], vecs[:, order]
 
 
-def _solve_reduced(f: float, z_max: float, n_points: int, n_max: int):
+def _solve_reduced(f: float, z_max: float, n_points: int, n_max: int,
+                   eigvals_only: bool = False):
     """Finite-difference eigenpairs of the reduced Hamiltonian.
 
     Returns (zeta, dz, eigenvalues, psi) with psi of shape (n_max, n_points)
     normalized to unit L2 norm in the reduced length and positive near the
     wall; that sign convention fixes all matrix-element phases repo-wide.
+    With eigvals_only psi is None and no eigenvector is computed.
     """
     dz = z_max / (n_points + 1)
     zeta = dz * np.arange(1, n_points + 1)
     diag = 2.0 / dz**2 - 2.0 / zeta + f * zeta
     off = np.full(n_points - 1, -1.0 / dz**2)
     try:
-        vals, vecs = _lowest_eigenpairs(diag, off, n_max)
+        found = _lowest_eigenpairs(diag, off, n_max, eigvals_only)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
+    if eigvals_only:
+        return zeta, dz, found, None
+    vals, vecs = found
     psi = (vecs / math.sqrt(dz)).T
     psi = psi * np.sign(psi[:, 0])[:, None]
     return zeta, dz, vals, psi
@@ -318,7 +329,8 @@ def solve_vertical(
     f = mat.stark_parameter(e_perp)
 
     zeta, dz, vals_fine, psi = _solve_reduced(f, grid.z_max, grid.n_points, n_max)
-    _, dz_c, vals_coarse, _ = _solve_reduced(f, grid.z_max, grid.n_points // 2, n_max)
+    _, dz_c, vals_coarse, _ = _solve_reduced(
+        f, grid.z_max, grid.n_points // 2, n_max, eigvals_only=True)
 
     # Two-grid Richardson step: the FD eigenvalue error is C dz^2 + O(dz^4).
     ratio_sq = (dz_c / dz) ** 2

@@ -172,19 +172,41 @@ def test_locate_and_dominant(vs15):
 
 
 def test_locate_range_guard_and_weights(vs15):
-    # weights is read-only, the squared eigenvector components in
+    # weights() is read-only, the squared eigenvector components in
     # (state, n - 1, l) order; locate refuses labels outside the basis,
-    # where weights[:, n - 1, l] would wrap a negative index
+    # where weights(n=n, l=l) would wrap a negative index
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.2)
     spec = HamiltonianBlocks(vs15, ProductBasis(4, 8)).solve(cfg)
     for n, l in ((0, 0), (5, 0), (1, -1), (1, 9)):
         with pytest.raises(IndexError):
             spec.locate(n, l)
-    weights = spec.weights
+    weights = spec.weights()
     assert not weights.flags.writeable
     assert weights.shape == (36, 4, 9)
     want = spec.eigenvectors.T.reshape(-1, 4, 9) ** 2
     assert weights.tobytes() == want.tobytes()
+
+
+def test_weights_of_a_selection_are_the_full_array_sliced(vs15):
+    # a state selection or a label squares only what it returns, and gives
+    # the full array's values; a sum over a selection keeps its bits
+    cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.2)
+    spec = HamiltonianBlocks(vs15, ProductBasis(4, 8)).solve(cfg)
+    full = spec.weights()
+    states = np.array([0, 3, 17, 35])
+    for got, want in (
+            (spec.weights(states), full[states]),
+            (spec.weights(5), full[5]),
+            (spec.weights(slice(2, 9)), full[2:9]),
+            (spec.weights(n=2, l=1), full[:, 1, 1]),
+            (spec.weights(n=1, l=slice(5)), full[:, 0, :5]),
+            (spec.weights(states, n=4, l=8), full[states, 3, 8]),
+            (spec.weights(l=slice(3, 6)), full[:, :, 3:6])):
+        assert not got.flags.writeable
+        assert got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert (spec.weights(states).sum(axis=1).tobytes()
+            == full[states].sum(axis=1).tobytes())
 
 
 @pytest.fixture(scope="module")

@@ -199,3 +199,25 @@ def test_lapack_solve_leaves_no_reference_cycles(he3):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("f", [0.0, 0.05, 0.3])
+def test_eigenvalues_alone_match_scipy(f):
+    # the coarse Richardson grid stops after dstebz: its eigenvalues equal
+    # eigh_tridiagonal(eigvals_only=True) and those of the full solve
+    from scipy.linalg import eigh_tridiagonal
+
+    if vertical._lapack_tridiagonal() is None:
+        pytest.skip("numpy's BLAS exports no dstebz/dstein")
+    n_points, z_max = 2000, 150.0
+    dz = z_max / (n_points + 1)
+    zeta = dz * np.arange(1, n_points + 1)
+    diag = 2.0 / dz**2 - 2.0 / zeta + f * zeta
+    off = np.full(n_points - 1, -1.0 / dz**2)
+    for k in (1, 6, 12):
+        alone = vertical._lowest_eigenpairs(diag, off, k, eigvals_only=True)
+        want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(0, k - 1))
+        assert alone.tobytes() == want.tobytes()
+        vals, _ = vertical._lowest_eigenpairs(diag, off, k)
+        assert alone.tobytes() == vals.tobytes()
