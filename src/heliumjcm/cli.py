@@ -5,9 +5,12 @@ Usage: heliumjcm <task> --config <path> [--out <dir>] [--threads N]
 Artifacts are CSV (every value printed as %.10g, LF line endings, so
 identical inputs and version give identical bytes) plus a JSON sidecar that
 echoes everything needed to rerun: resolved config, physical constants,
-material calibration, and any per-point failures. Every computing task runs
-with OpenBLAS pinned to one thread, so the bytes do not depend on the BLAS
-thread setting of the environment either.
+material calibration, and any per-point failures. An absorption map also
+writes its line-center traces to <prefix>_lines.csv (sweep value, E_perp,
+initial l, final n, final l, area; the initial n is always 1), and its
+sidecar's line_centers names that file and its row count. Every computing
+task runs with OpenBLAS pinned to one thread, so the bytes do not depend on
+the BLAS thread setting of the environment either.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (artifacts still written, failures listed in the sidecar), 4 self-test
@@ -59,7 +62,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     """Header and rows, every value printed as %.10g.
 
     rows is a sized sequence of rows of len(header) numbers each (a list of
-    tuples, a float array, or _SweepRows), read 4,096 rows at a time by
+    tuples, a float array, or _SweepRows), read 1,024 rows at a time by
     slicing: each slice np.asarray takes as a float table, and only that
     block is held as floats and text. A row of another width raises
     ValueError. %.10g prints a float as format(v, ".10g") does, an integer
@@ -69,8 +72,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     line = ",".join(["%.10g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), 4096):
-            block = np.asarray(rows[start:start + 4096], dtype=float)
+        for start in range(0, len(rows), 1024):
+            block = np.asarray(rows[start:start + 1024], dtype=float)
             block = block.reshape(len(block), len(header)) + 0.0
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
@@ -303,6 +306,10 @@ def _run_absorption_map(cfg: RunConfig, out_dir: str, threads: int) -> int:
         threads=threads,
     )
 
+    lines_path = _artifact(cfg, out_dir, "lines.csv")
+    _write_csv(lines_path, [cfg.map_sweep_axis, "e_perp_v_cm", "initial_l",
+                            "final_n", "final_l", "area"],
+               np.column_stack(amap.lines))
     sweep_col, e_col = np.meshgrid(amap.sweep_values, amap.e_perp_v_cm,
                                    indexing="ij")
     rows = np.column_stack((sweep_col.ravel(), e_col.ravel(),
@@ -311,7 +318,8 @@ def _run_absorption_map(cfg: RunConfig, out_dir: str, threads: int) -> int:
                  [cfg.map_sweep_axis, "e_perp_v_cm", "intensity"], rows,
                  {"mw_frequency_ghz": amap.mw_frequency_ghz,
                   "sweep_axis": amap.sweep_name,
-                  "line_centers": amap.lines,
+                  "line_centers": {"file": os.path.basename(lines_path),
+                                   "rows": len(amap.lines.area)},
                   "basis": amap.basis_report()},
                  [{"i": i, "j": j, "error": msg}
                   for i, j, msg in amap.failures])

@@ -34,7 +34,7 @@ from .materials import (
     cyclotron_frequency,
     derived_frequencies,
 )
-from .vertical import VerticalSpectrum
+from .vertical import VerticalSpectrum, _eigh_in_place
 
 # minimum_gap loses a branch when successive eigenvectors overlap less than
 # this
@@ -202,8 +202,11 @@ class HamiltonianBlocks:
 
     def solve(self, cfg: FieldConfiguration,
               l_max: int | None = None) -> CoupledSpectrum:
-        """Spectrum at cfg on the Landau cut l <= l_max (the cap if None)."""
-        return diagonalize(self.hamiltonian(cfg, l_max), self._cut(l_max))
+        """Spectrum at cfg on the Landau cut l <= l_max (the cap if None).
+        The matrix is assembled for this solve alone, so the dense solver
+        overwrites it instead of working on a copy."""
+        return diagonalize(self.hamiltonian(cfg, l_max), self._cut(l_max),
+                           overwrite=True)
 
 
 def assemble_hamiltonian(
@@ -215,12 +218,19 @@ def assemble_hamiltonian(
     return HamiltonianBlocks(vs, basis).hamiltonian(cfg)
 
 
-def diagonalize(h: np.ndarray, basis: ProductBasis) -> CoupledSpectrum:
-    """Eigendecomposition of h. A diagonal h whose entries are all distinct
+def diagonalize(h: np.ndarray, basis: ProductBasis,
+                overwrite: bool = False) -> CoupledSpectrum:
+    """Eigendecomposition of h, bit for bit np.linalg.eigh's (which reads
+    the lower triangle). A diagonal h whose entries are all distinct
     (every b_y = 0 Hamiltonian at b_z > 0) is read off without eigh: its
     diagonal sorted and the matching unit vectors, which are eigh's result
     bit for bit. A diagonal with ties goes to eigh, whose order among equal
-    entries is its own."""
+    entries is its own.
+
+    h is left as it was, unless overwrite is set: then h must be an exactly
+    symmetric C-ordered array, and the dense solver runs in its buffer and
+    leaves it holding the eigenvectors, transposed. The eigenvectors
+    returned are C-ordered in either case."""
     if h.shape != (basis.size, basis.size):
         raise BasisMismatch(
             f"matrix shape {h.shape} does not match basis size {basis.size}"
@@ -235,11 +245,14 @@ def diagonalize(h: np.ndarray, basis: ProductBasis) -> CoupledSpectrum:
         vecs = np.zeros_like(h)
         vecs[order, np.arange(d.size)] = 1.0
     else:
+        # h.T of a C-ordered symmetric h is h, in Fortran order
+        a = h.T if overwrite else np.array(h, order="F")
         try:
-            vals, vecs = np.linalg.eigh(h)
+            vals, vecs = _eigh_in_place(a)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(
                 f"dense eigensolver failed: {exc}") from exc
+        vecs = np.ascontiguousarray(vecs)
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return CoupledSpectrum(basis=basis, eigenvalues=vals, eigenvectors=vecs)

@@ -12,6 +12,7 @@ tests pin.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -208,6 +209,55 @@ def transition_catalog(
     ]
 
 
+class LineCenters(NamedTuple):
+    """Line-center traces of a map as parallel arrays, one entry per place
+    where the line of a label (1, initial_l) -> (final_n, final_l) crosses
+    the drive along E_perp: by sweep row, then by label in the order the
+    labels first appear along E_perp, then by E_perp. The center is
+    interpolated linearly between two neighbouring points of the label,
+    and area is that of the lower one."""
+
+    sweep_value: np.ndarray
+    e_perp_v_cm: np.ndarray
+    initial_l: np.ndarray       # the labels in the basis's label dtype
+    final_n: np.ndarray
+    final_l: np.ndarray
+    area: np.ndarray
+
+
+def _line_centers(pixels, e_grid: np.ndarray, mw_frequency_ghz: float,
+                  area_floor: float) -> tuple[np.ndarray, ...]:
+    """The line centers of one sweep row as (e_perp, initial l, final n,
+    final l, area) arrays. pixels holds each E_perp column's traced lines
+    as five arrays: initial l, final n, final l, frequency and area.
+
+    The lines at or above area_floor are grouped by label, ranked by first
+    appearance, and ordered within a label by (E_perp, frequency, area).
+    Each pair of neighbours whose detunings from the drive change sign, or
+    whose first sits on the drive, gives one center."""
+    l0, n_f, l_f, freq, area = map(np.concatenate, zip(*pixels))
+    e = np.repeat(e_grid, [pixel[4].size for pixel in pixels])
+    keep = area >= area_floor
+    l0, n_f, l_f, freq, area, e = (column[keep] for column in
+                                   (l0, n_f, l_f, freq, area, e))
+    if not area.size:
+        return e, l0, n_f, l_f, area
+    base = int(max(l0.max(), n_f.max(), l_f.max())) + 1
+    key = (l0.astype(np.int64) * base + n_f) * base + l_f
+    _, first, label = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))[label]
+    order = np.lexsort((area, freq, e, rank))
+    rank, detuning = rank[order], freq[order] - mw_frequency_ghz
+    d0, d1 = detuning[:-1], detuning[1:]
+    cross = np.nonzero((rank[:-1] == rank[1:])
+                       & ((d0 == 0.0) | (d0 * d1 < 0.0)))[0]
+    d0, d1 = d0[cross], d1[cross]
+    frac = np.divide(d0, d0 - d1, out=np.zeros(cross.size), where=d0 != 0.0)
+    at, e = order[cross], e[order]
+    return (e[cross] + frac * (e[cross + 1] - e[cross]),
+            l0[at], n_f[at], l_f[at], area[at])
+
+
 @dataclass(frozen=True)
 class AbsorptionMap:
     """Simulated absorption over (swept field) x (tuning field).
@@ -220,7 +270,7 @@ class AbsorptionMap:
     sweep_values: np.ndarray
     e_perp_v_cm: np.ndarray
     intensity: np.ndarray
-    lines: list[dict] = field(repr=False)
+    lines: LineCenters = field(repr=False)
     config: FieldConfiguration | None = None
     mw_frequency_ghz: float = 0.0
     failures: list[tuple[int, int, str]] = field(default_factory=list)
@@ -332,12 +382,14 @@ def absorption_map(
     is counted in basis_report(). No pixel starts from another's cut, so
     the cuts do not depend on the grid order or on threads.
 
-    threads is the number of worker threads; each takes whole columns and
-    writes their pixels into the map's arrays, and up to one per core
-    helps. For the whole call, and process-wide, every loaded OpenBLAS runs
-    on one thread (the previous count is restored on return), so the result
-    is bit-identical for any threads value and any BLAS thread setting of
-    the environment.
+    threads is the number of threads that run columns: the calling thread
+    and threads - 1 helpers (no more than the columns need) each take the
+    next column from one shared iterator and write its pixels into the
+    map's arrays. threads=1 starts no thread, and up to one thread per
+    core helps. For the whole call, and process-wide, every loaded OpenBLAS
+    runs on one thread (the previous count is restored on return), so the
+    result is bit-identical for any threads value and any BLAS thread
+    setting of the environment.
     """
     if sweep_name not in ("b_y", "b_z"):
         raise ValueError(
@@ -365,9 +417,11 @@ def absorption_map(
     edge_weight = np.full(shape, np.nan)
     clamped = np.zeros(shape, dtype=bool)
     # each pixel's traced lines as five arrays (initial l, final n, final l
-    # in the basis's narrow label dtype, frequency, area), and its error;
-    # None where unset
+    # in the basis's narrow label dtype, frequency, area), none where it
+    # failed; and its error, None where unset
     traced = np.empty(shape, dtype=object)
+    traced.fill((*(np.empty(0, basis.label_dtype) for _ in range(3)),
+                 np.empty(0), np.empty(0)))
     errors = np.empty(shape, dtype=object)
 
     def run_pixel(blocks: HamiltonianBlocks, i: int, j: int):
@@ -420,10 +474,23 @@ def absorption_map(
         for i in range(sweep_values.size):
             run_pixel(blocks, i, j)
 
-    # consuming the results re-raises a worker's unexpected exception here
-    with _single_threaded_blas, ThreadPoolExecutor(
-            max_workers=min(threads, e_grid.size)) as pool:
-        list(pool.map(run_column, range(e_grid.size)))
+    columns = iter(range(e_grid.size))
+    next_column = threading.Lock()
+
+    def run_columns():
+        while True:
+            with next_column:
+                j = next(columns, None)
+            if j is None:
+                return
+            run_column(j)
+
+    helpers = min(threads, e_grid.size) - 1
+    with _single_threaded_blas, ThreadPoolExecutor(max(helpers, 1)) as pool:
+        futures = [pool.submit(run_columns) for _ in range(helpers)]
+        run_columns()
+        for future in futures:   # re-raises a helper's unexpected exception
+            future.result()
     failures = [(i, j, f"{type(exc).__name__}: {exc}")
                 for (i, j), exc in np.ndenumerate(errors) if exc is not None]
 
@@ -431,34 +498,14 @@ def absorption_map(
     # labeled line crosses the drive frequency. Lines carrying under 1e-6 of
     # the strongest area are invisible on any map and are dropped here.
     area_floor = 1e-6 * max((pixel[4].max() for pixel in traced.flat
-                             if pixel is not None and pixel[4].size),
-                            default=0.0)
-    traces: list[dict] = []
+                             if pixel[4].size), default=0.0)
+    rows = []
     for i in range(sweep_values.size):
-        by_label: dict[tuple, list[tuple[float, float, float]]] = {}
-        for j in range(e_grid.size):
-            if traced[i, j] is None:
-                continue
-            # one pixel's lines as Python numbers, dropped after the pixel
-            for l0, n_f, l_f, freq, area in zip(
-                    *(column.tolist() for column in traced[i, j])):
-                if area < area_floor:
-                    continue
-                by_label.setdefault(((1, l0), (n_f, l_f)), []).append(
-                    (float(e_grid[j]), freq, area))
-        for (init_l, final_l), points in by_label.items():
-            points.sort()
-            for (e0, f0, a0), (e1, f1, _) in zip(points, points[1:]):
-                d0, d1 = f0 - mw_frequency_ghz, f1 - mw_frequency_ghz
-                if d0 == 0.0 or d0 * d1 < 0.0:
-                    frac = 0.0 if d0 == 0.0 else d0 / (d0 - d1)
-                    traces.append({
-                        "sweep_value": float(sweep_values[i]),
-                        "e_perp_v_cm": e0 + frac * (e1 - e0),
-                        "initial": list(init_l),
-                        "final": list(final_l),
-                        "area": a0,
-                    })
+        centers = _line_centers(traced[i], e_grid, mw_frequency_ghz,
+                                area_floor)
+        traced[i] = None   # the row's pixel arrays are done with
+        rows.append((np.full(centers[0].size, sweep_values[i]), *centers))
+    lines = LineCenters(*map(np.concatenate, zip(*rows)))
 
     peak = np.nanmax(intensity) if np.isfinite(intensity).any() else np.nan
     if peak and np.isfinite(peak) and peak > 0.0:
@@ -472,7 +519,7 @@ def absorption_map(
         sweep_values=sweep_values,
         e_perp_v_cm=e_grid,
         intensity=intensity,
-        lines=traces,
+        lines=lines,
         config=base_cfg,
         mw_frequency_ghz=mw_frequency_ghz,
         failures=failures,

@@ -14,12 +14,17 @@ The lowest states of the fine grid come from LAPACK's bisection dstebz
 scipy.linalg.eigh_tridiagonal(select="i") runs; the half-resolution grid
 gives eigenvalues only, so it stops after dstebz, as eigh_tridiagonal does
 with eigvals_only. They are called through ctypes on the ILP64 symbols of
-the OpenBLAS numpy already loads, so a solve imports no scipy. Where no loaded library exports them (a numpy built on
-MKL or Accelerate, or no /proc), eigh_tridiagonal itself is the fallback;
-both paths give the same bits.
+the OpenBLAS numpy already loads, so a solve imports no scipy. Where no
+loaded library exports them (a numpy built on MKL or Accelerate, or no
+/proc), eigh_tridiagonal itself is the fallback; both paths give the same
+bits.
 
-This is the one module that talks to OpenBLAS: it also holds the
-process-wide one-thread pin that every command-line task runs under.
+This is the one module that talks to OpenBLAS. It also binds dsyevd, the
+dense symmetric solver np.linalg.eigh calls, with the same "V", "L" call
+and workspace query, so coupled.diagonalize can solve a Hamiltonian in its
+own buffer instead of in numpy's copy (np.linalg.eigh is the fallback,
+with the same bits); and it holds the process-wide one-thread pin that
+every command-line task runs under.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ _ROOT_TOL_V_CM = 1e-3
 # dstebz and dstein as numpy's bundled OpenBLAS exports them, with 64-bit
 # integers.
 _STEBZ, _STEIN = "scipy_dstebz_64_", "scipy_dstein_64_"
+_SYEVD = "scipy_dsyevd_64_"
 
 
 @dataclass(frozen=True)
@@ -164,6 +170,19 @@ def _lapack_tridiagonal():
     return None
 
 
+@functools.cache
+def _lapack_syevd():
+    """dsyevd from a loaded OpenBLAS, or None where no loaded library
+    exports it; _eigh_in_place then falls back to np.linalg.eigh."""
+    for (syevd,) in _openblas_functions([(_SYEVD,)]):
+        # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO, and
+        # the hidden lengths of the two CHARACTER*1 arguments
+        syevd.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t] * 2
+        syevd.restype = None
+        return syevd
+    return None
+
+
 def _openblas_thread_controls() -> list[tuple]:
     """(get, set) thread-count functions of every OpenBLAS mapped into this
     process; empty where none is loaded or /proc is unavailable.
@@ -231,6 +250,13 @@ def _check_info(info: int, routine: str, positive: str) -> None:
             f"{routine} (eigh_tridiagonal) {positive % info}")
 
 
+# Every LAPACK argument goes by reference: scalars through byref, arrays by
+# address (an array's .ctypes would sit in a reference cycle and keep the
+# array alive until the cyclic collector runs).
+def _ref(value, ctype=ctypes.c_int64):
+    return ctypes.byref(ctype(value))
+
+
 def _lowest_eigenpairs(diag: np.ndarray, off: np.ndarray, k: int,
                        eigvals_only: bool = False):
     """The k lowest eigenvalues (ascending) and eigenvectors (columns) of the
@@ -253,21 +279,15 @@ def _lowest_eigenpairs(diag: np.ndarray, off: np.ndarray, k: int,
     if not 1 <= k <= n:
         raise ValueError("select_range out of bounds")
 
-    # Every argument goes by reference: scalars through byref, arrays by
-    # address (an array's .ctypes would sit in a reference cycle and keep
-    # the array alive until the cyclic collector runs).
-    def ref(value, ctype=ctypes.c_int64):
-        return ctypes.byref(ctype(value))
-
     m, nsplit, info = (np.zeros(1, np.int64) for _ in range(3))
     w, work = np.zeros(n), np.zeros(5 * n)
     iblock, isplit = np.zeros(n, np.int64), np.zeros(n, np.int64)
     iwork = np.zeros(3 * n, np.int64)
     # RANGE, ORDER, N, VL, VU (unused for range "I"), IL, IU, ABSTOL, ...;
     # order "B" for dstein, "E" (ascending) for the eigenvalues alone
-    stebz(b"I", b"E" if eigvals_only else b"B", ref(n),
-          ref(0.0, ctypes.c_double), ref(1.0, ctypes.c_double), ref(1),
-          ref(k), ref(0.0, ctypes.c_double),
+    stebz(b"I", b"E" if eigvals_only else b"B", _ref(n),
+          _ref(0.0, ctypes.c_double), _ref(1.0, ctypes.c_double), _ref(1),
+          _ref(k), _ref(0.0, ctypes.c_double),
           *(a.ctypes.data for a in (diag, off, m, nsplit, w, iblock, isplit,
                                     work, iwork, info)), 1, 1)
     _check_info(int(info[0]), "stebz", "did not converge (LAPACK info=%d)")
@@ -276,13 +296,50 @@ def _lowest_eigenpairs(diag: np.ndarray, off: np.ndarray, k: int,
         return w
     vecs = np.zeros((n, w.size), order="F")
     ifail = np.zeros(w.size, np.int64)
-    stein(ref(n), diag.ctypes.data, off.ctypes.data, ref(w.size),
-          *(a.ctypes.data for a in (w, iblock, isplit, vecs)), ref(n),
+    stein(_ref(n), diag.ctypes.data, off.ctypes.data, _ref(w.size),
+          *(a.ctypes.data for a in (w, iblock, isplit, vecs)), _ref(n),
           *(a.ctypes.data for a in (work, iwork, ifail, info)))
     _check_info(int(info[0]), "stein", "%d eigenvectors failed to converge")
     # dstebz order "B" groups the eigenvalues by split block
     order = np.argsort(w)
     return w[order], vecs[:, order]
+
+
+def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors (columns) of the symmetric
+    matrix a, a writable Fortran-ordered float64 square whose lower
+    triangle is read: what np.linalg.eigh(a) returns, bit for bit.
+
+    dsyevd runs in a's own buffer, after the workspace query numpy makes,
+    and leaves the eigenvectors there, so a is returned as them; a solve
+    holds a and the workspace (about 2 N^2 doubles) where np.linalg.eigh
+    holds a, its copy of a, the workspace and its output. Where no loaded
+    library exports dsyevd, np.linalg.eigh(a) is returned and a is left as
+    it was."""
+    syevd = _lapack_syevd()
+    if syevd is None:
+        return np.linalg.eigh(a)
+    if not (a.dtype == np.float64 and a.ndim == 2
+            and a.shape[0] == a.shape[1] and a.flags.f_contiguous
+            and a.flags.writeable):
+        raise ValueError("need a writable Fortran-ordered float64 square")
+    n = a.shape[0]
+    w, info = np.empty(n), np.zeros(1, np.int64)
+
+    def call(work, iwork, lwork, liwork):
+        syevd(b"V", b"L", _ref(n), a.ctypes.data, _ref(max(n, 1)),
+              w.ctypes.data, work.ctypes.data, _ref(lwork),
+              iwork.ctypes.data, _ref(liwork), info.ctypes.data, 1, 1)
+
+    work, iwork = np.zeros(1), np.zeros(1, np.int64)
+    call(work, iwork, -1, -1)   # the sizes, in work[0] and iwork[0]
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), np.int64)
+    call(work, iwork, work.size, iwork.size)
+    if info[0] < 0:
+        raise ValueError(f"illegal value in argument {-info[0]} of dsyevd")
+    if info[0] > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w, a
 
 
 def _solve_reduced(f: float, z_max: float, n_points: int, n_max: int,

@@ -678,10 +678,9 @@ def test_absorption_map_bytes_independent_of_threads_and_blas(tmp_path):
             _run_python(["-m", "heliumjcm.cli", "absorption-map",
                          "--config", path, "--out", str(out_dir),
                          "--threads", threads], blas)
-            blobs[(threads, blas)] = (
-                (out_dir / "t_map.csv").read_bytes(),
-                (out_dir / "t_map.json").read_bytes(),
-            )
+            blobs[(threads, blas)] = tuple(
+                (out_dir / name).read_bytes()
+                for name in ("t_map.csv", "t_map.json", "t_lines.csv"))
     first = blobs[("1", None)]
     assert len(first[0].decode().splitlines()) == 1 + 3 * 4
     for key, blob in blobs.items():
@@ -772,10 +771,9 @@ def test_absorption_map_thread_independent(tmp_path):
         out_dir = tmp_path / sub
         assert cli.main(["absorption-map", "--config", path,
                          "--out", str(out_dir), "--threads", threads]) == 0
-        blobs.append((
-            (out_dir / "t_map.csv").read_bytes(),
-            (out_dir / "t_map.json").read_bytes(),
-        ))
+        blobs.append(tuple(
+            (out_dir / name).read_bytes()
+            for name in ("t_map.csv", "t_map.json", "t_lines.csv")))
     assert blobs[0] == blobs[1]
     lines = blobs[0][0].decode().splitlines()
     assert lines[0] == "b_y,e_perp_v_cm,intensity"
@@ -896,9 +894,10 @@ def test_write_csv_matches_per_value_fmt(tmp_path):
 
 def test_write_csv_copies_one_block_at_a_time(tmp_path, traced_memory):
     # A 3.2 MB table. Normalising a copy of the whole table took the peak to
-    # 1.54 tables; one 4,096-row block at a time it is 0.62 (the block, its
-    # values as Python floats, and their text). The bound is one table,
-    # which any whole copy reaches alone.
+    # 1.54 tables; one 4,096-row block at a time 0.62 (the block, its values
+    # as Python floats, and their text), and one 1,024-row block at a time
+    # it is 0.16. The bound is one table, which any whole copy reaches
+    # alone.
     table = np.random.default_rng(0).standard_normal((50_000, 8))
     table[-1, 0] = -0.0               # in the last block
     path = tmp_path / "t.csv"
@@ -960,7 +959,7 @@ def test_write_csv_prints_a_sized_row_sequence_by_slices(tmp_path):
     cli._write_csv(str(got), header, rows)
     assert got.read_bytes() == want.read_bytes()
     assert sum(rows.slices) == len(table)
-    assert max(rows.slices) <= 4096
+    assert max(rows.slices) <= 1024
 
     rows = _Rows([tuple(row) for row in table.tolist()])
     rows.table[5000] = rows.table[5000][:4]   # one short row, in block 2
@@ -974,7 +973,8 @@ def test_spectrum_sweep_holds_compact_rows(tmp_path, traced_memory):
     # The config of test_spectrum_sweep_holds_one_table, peak in units of
     # its 64 B-a-row float table. Held as that table the peak was 2.02;
     # held as compact columns (18 B a row) and expanded one 4,096-row slice
-    # at a time it is 1.31. The bound sits between the two.
+    # at a time 1.28, and one 1,024-row slice at a time it is 0.62. The
+    # bound sits between the first two.
     text = (SMALL_SWEEP_CFG.replace("n_max = 4\nl_max = 6",
                                     "n_max = 3\nl_max = 10")
             .replace("steps = 3\nb_y_values = 0.0, 0.1",
@@ -1039,6 +1039,15 @@ def test_absorption_map_csv_cells_are_the_library_map(tmp_path):
     want = [",".join(map(_cell, (s, e, amap.intensity[i, j])))
             for i, s in enumerate(sweep) for j, e in enumerate(e_grid)]
     assert _data_lines(out_dir / "t_map.csv") == want
+    # the line-center traces, one CSV row per center, labels as integers
+    lines = (out_dir / "t_lines.csv").read_text().splitlines()
+    assert lines[0] == "b_y,e_perp_v_cm,initial_l,final_n,final_l,area"
+    want = [",".join(map(_cell, (s, e, int(l0), int(n_f), int(l_f), area)))
+            for s, e, l0, n_f, l_f, area in zip(*amap.lines)]
+    assert want and lines[1:] == want
+    sidecar = json.loads((out_dir / "t_map.json").read_text())
+    assert sidecar["line_centers"] == {"file": "t_lines.csv",
+                                       "rows": len(want)}
 
 
 # e_perp = 0 with n_max = 8 on the default grid passes validate, and the one

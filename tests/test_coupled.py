@@ -271,6 +271,26 @@ def _eigh_bytes(h):
     return vals.tobytes(), vecs.tobytes()
 
 
+def test_diagonalize_overwrites_h_only_when_asked(vs15):
+    # HamiltonianBlocks.solve lets the dense solve overwrite the matrix it
+    # assembled; any other caller's h is left as it was. Both give
+    # np.linalg.eigh's bytes, with C-ordered eigenvectors.
+    blocks = HamiltonianBlocks(vs15, ProductBasis(6, 50))
+    cfg = FieldConfiguration.from_v_cm(15.0, 0.8, 0.3)
+    h = blocks.hamiltonian(cfg)
+    kept = h.copy()
+    with _single_threaded_blas:
+        want = _eigh_bytes(h)
+        spectra = [diagonalize(h, blocks.basis)]
+        assert h.tobytes() == kept.tobytes()
+        spectra.append(blocks.solve(cfg))
+        spectra.append(diagonalize(h, blocks.basis, overwrite=True))
+    for spec in spectra:
+        assert spec.eigenvectors.flags.c_contiguous
+        assert (spec.eigenvalues.tobytes(),
+                spec.eigenvectors.tobytes()) == want
+
+
 def test_diagonal_hamiltonian_solved_without_eigh(vs15, monkeypatch):
     # b_y = 0 matrices of the fig3 sweep have distinct diagonal entries: the
     # shortcut gives eigh's eigenvalues and eigenvectors byte for byte. The

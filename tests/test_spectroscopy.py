@@ -179,21 +179,21 @@ def test_map_sum_rule(small_map):
     # the kappa factor makes each line integrate over E_perp to its
     # weighted squared moment, so a row integral equals the summed areas
     # of the lines that cross the drive inside the window
-    e = small_map.e_perp_v_cm
+    e, lines = small_map.e_perp_v_cm, small_map.lines
     for i, b_y in enumerate(small_map.sweep_values):
         raw = small_map.intensity[i] * small_map.peak_raw
         integral = np.trapezoid(raw, e)
-        crossing = sum(t["area"] for t in small_map.lines
-                       if t["sweep_value"] == b_y)
+        crossing = sum(lines.area[lines.sweep_value == b_y].tolist())
         assert integral == pytest.approx(crossing, rel=0.01)
 
 
 def test_map_line_trace_round_trip(he3, small_map):
     # re-solving at a traced center must put the line back on the drive
     # to well within the linewidth
-    tr = next(t for t in small_map.lines
-              if t["sweep_value"] == 0.08 and t["final"] == [2, 0])
-    e_perp = tr["e_perp_v_cm"]
+    lines = small_map.lines
+    [at, *_] = np.nonzero((lines.sweep_value == 0.08) & (lines.initial_l == 0)
+                          & (lines.final_n == 2) & (lines.final_l == 0))[0]
+    e_perp = float(lines.e_perp_v_cm[at])
     vs = solve_vertical(he3, e_perp * 100.0)
     cfg = FieldConfiguration.from_v_cm(e_perp, 0.584, 0.08, 0.33)
     spec = HamiltonianBlocks(vs, MAP_BASIS).solve(cfg)
@@ -220,9 +220,37 @@ def test_map_threads_deterministic(he3):
         e_perp_values_v_cm=np.array([28.0, 29.0, 29.5, 30.0]),
         mw_frequency_ghz=90.0, basis=ProductBasis(4, 10), l_cut=5)
     serial = absorption_map(he3, base, "b_y", threads=1, **kwargs)
-    pooled = absorption_map(he3, base, "b_y", threads=4, **kwargs)
-    assert np.array_equal(serial.intensity, pooled.intensity)
-    assert serial.lines == pooled.lines
+    assert serial.lines.area.size
+    for threads in (2, 4):
+        pooled = absorption_map(he3, base, "b_y", threads=threads, **kwargs)
+        assert np.array_equal(serial.intensity, pooled.intensity,
+                              equal_nan=True)
+        for want, got in zip(serial.lines, pooled.lines):
+            assert want.dtype == got.dtype
+            assert np.array_equal(want, got)
+
+
+def test_single_threaded_map_starts_no_thread(he3, monkeypatch):
+    # the calling thread runs columns too, so threads = N starts N - 1
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    base = FieldConfiguration.from_v_cm(15.0, 0.584, temperature=0.33)
+    kwargs = dict(sweep_values=np.array([0.05]),
+                  e_perp_values_v_cm=np.array([28.0, 29.0, 30.0]),
+                  mw_frequency_ghz=90.0, basis=ProductBasis(4, 10), l_cut=5)
+    absorption_map(he3, base, "b_y", threads=1, **kwargs)
+    assert not started
+    absorption_map(he3, base, "b_y", threads=2, **kwargs)
+    assert len(started) == 1
+    # no more helpers than there are columns to share
+    absorption_map(he3, base, "b_y", threads=8, **kwargs)
+    assert len(started) == 3
 
 
 @dataclass(frozen=True)
@@ -565,20 +593,20 @@ def test_map_builds_one_pair_of_blocks_per_column(he3, monkeypatch):
 
 def test_every_map_solve_goes_through_diagonalize(he3, monkeypatch):
     calls = {"diagonalize": 0, "eigh": 0, "b_y = 0": 0}
-    diagonalize, eigh = coupled.diagonalize, np.linalg.eigh
+    diagonalize, eigh = coupled.diagonalize, coupled._eigh_in_place
 
-    def counted_diagonalize(h, basis):
+    def counted_diagonalize(h, basis, **kwargs):
         calls["diagonalize"] += 1
         calls["b_y = 0"] += (np.count_nonzero(h)
                              == np.count_nonzero(np.diagonal(h)))
-        return diagonalize(h, basis)
+        return diagonalize(h, basis, **kwargs)
 
     def counted_eigh(*args, **kwargs):
         calls["eigh"] += 1
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(coupled, "diagonalize", counted_diagonalize)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(coupled, "_eigh_in_place", counted_eigh)
     base = FieldConfiguration.from_v_cm(29.0, 0.584, temperature=0.33)
     amap = absorption_map(he3, base, "b_y", np.array([0.0, 0.6]),
                           np.array([28.0, 30.0]), 90.0,
@@ -592,10 +620,13 @@ def test_every_map_solve_goes_through_diagonalize(he3, monkeypatch):
 
 def test_absorption_map_keeps_traced_lines_as_arrays(he3, traced_memory):
     # At b_z = 0.05-0.1 T and 0.37 K the thermal cut reaches the 41-rung
-    # cap, so each of the 16 pixels traces several hundred lines. Kept as a
-    # tuple of Python numbers per line until the traces were built, they
-    # took the call's peak to 2.64 times the map it returns; as five arrays
-    # per pixel it is 1.68. The bound sits about 0.45 from each.
+    # cap, so each of the 16 pixels traces several hundred lines. The
+    # reference is the map as it was returned with its 2,359 traces as a
+    # list of dicts, one per center. With each pixel's lines kept as a
+    # tuple of Python numbers per line and the traces built as dicts, the
+    # call's peak was 2.64 references; with five arrays per pixel, 1.40;
+    # with the traces built as columns one sweep row at a time, it is 1.00.
+    # The bound is 2.2, as it was against the map that held the dicts.
     base = FieldConfiguration.from_v_cm(0.0, 0.2, b_y=0.2, temperature=0.37)
 
     def run(sweep, e_perp):
@@ -607,5 +638,104 @@ def test_absorption_map_keeps_traced_lines_as_arrays(he3, traced_memory):
     amap, held, peak = traced_memory(
         lambda: run(np.linspace(0.05, 0.1, 8), np.array([2.0, 58.0])))
     assert not amap.failures
-    assert len(amap.lines) > 1000
-    assert peak < 2.2 * held
+    assert amap.lines.area.size > 1000
+    columns = sum(column.nbytes for column in amap.lines)
+    _, dicts, _ = traced_memory(lambda: _line_dicts(amap.lines))
+    assert peak < 2.2 * (held - columns + dicts)
+
+
+def _line_dicts(lines) -> list[dict]:
+    """Line centers as the map once returned them: one dict per center."""
+    return [{"sweep_value": s, "e_perp_v_cm": e, "initial": [1, l0],
+             "final": [n_f, l_f], "area": area}
+            for s, e, l0, n_f, l_f, area in zip(
+                *(column.tolist() for column in lines))]
+
+
+def _reference_centers(pixels, e_grid, mw_frequency_ghz, area_floor):
+    """The line centers of one sweep row as the map built them with a dict
+    of lists per label: (e_perp, initial l, final n, final l, area) tuples
+    in the order of spectroscopy._line_centers."""
+    by_label = {}
+    for j, pixel in enumerate(pixels):
+        for l0, n_f, l_f, freq, area in zip(
+                *(column.tolist() for column in pixel)):
+            if area < area_floor:
+                continue
+            by_label.setdefault(((1, l0), (n_f, l_f)), []).append(
+                (float(e_grid[j]), freq, area))
+    centers = []
+    for ((_, l0), (n_f, l_f)), points in by_label.items():
+        points.sort()
+        for (e0, f0, a0), (e1, f1, _) in zip(points, points[1:]):
+            d0, d1 = f0 - mw_frequency_ghz, f1 - mw_frequency_ghz
+            if d0 == 0.0 or d0 * d1 < 0.0:
+                frac = 0.0 if d0 == 0.0 else d0 / (d0 - d1)
+                centers.append((e0 + frac * (e1 - e0), l0, n_f, l_f, a0))
+    return centers
+
+
+def _pixel(*lines):
+    """One pixel's traced lines from (l0, n_f, l_f, frequency, area)
+    tuples, as the map keeps them."""
+    columns = list(zip(*lines)) or [()] * 5
+    return (*(np.array(c, dtype=np.uint8) for c in columns[:3]),
+            *(np.array(c, dtype=float) for c in columns[3:]))
+
+
+def _as_tuples(centers) -> list[tuple]:
+    return list(zip(*(column.tolist() for column in centers)))
+
+
+def test_line_centers_match_the_dict_reference():
+    # label (0, 2, 0) has two final states in pixel 0, on either side of
+    # the drive, and sits on the drive in pixel 1; label (3, 1, 3) appears
+    # first and is missing from pixel 1, a middle column; label (1, 3, 1)
+    # keeps one point above the floor, so it has no pair; pixel 3 failed
+    e_grid = np.array([10.0, 10.5, 11.25, 12.0])
+    pixels = [
+        _pixel((3, 1, 3, 95.0, 1e-3), (0, 2, 0, 89.0, 2e-3),
+               (0, 2, 0, 91.5, 5e-4), (1, 3, 1, 88.0, 1e-9)),
+        _pixel((0, 2, 0, 90.0, 1e-3), (1, 3, 1, 91.0, 3e-3)),
+        _pixel((0, 2, 0, 89.5, 1e-3), (3, 1, 3, 85.0, 4e-3),
+               (0, 2, 0, 92.0, 0.0), (1, 3, 1, 89.0, 1e-9)),
+        _pixel(),
+    ]
+    e_perp, l0, n_f, l_f, area = spectroscopy._line_centers(
+        pixels, e_grid, 90.0, 1e-6)
+    want = _reference_centers(pixels, e_grid, 90.0, 1e-6)
+    assert repr(_as_tuples((e_perp, l0, n_f, l_f, area))) == repr(want)
+    assert want == [(10.625, 3, 1, 3, 1e-3), (10.0, 0, 2, 0, 2e-3),
+                    (10.5, 0, 2, 0, 1e-3)]
+    assert l0.dtype == n_f.dtype == l_f.dtype == np.uint8
+    empty = spectroscopy._line_centers([_pixel()], e_grid[:1], 90.0, 0.0)
+    assert [c.size for c in empty] == [0] * 5
+
+
+def test_map_line_centers_match_the_dict_reference(he3, monkeypatch):
+    # the traces of a low-field map, row by row, are the reference's bit
+    # for bit and in order
+    rows = []
+    line_centers = spectroscopy._line_centers
+
+    def recorded(pixels, *args):
+        centers = line_centers(pixels, *args)
+        rows.append((list(pixels), args, centers))
+        return centers
+
+    monkeypatch.setattr(spectroscopy, "_line_centers", recorded)
+    base = FieldConfiguration.from_v_cm(0.0, 0.2, b_y=0.2, temperature=0.37)
+    amap = absorption_map(he3, base, "b_z", np.linspace(0.05, 0.1, 4),
+                          np.array([2.0, 30.0, 58.0]), 90.0,
+                          basis=ProductBasis(3, 40),
+                          grid=GridSpec(n_points=1000, z_max=120.0))
+    assert len(rows) == 4
+    for pixels, args, centers in rows:
+        want = _reference_centers(pixels, *args)
+        assert want
+        got = _as_tuples(centers)
+        assert repr(got) == repr(want)
+    assert _as_tuples(amap.lines) == [
+        (s, *c) for s, (_, _, centers) in zip(amap.sweep_values.tolist(),
+                                               rows)
+        for c in _as_tuples(centers)]

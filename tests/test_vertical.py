@@ -221,3 +221,39 @@ def test_eigenvalues_alone_match_scipy(f):
         assert alone.tobytes() == want.tobytes()
         vals, _ = vertical._lowest_eigenpairs(diag, off, k)
         assert alone.tobytes() == vals.tobytes()
+
+
+def _symmetric(n, rng):
+    m = rng.standard_normal((n, n))
+    return m + m.T
+
+
+@pytest.mark.parametrize("fallback", [False, True],
+                         ids=["dsyevd", "numpy"])
+def test_dense_solve_in_place_matches_eigh(monkeypatch, fallback):
+    # dsyevd in the caller's buffer gives np.linalg.eigh's bytes at the
+    # sizes the maps solve and on spectra with ties; where no library
+    # exports dsyevd, np.linalg.eigh itself runs and a is left as it was
+    if fallback:
+        monkeypatch.setattr(vertical, "_lapack_syevd", lambda: None)
+    elif vertical._lapack_syevd() is None:
+        pytest.skip("numpy's BLAS exports no dsyevd")
+    rng = np.random.default_rng(3)
+    matrices = [_symmetric(n, rng) for n in (1, 36, 108, 186, 306)]
+    matrices.append(np.kron(np.eye(3), _symmetric(12, rng)))   # triples
+    matrices.append(np.eye(5))
+    with vertical._single_threaded_blas:
+        for h in matrices:
+            want_vals, want_vecs = np.linalg.eigh(h)
+            a = np.array(h, order="F")
+            vals, vecs = vertical._eigh_in_place(a)
+            assert vals.tobytes() == want_vals.tobytes()
+            assert (np.ascontiguousarray(vecs).tobytes()
+                    == want_vecs.tobytes())
+            if fallback:
+                assert a.tobytes() == np.array(h, order="F").tobytes()
+            else:
+                assert vecs is a
+    if not fallback:
+        with pytest.raises(ValueError):
+            vertical._eigh_in_place(np.eye(3))   # C-ordered
