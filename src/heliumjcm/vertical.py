@@ -316,13 +316,13 @@ def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     holds a, its copy of a, the workspace and its output. Where no loaded
     library exports dsyevd, np.linalg.eigh(a) is returned and a is left as
     it was."""
-    syevd = _lapack_syevd()
-    if syevd is None:
-        return np.linalg.eigh(a)
     if not (a.dtype == np.float64 and a.ndim == 2
             and a.shape[0] == a.shape[1] and a.flags.f_contiguous
             and a.flags.writeable):
         raise ValueError("need a writable Fortran-ordered float64 square")
+    syevd = _lapack_syevd()
+    if syevd is None:
+        return np.linalg.eigh(a)
     n = a.shape[0]
     w, info = np.empty(n), np.zeros(1, np.int64)
 

@@ -223,8 +223,7 @@ def test_map_threads_deterministic(he3):
     assert serial.lines.area.size
     for threads in (2, 4):
         pooled = absorption_map(he3, base, "b_y", threads=threads, **kwargs)
-        assert np.array_equal(serial.intensity, pooled.intensity,
-                              equal_nan=True)
+        assert np.array_equal(serial.intensity, pooled.intensity)
         for want, got in zip(serial.lines, pooled.lines):
             assert want.dtype == got.dtype
             assert np.array_equal(want, got)

@@ -254,6 +254,6 @@ def test_dense_solve_in_place_matches_eigh(monkeypatch, fallback):
                 assert a.tobytes() == np.array(h, order="F").tobytes()
             else:
                 assert vecs is a
-    if not fallback:
-        with pytest.raises(ValueError):
-            vertical._eigh_in_place(np.eye(3))   # C-ordered
+    # both paths take the same arrays
+    with pytest.raises(ValueError):
+        vertical._eigh_in_place(_symmetric(3, rng))   # C-ordered
