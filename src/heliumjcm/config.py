@@ -1,10 +1,12 @@
 """Run configuration: INI-style files with one section per concern.
 
 A config names a task's inputs; the task itself comes from the command
-line. Each RunConfig field is the schema row of its key: the field's
-metadata holds the section, the key and the parser, and its default is
-the library's where one exists. Unknown sections or keys are hard errors
-so that typos cannot silently fall back to defaults.
+line. Each RunConfig field is the schema row of its key: its metadata
+holds the section, the key, the parser and the key's own rule, and its
+default is the library's where one exists. validate() reports the values
+that fail their own key's rule first, in schema order, then the rules
+that join keys or depend on the task. Unknown sections or keys are hard
+errors so that typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -52,15 +54,11 @@ def _pair(text: str) -> tuple[int, int]:
     parts = _ints(text)
     if len(parts) != 2:
         raise ValueError(f"expected two integers, got {text!r}")
-    return parts[0], parts[1]
+    return parts
 
 
 def _pairs(text: str) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for chunk in text.split(";"):
-        if chunk.strip():
-            pairs.append(_pair(chunk))
-    return tuple(pairs)
+    return tuple(_pair(chunk) for chunk in text.split(";") if chunk.strip())
 
 
 def _bool(text: str) -> bool:
@@ -72,10 +70,22 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _key(section: str, key: str, parse, default=None):
-    """A RunConfig field set by `key` in [section], parsed from its text."""
-    return field(default=default,
-                 metadata={"section": section, "key": key, "parse": parse})
+def _key(section: str, key: str, parse, default=None, check=None):
+    """A RunConfig field set by `key` in [section], parsed from its text.
+    check is the key's own rule, (test, error text): a set value fails it
+    when test(value) is false, and the text is formatted with the value."""
+    return field(default=default, metadata={
+        "section": section, "key": key, "parse": parse, "check": check})
+
+
+def _at_least(bound, text):
+    return (lambda value: value >= bound, text)
+
+
+_POSITIVE = (lambda value: value > 0.0, "must be positive")
+_NON_NEGATIVE = _at_least(0.0, "must be non-negative")
+_STEPS = _at_least(2, "need at least 2")
+_AXIS = (lambda value: value in ("b_z", "b_y"), "{!r} is not b_z or b_y")
 
 
 @dataclass
@@ -85,50 +95,64 @@ class RunConfig:
 
     task: str = _key("run", "task", str.strip, "")
     isotope: str = _key("material", "isotope", lambda s: s.strip().lower(),
-                        "he3")
+                        "he3", (lambda value: value in ("he3", "he4"),
+                                "{!r} is not he3 or he4"))
     barrier_height_ev: float | None = _key("material", "barrier_height_ev",
-                                           _float)
-    surface_tension: float | None = _key("material", "surface_tension", _float)
-    mass_density: float | None = _key("material", "mass_density", _float)
-    binding_rydberg_mev: float | None = _key("material",
-                                             "binding_rydberg_mev", _float)
+                                           _float, check=_POSITIVE)
+    surface_tension: float | None = _key("material", "surface_tension",
+                                         _float, check=_POSITIVE)
+    mass_density: float | None = _key("material", "mass_density", _float,
+                                      check=_POSITIVE)
+    binding_rydberg_mev: float | None = _key(
+        "material", "binding_rydberg_mev", _float, check=_POSITIVE)
 
-    e_perp_v_cm: float | None = _key("fields", "e_perp_v_cm", _float)
-    b_z: float = _key("fields", "b_z", _float, 0.0)
+    e_perp_v_cm: float | None = _key("fields", "e_perp_v_cm", _float,
+                                     check=_NON_NEGATIVE)
+    b_z: float = _key("fields", "b_z", _float, 0.0, _NON_NEGATIVE)
     b_y: float = _key("fields", "b_y", _float, 0.0)
     temperature: float = _key("fields", "temperature", _float,
-                              FieldConfiguration.temperature)
+                              FieldConfiguration.temperature, _POSITIVE)
 
-    n_max: int = _key("basis", "n_max", int, ProductBasis.n_max)
-    l_max: int = _key("basis", "l_max", int, ProductBasis.l_max)
-    z_max: float = _key("grid", "z_max", _float, GridSpec.z_max)
-    n_points: int = _key("grid", "n_points", int, GridSpec.n_points)
+    n_max: int = _key("basis", "n_max", int, ProductBasis.n_max,
+                      _at_least(2, "need at least two levels"))
+    l_max: int = _key("basis", "l_max", int, ProductBasis.l_max,
+                      _at_least(1, "need at least two rungs"))
+    z_max: float = _key("grid", "z_max", _float, GridSpec.z_max,
+                        (lambda value: value > 10.0,
+                         "box must extend past the bound tails"))
+    n_points: int = _key("grid", "n_points", int, GridSpec.n_points,
+                         _at_least(200, "too coarse to trust"))
 
-    sweep_axis: str = _key("sweep", "axis", str.strip, "b_z")
+    sweep_axis: str = _key("sweep", "axis", str.strip, "b_z", _AXIS)
     sweep_start: float | None = _key("sweep", "start", _float)
     sweep_stop: float | None = _key("sweep", "stop", _float)
-    sweep_steps: int = _key("sweep", "steps", int, 61)
+    sweep_steps: int = _key("sweep", "steps", int, 61, _STEPS)
     b_y_values: tuple[float, ...] = _key("sweep", "b_y_values", _floats, ())
-    l_values: tuple[int, ...] = _key("sweep", "l_values", _ints, (0, 1))
+    l_values: tuple[int, ...] = _key("sweep", "l_values", _ints, (0, 1), (
+        lambda value: all(l >= 0 for l in value),
+        "Landau indices are non-negative"))
 
-    map_sweep_axis: str = _key("map", "sweep_axis", str.strip, "b_y")
+    map_sweep_axis: str = _key("map", "sweep_axis", str.strip, "b_y", _AXIS)
     map_sweep_start: float | None = _key("map", "sweep_start", _float)
     map_sweep_stop: float | None = _key("map", "sweep_stop", _float)
-    map_sweep_steps: int = _key("map", "sweep_steps", int, 31)
+    map_sweep_steps: int = _key("map", "sweep_steps", int, 31, _STEPS)
     map_e_perp_start: float | None = _key("map", "e_perp_start_v_cm", _float)
     map_e_perp_stop: float | None = _key("map", "e_perp_stop_v_cm", _float)
-    map_e_perp_steps: int = _key("map", "e_perp_steps", int, 61)
-    mw_frequency_ghz: float | None = _key("map", "mw_frequency_ghz", _float)
-    band_ghz: float = _key("map", "band_ghz", _float, DEFAULT_BAND_GHZ)
+    map_e_perp_steps: int = _key("map", "e_perp_steps", int, 61, _STEPS)
+    mw_frequency_ghz: float | None = _key("map", "mw_frequency_ghz", _float,
+                                          check=_POSITIVE)
+    band_ghz: float = _key("map", "band_ghz", _float, DEFAULT_BAND_GHZ,
+                           _POSITIVE)
     l_cut: int | None = _key("map", "l_cut", int)
 
     base_width_ghz: float = _key("broadening", "base_width_ghz", _float,
-                                 BroadeningModel.base_width_ghz)
+                                 BroadeningModel.base_width_ghz, _POSITIVE)
     kappa_ghz_cm_per_v: float = _key("broadening", "kappa_ghz_cm_per_v",
                                      _float,
                                      BroadeningModel.kappa_ghz_cm_per_v)
     areal_density_cm2: float = _key("broadening", "areal_density_cm2", _float,
-                                    BroadeningModel.areal_density_cm2)
+                                    BroadeningModel.areal_density_cm2,
+                                    _NON_NEGATIVE)
     fluct_field_coefficient: float = _key(
         "broadening", "fluct_field_coefficient", _float,
         BroadeningModel.fluct_field_coefficient)
@@ -136,7 +160,7 @@ class RunConfig:
                                  BroadeningModel.include_thermal)
 
     rates_pair: tuple[int, int] = _key("rates", "pair", _pair, (2, 1))
-    nu_0: float = _key("rates", "nu_0", _float, 1e6)
+    nu_0: float = _key("rates", "nu_0", _float, 1e6, _NON_NEGATIVE)
     include_occupation: bool = _key("rates", "include_occupation",
                                     _bool, False)
 
@@ -146,7 +170,9 @@ class RunConfig:
     b_z_max: float = _key("crossings", "b_z_max", _float, 5.0)
 
     out_dir: str | None = _key("output", "out_dir", str.strip)
-    prefix: str = _key("output", "prefix", str.strip, "run")
+    prefix: str = _key("output", "prefix", str.strip, "run", (
+        lambda value: not {os.sep, os.altsep} & set(value),
+        "a file-name prefix, not a path; set directories in output.out_dir"))
 
     def material(self) -> MaterialProperties:
         kwargs = {}
@@ -190,7 +216,9 @@ class RunConfig:
         return [(f.name, getattr(self, f.name)) for f in dc_fields(self)]
 
     def validate(self) -> tuple[list[str], list[str]]:
-        """Task-aware consistency check. Returns (errors, warnings)."""
+        """Task-aware consistency check. Returns (errors, warnings): first
+        each set value that fails its own key's rule, in schema order, then
+        the rules that join keys or depend on the task."""
         errors: list[str] = []
         warnings: list[str] = []
 
@@ -199,112 +227,69 @@ class RunConfig:
                           f"expected one of {', '.join(TASKS)}")
             return errors, warnings
 
-        if self.isotope not in ("he3", "he4"):
-            errors.append(f"material.isotope: {self.isotope!r} is not he3 "
-                          "or he4")
-        for key in ("barrier_height_ev", "surface_tension", "mass_density",
-                    "binding_rydberg_mev"):
-            value = getattr(self, key)
-            if value is not None and value <= 0.0:
-                errors.append(f"material.{key}: must be positive")
-        if not errors:
-            # Each material key passed alone, so the material every task
-            # builds can fail only on a binding energy above 13.6 eV / 16,
-            # whose image-charge strength is unphysical.
+        for f in dc_fields(self):
+            value, check = getattr(self, f.name), f.metadata["check"]
+            if check and value is not None and not check[0](value):
+                errors.append(f"{f.metadata['section']}.{f.metadata['key']}: "
+                              + check[1].format(value))
+        if not any(error.startswith("material.") for error in errors):
+            # With each material key inside its own rule, the material can
+            # fail only on an unphysical binding energy (above 13.6 eV / 16).
             try:
                 self.material()
             except ValueError as exc:
                 errors.append(f"material.binding_rydberg_mev: {exc}")
-        if self.temperature <= 0.0:
-            errors.append("fields.temperature: must be positive")
-        if self.b_z < 0.0:
-            errors.append("fields.b_z: must be non-negative")
-        if self.n_max < 2:
-            errors.append("basis.n_max: need at least two levels")
-        if self.l_max < 1:
-            errors.append("basis.l_max: need at least two rungs")
-        if self.n_points < 200:
-            errors.append("grid.n_points: too coarse to trust")
         if 4 * self.n_max > self.n_points:
             errors.append(f"grid.n_points: {self.n_points} points cannot "
                           f"hold {self.n_max} levels; need at least "
                           f"{4 * self.n_max}")
-        if self.z_max <= 10.0:
-            errors.append("grid.z_max: box must extend past the bound tails")
-        if any(sep and sep in self.prefix for sep in (os.sep, os.altsep)):
-            errors.append("output.prefix: a file-name prefix, not a path; "
-                          "set directories in output.out_dir")
 
-        needs_e_perp = self.task in ("spectrum-sweep", "shifts",
-                                     "crossings", "rates")
-        if needs_e_perp and self.e_perp_v_cm is None:
+        if self.task in ("spectrum-sweep", "shifts", "crossings", "rates") \
+                and self.e_perp_v_cm is None:
             errors.append("fields.e_perp_v_cm: required for this task")
-        if self.e_perp_v_cm is not None and self.e_perp_v_cm < 0.0:
-            errors.append("fields.e_perp_v_cm: must be non-negative")
 
         if self.task in ("shifts", "crossings", "absorption-map") \
                 and self.n_max < 3:
             errors.append("basis.n_max: interference between levels needs "
                           "n_max >= 3")
 
+        needs_b_z = "fields.b_z: a b_y sweep needs the quantizing field set"
         if self.task == "spectrum-sweep":
-            self._check_range("sweep_start", "sweep_stop", "sweep_steps",
-                              errors)
-            if self.sweep_axis not in ("b_z", "b_y"):
-                errors.append(f"sweep.axis: {self.sweep_axis!r} is not b_z "
-                              "or b_y")
+            self._check_range("sweep_start", "sweep_stop", errors)
             if self.sweep_axis == "b_z" and self.sweep_start is not None \
                     and self.sweep_start <= 0.0:
                 errors.append("sweep.start: b_z must stay positive")
             if self.sweep_axis == "b_y" and self.b_z <= 0.0:
-                errors.append("fields.b_z: a b_y sweep needs the "
-                              "quantizing field set")
+                errors.append(needs_b_z)
             if self.b_y_values and self.sweep_axis != "b_z":
                 errors.append("sweep.b_y_values: overlays only make sense "
                               "on a b_z sweep")
 
         if self.task == "shifts":
-            self._check_range("sweep_start", "sweep_stop", "sweep_steps",
-                              errors)
+            self._check_range("sweep_start", "sweep_stop", errors)
             if self.sweep_axis != "b_y":
                 errors.append("sweep.axis: shifts sweep b_y")
             if self.b_z <= 0.0:
-                errors.append("fields.b_z: a b_y sweep needs the "
-                              "quantizing field set")
-            if any(l < 0 for l in self.l_values):
-                errors.append("sweep.l_values: Landau indices are "
-                              "non-negative")
+                errors.append(needs_b_z)
+            if not self.l_values:
+                errors.append("sweep.l_values: at least one Landau index")
             if any(l > self.l_max for l in self.l_values):
                 errors.append("sweep.l_values: Landau indices must not "
                               "exceed basis.l_max")
 
         if self.task == "absorption-map":
-            if self.map_sweep_axis not in ("b_z", "b_y"):
-                errors.append(f"map.sweep_axis: {self.map_sweep_axis!r} is "
-                              "not b_z or b_y")
-            self._check_range("map_sweep_start", "map_sweep_stop",
-                              "map_sweep_steps", errors)
-            self._check_range("map_e_perp_start", "map_e_perp_stop",
-                              "map_e_perp_steps", errors, non_negative=True)
+            self._check_range("map_sweep_start", "map_sweep_stop", errors)
+            self._check_range("map_e_perp_start", "map_e_perp_stop", errors,
+                              non_negative=True)
             if self.mw_frequency_ghz is None:
                 errors.append("map.mw_frequency_ghz: required")
-            elif self.mw_frequency_ghz <= 0.0:
-                errors.append("map.mw_frequency_ghz: must be positive")
             if self.map_sweep_axis == "b_y" and self.b_z <= 0.0:
-                errors.append("fields.b_z: a b_y sweep needs the "
-                              "quantizing field set")
+                errors.append(needs_b_z)
             if self.map_sweep_axis == "b_z" and self.map_sweep_start is \
                     not None and self.map_sweep_start <= 0.0:
                 errors.append("map.sweep_start: b_z must stay positive")
-            if not self.band_ghz > 0.0:
-                errors.append("map.band_ghz: must be positive")
             if self.l_cut is not None and not 0 <= self.l_cut <= self.l_max:
                 errors.append("map.l_cut: need 0 <= l_cut <= basis.l_max")
-            if not self.base_width_ghz > 0.0:
-                errors.append("broadening.base_width_ghz: must be positive")
-            if self.areal_density_cm2 < 0.0:
-                errors.append("broadening.areal_density_cm2: must be "
-                              "non-negative")
 
         if self.task == "crossings":
             if not self.crossing_pairs:
@@ -316,15 +301,12 @@ class RunConfig:
                     errors.append(f"crossings.pairs: pair {pair} exceeds "
                                   "basis.n_max")
             if not 0.0 < self.b_z_min < self.b_z_max:
-                errors.append("crossings.b_z_min/b_z_max: need "
-                              "0 < min < max")
+                errors.append("crossings.b_z_min/b_z_max: need 0 < min < max")
 
         if self.task == "rates":
             if self.b_z <= 0.0:
                 errors.append("fields.b_z: rates need the quantizing "
                               "field set")
-            if self.nu_0 < 0.0:
-                errors.append("rates.nu_0: must be non-negative")
             pair = self.rates_pair
             if min(pair) < 1 or pair[0] == pair[1] or max(pair) > self.n_max:
                 errors.append(f"rates.pair: bad pair {pair}")
@@ -371,13 +353,12 @@ class RunConfig:
         return tuple(key for key in swept
                      if key in ("e_perp_v_cm", "b_z", "b_y"))
 
-    def _check_range(self, start, stop, steps, errors, non_negative=False):
-        """Check a sweep given the names of its start, stop and steps
-        fields, with both ends >= 0 if non_negative; the errors name the
-        keys as the schema spells them."""
+    def _check_range(self, start, stop, errors, non_negative=False):
+        """Check a sweep given the names of its start and stop fields, with
+        both ends >= 0 if non_negative; the errors name the keys as the
+        schema spells them."""
         keys = {attr: (section, key) for section, key, attr, _ in _KEYS}
-        (section, start_key), (_, stop_key), (_, steps_key) = (
-            keys[start], keys[stop], keys[steps])
+        (section, start_key), (_, stop_key) = keys[start], keys[stop]
         span = f"{section}.{start_key}/{stop_key}"
         lo, hi = getattr(self, start), getattr(self, stop)
         if lo is None or hi is None:
@@ -387,8 +368,6 @@ class RunConfig:
             errors.append(f"{span}: need start < stop")
         if non_negative and min(lo, hi) < 0.0:
             errors.append(f"{span}: must be non-negative")
-        if getattr(self, steps) < 2:
-            errors.append(f"{section}.{steps_key}: need at least 2")
 
 
 # (section, key, RunConfig field, parser) of every key, read from the

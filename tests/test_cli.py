@@ -32,6 +32,7 @@ from heliumjcm.spectroscopy import BroadeningModel, absorption_map
 from heliumjcm.vertical import GridSpec, _single_threaded_blas
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH = CONFIG_DIR.parent / "perfbench"
 
 SHIFTS_CFG = """
 [run]
@@ -200,6 +201,26 @@ def test_committed_configs_validate(capsys):
         assert out.startswith("ok:")
 
 
+def test_committed_and_benchmark_configs_validate(tmp_path, capsys,
+                                                  monkeypatch):
+    # a stricter key rule must not break a benchmark child unnoticed
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    paths = sorted(CONFIG_DIR.glob("*.cfg"))
+    paths.append(CONFIG_DIR.parent / "scripts" / "crossings.cfg")
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in range(10):
+            for size in ("full", "tiny"):
+                for i, inv in enumerate(workload.invocations(seed, size)):
+                    path = tmp_path / f"{name}-{seed}-{size}-{i}.cfg"
+                    path.write_text(inv.ini())
+                    paths.append(path)
+    for path in paths:
+        assert cli.main(["validate", "--config", str(path)]) == 0, path
+        assert capsys.readouterr().err == "", path
+
+
 def test_each_field_is_the_schema_row_of_one_key():
     # validate names keys from this schema, and the loader reads it
     rows = [(f.metadata.get("section"), f.metadata.get("key"),
@@ -207,6 +228,16 @@ def test_each_field_is_the_schema_row_of_one_key():
     for section, key, parse in rows:
         assert section and key and callable(parse), (section, key)
     assert len({(section, key) for section, key, _ in rows}) == len(rows)
+
+    # each key's own rule is (test, error text), and the default passes it:
+    # a default that failed its own rule would reject every config
+    for f in dataclasses.fields(RunConfig):
+        check = f.metadata["check"]
+        if check is None:
+            continue
+        test, text = check
+        assert callable(test) and isinstance(text, str), f.name
+        assert f.default is None or test(f.default), f.name
 
     default = RunConfig()
     assert default.basis() == ProductBasis()
@@ -314,6 +345,14 @@ steps = 11
     (SHIFTS_CFG.replace("b_z = 0.65", "b_z = 0.65\nb_y = 0.1"), "fields.b_y"),
     (CROSSINGS_CFG.replace("b_y = 0.1", "b_y = 0.1\nb_z = 1.0"),
      "fields.b_z"),
+    (SHIFTS_CFG.replace("l_values = 0, 1", "l_values ="), "sweep.l_values"),
+    # a key's own rule holds under every task, also where the task ignores it
+    (SMALL_SWEEP_CFG.replace("[output]", "[map]\nband_ghz = 0\n[output]"),
+     "map.band_ghz"),
+    (MAP_CFG.replace("[output]", "[rates]\nnu_0 = -1\n[output]"),
+     "rates.nu_0"),
+    (CROSSINGS_CFG.replace("[output]", "[sweep]\nsteps = 1\n[output]"),
+     "sweep.steps"),
 ], ids=["b_y-sweep-without-b_z", "l_cut-negative", "l_cut-above-l_max",
         "band_ghz-zero", "base_width-zero", "l_values-above-l_max",
         "prefix-with-separator", "map-without-sweep-range",
@@ -325,7 +364,8 @@ steps = 11
         "map-negative-areal_density", "rates-unphysical-binding_rydberg",
         "map-sets-e_perp", "map-sets-swept-b_y", "sweep-sets-swept-b_z",
         "sweep-sets-overlaid-b_y", "sweep-sets-swept-b_y", "shifts-sets-b_y",
-        "crossings-sets-b_z"])
+        "crossings-sets-b_z", "shifts-empty-l_values", "sweep-zero-band_ghz",
+        "map-negative-nu_0", "crossings-sweep-steps-one"])
 def test_validate_reports_errors(tmp_path, capsys, text, key):
     bad = _write(tmp_path, text)
     assert cli.main(["validate", "--config", bad]) == 2
@@ -334,7 +374,8 @@ def test_validate_reports_errors(tmp_path, capsys, text, key):
 
 
 # One broken config per task, and every error validate prints for it, in
-# order: the messages are part of the command line's interface.
+# order (one-key rules in schema order, then the rules that join keys): the
+# messages are part of the command line's interface.
 BROKEN_CFGS = {
     "spectrum-sweep": ("""
 [run]
@@ -360,16 +401,16 @@ b_y_values = 0.1
 prefix = a/b
 """, """\
 material.isotope: 'he5' is not he3 or he4
+fields.e_perp_v_cm: must be non-negative
 fields.temperature: must be positive
 basis.n_max: need at least two levels
 basis.l_max: need at least two rungs
-grid.n_points: too coarse to trust
 grid.z_max: box must extend past the bound tails
-output.prefix: a file-name prefix, not a path; set directories in output.out_dir
-fields.e_perp_v_cm: must be non-negative
-sweep.start/stop: need start < stop
-sweep.steps: need at least 2
+grid.n_points: too coarse to trust
 sweep.axis: 'b_x' is not b_z or b_y
+sweep.steps: need at least 2
+output.prefix: a file-name prefix, not a path; set directories in output.out_dir
+sweep.start/stop: need start < stop
 sweep.b_y_values: overlays only make sense on a b_z sweep
 """),
     "absorption-map": ("""
@@ -389,15 +430,15 @@ l_cut = 9
 [broadening]
 base_width_ghz = 0.0
 """, """\
-basis.n_max: interference between levels needs n_max >= 3
 map.sweep_axis: 'b_x' is not b_z or b_y
-map.sweep_start/sweep_stop: need start < stop
 map.sweep_steps: need at least 2
-map.e_perp_start_v_cm/e_perp_stop_v_cm: required
 map.mw_frequency_ghz: must be positive
 map.band_ghz: must be positive
-map.l_cut: need 0 <= l_cut <= basis.l_max
 broadening.base_width_ghz: must be positive
+basis.n_max: interference between levels needs n_max >= 3
+map.sweep_start/sweep_stop: need start < stop
+map.e_perp_start_v_cm/e_perp_stop_v_cm: required
+map.l_cut: need 0 <= l_cut <= basis.l_max
 """),
     "shifts": ("""
 [run]
@@ -411,11 +452,11 @@ l_max = 20
 axis = b_z
 l_values = -1, 21
 """, """\
+sweep.l_values: Landau indices are non-negative
 basis.n_max: interference between levels needs n_max >= 3
 sweep.start/stop: required
 sweep.axis: shifts sweep b_y
 fields.b_z: a b_y sweep needs the quantizing field set
-sweep.l_values: Landau indices are non-negative
 sweep.l_values: Landau indices must not exceed basis.l_max
 """),
     "crossings": ("""
@@ -442,8 +483,8 @@ e_perp_v_cm = 15.0
 pair = 1, 1
 nu_0 = -1.0
 """, """\
-fields.b_z: rates need the quantizing field set
 rates.nu_0: must be non-negative
+fields.b_z: rates need the quantizing field set
 rates.pair: bad pair (1, 1)
 """),
     "self-test": ("""
