@@ -10,12 +10,15 @@
 # config in both trees too, and compares the two output directories with
 # diff -rq, which names each file that differs. The checkout then runs once
 # more with THREADS=1 and OPENBLAS_NUM_THREADS=2, and that output is
-# compared with its first, so a broken BLAS thread pin or a dependence on
-# --threads fails even when <rev> has the same fault. Last it prints the
-# source line count, wc -l of src/heliumjcm/*.py, and the peak RSS of each
-# config's run (getrusage RUSAGE_CHILDREN ru_maxrss, taken by a python3
-# wrapper put first on PATH), of <rev> and of the checkout; neither
-# changes the exit status. The temporary directory is removed on exit.
+# compared with its first, so a command line that no longer overrides the
+# BLAS thread count as it loads, or a dependence on --threads, fails even
+# when <rev> has the same fault (the runtime one-thread pin, which holds
+# callers that load numpy first, is checked by tests/test_cli.py). Last it
+# prints the source line count, wc -l of src/heliumjcm/*.py, and the peak
+# RSS and CPU seconds of each config's run (getrusage RUSAGE_CHILDREN
+# ru_maxrss and ru_utime + ru_stime, taken by a python3 wrapper put first
+# on PATH), of <rev> and of the checkout; neither changes the exit status.
+# The temporary directory is removed on exit.
 # Exits 0 if every CSV and JSON is byte-identical, 1 on any difference,
 # and with the status of a failing run otherwise; an extra config that
 # exits 3 (a numerical failure, which still writes its artifacts) is
@@ -39,24 +42,27 @@ mkdir "$tmp/tree"
 git -C "$here" archive "$rev" | tar -x -C "$tmp/tree"
 
 # peak.py <log> <command ...>: run the command and append to <log> its
-# config and the largest resident set, in MB, of any process it waited for
+# config, the largest resident set, in MB, of any process it waited for,
+# and the CPU seconds, user and system, of all of them
 python="$(command -v python3)"
 mkdir "$tmp/bin"
 cat >"$tmp/bin/peak.py" <<'PY'
 import os, resource, subprocess, sys
 status = subprocess.call(sys.argv[2:])
-rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
 if "--config" in sys.argv:
     cfg = sys.argv[sys.argv.index("--config") + 1]
     with open(sys.argv[1], "a") as fh:
-        fh.write("%s %.1f\n" % (os.path.basename(cfg), rss))
+        fh.write("%s %.1f %.2f\n" % (os.path.basename(cfg),
+                                     usage.ru_maxrss / 1024.0,
+                                     usage.ru_utime + usage.ru_stime))
 sys.exit(status)
 PY
 PATH="$tmp/bin:$PATH"
 
 # run <tree> <out> [extra.cfg ...]: every artifact of <tree> into <out>,
-# and each config's peak RSS into <out>.rss, through a python3 first on
-# PATH that runs the real one under peak.py
+# and each config's peak RSS and CPU time into <out>.rss, through a python3
+# first on PATH that runs the real one under peak.py
 run() {
     tree="$1"
     out="$2"
@@ -101,8 +107,9 @@ fi
 lines() { cat "$1"/src/heliumjcm/*.py | wc -l; }
 echo "source lines (src/heliumjcm/*.py): $(lines "$tmp/tree") at $rev," \
     "$(lines "$here") in the checkout"
-echo "peak RSS per config: $rev -> checkout"
-awk 'NR == FNR { base[$1] = $2; next }
-     { printf "  %-14s %6s -> %6s MB\n", $1, base[$1], $2 }' \
+echo "peak RSS and CPU time per config: $rev -> checkout"
+awk 'NR == FNR { rss[$1] = $2; cpu[$1] = $3; next }
+     { printf "  %-14s %6s -> %6s MB  %6s -> %6s s\n",
+              $1, rss[$1], $2, cpu[$1], $3 }' \
     "$tmp/base.rss" "$tmp/change.rss"
 exit "$status"

@@ -4,131 +4,66 @@ The package models the vertical image-charge spectrum in a pressing field,
 its Jaynes-Cummings-type coupling to the Landau ladder in a tilted magnetic
 field, the resulting microwave absorption maps, and the ripplon-limited
 decay rates that decide whether the coupling is coherent.
+
+Importing the package imports none of its submodules, and so no numpy: each
+exported name, and each submodule, is imported on first access (PEP 562).
+That lets the command line set the BLAS thread count before numpy loads.
 """
 
-from .analytics import (
-    DressedPair,
-    InterferenceMoments,
-    admixed_state,
-    bethe_cancellation_check,
-    coupling_constant,
-    doublet_cancellation_field,
-    dressed_pair,
-    full_transition_shift_ghz,
-    interference_moments,
-    perturbative_shift,
-    tilde_energy,
-    transition_shift_ghz,
-)
-from .config import RunConfig, load_run_config
-from .coupled import (
-    CoupledSpectrum,
-    HamiltonianBlocks,
-    ProductBasis,
-    assemble_hamiltonian,
-    diagonalize,
-    find_crossing,
-    minimum_gap,
-)
-from .dissipation import (
-    RipplonBath,
-    StrongCouplingReport,
-    resonant_wavenumber,
-    scba_elastic_rate,
-    strong_coupling_report,
-    two_ripplon_rate,
-)
-from .errors import (
-    BasisMismatch,
-    BranchTrackingLost,
-    ConfigError,
-    ConvergenceFailure,
-    DegenerateField,
-    GridTooSmall,
-    HeliumJcmError,
-    NearResonance,
-    NoCrossingInRange,
-    NotDownward,
-)
-from .materials import (
-    FieldConfiguration,
-    MaterialProperties,
-    cyclotron_frequency,
-    derived_frequencies,
-    material_for,
-)
-from .spectroscopy import (
-    AbsorptionMap,
-    BroadeningModel,
-    TransitionLine,
-    absorption_map,
-    thermal_populations,
-    transition_catalog,
-)
-from .vertical import (
-    GridSpec,
-    VerticalSpectrum,
-    find_transition_field,
-    solve_vertical,
-    stark_slope,
-    truncation_report,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbsorptionMap",
-    "BasisMismatch",
-    "BranchTrackingLost",
-    "BroadeningModel",
-    "ConfigError",
-    "ConvergenceFailure",
-    "CoupledSpectrum",
-    "DegenerateField",
-    "DressedPair",
-    "FieldConfiguration",
-    "GridSpec",
-    "GridTooSmall",
-    "HamiltonianBlocks",
-    "HeliumJcmError",
-    "InterferenceMoments",
-    "MaterialProperties",
-    "NearResonance",
-    "NoCrossingInRange",
-    "NotDownward",
-    "ProductBasis",
-    "RipplonBath",
-    "RunConfig",
-    "StrongCouplingReport",
-    "TransitionLine",
-    "VerticalSpectrum",
-    "absorption_map",
-    "admixed_state",
-    "assemble_hamiltonian",
-    "bethe_cancellation_check",
-    "coupling_constant",
-    "cyclotron_frequency",
-    "derived_frequencies",
-    "diagonalize",
-    "doublet_cancellation_field",
-    "dressed_pair",
-    "find_crossing",
-    "find_transition_field",
-    "full_transition_shift_ghz",
-    "interference_moments",
-    "load_run_config",
-    "material_for",
-    "minimum_gap",
-    "perturbative_shift",
-    "resonant_wavenumber",
-    "scba_elastic_rate",
-    "solve_vertical",
-    "stark_slope",
-    "strong_coupling_report",
-    "thermal_populations",
-    "tilde_energy",
-    "transition_catalog",
-    "transition_shift_ghz",
-    "truncation_report",
-    "two_ripplon_rate",
-]
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "analytics": (
+        "DressedPair", "InterferenceMoments", "admixed_state",
+        "bethe_cancellation_check", "coupling_constant",
+        "doublet_cancellation_field", "dressed_pair",
+        "full_transition_shift_ghz", "interference_moments",
+        "perturbative_shift", "tilde_energy", "transition_shift_ghz"),
+    "config": ("RunConfig", "load_run_config"),
+    "coupled": (
+        "CoupledSpectrum", "HamiltonianBlocks", "ProductBasis",
+        "assemble_hamiltonian", "diagonalize", "find_crossing",
+        "minimum_gap"),
+    "dissipation": (
+        "RipplonBath", "StrongCouplingReport", "resonant_wavenumber",
+        "scba_elastic_rate", "strong_coupling_report", "two_ripplon_rate"),
+    "errors": (
+        "BasisMismatch", "BranchTrackingLost", "ConfigError",
+        "ConvergenceFailure", "DegenerateField", "GridTooSmall",
+        "HeliumJcmError", "NearResonance", "NoCrossingInRange",
+        "NotDownward"),
+    "materials": (
+        "FieldConfiguration", "MaterialProperties", "cyclotron_frequency",
+        "derived_frequencies", "material_for"),
+    "spectroscopy": (
+        "AbsorptionMap", "BroadeningModel", "TransitionLine",
+        "absorption_map", "thermal_populations", "transition_catalog"),
+    "vertical": (
+        "GridSpec", "VerticalSpectrum", "find_transition_field",
+        "solve_vertical", "stark_slope", "truncation_report"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    """An exported name or a submodule, imported on first access and then
+    kept as a package attribute."""
+    if name in _SOURCE:
+        value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__),
+                        name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

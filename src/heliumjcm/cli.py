@@ -8,9 +8,16 @@ echoes everything needed to rerun: resolved config, physical constants,
 material calibration, and any per-point failures. An absorption map also
 writes its line-center traces to <prefix>_lines.csv (sweep value, E_perp,
 initial l, final n, final l, area; the initial n is always 1), and its
-sidecar's line_centers names that file and its row count. Every computing
-task runs with OpenBLAS pinned to one thread, so the bytes do not depend on
-the BLAS thread setting of the environment either.
+sidecar's line_centers names that file and its row count.
+
+Every computing task runs on one OpenBLAS thread, so the bytes do not
+depend on the BLAS thread setting of the environment either. Run as a
+program (python -m heliumjcm.cli, or the heliumjcm script), this module
+sets OPENBLAS_NUM_THREADS=1 before numpy loads OpenBLAS, overriding any
+value in the environment, so no idle BLAS thread pool is ever started.
+Where numpy is already loaded (a library or test caller of main), the
+environment is left alone, and vertical._single_threaded_blas pins every
+loaded OpenBLAS to one thread for the task and restores its count after.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (artifacts still written, failures listed in the sidecar), 4 self-test
@@ -23,6 +30,13 @@ import argparse
 import json
 import os
 import sys
+
+# OpenBLAS starts a pool of one thread per core as numpy loads it. No task
+# uses it (each runs under the one-thread pin in main), yet an idle pool
+# thread spins for about 0.13 s of CPU per process. Asking for one thread
+# before the load starts no pool.
+if "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -246,7 +260,12 @@ def _run_shifts(cfg: RunConfig, out_dir: str, threads: int) -> int:
         if point.b_y == 0.0:
             full = [0.0] * len(cfg.l_values)
         else:
-            full = full_transition_shift_ghz(blocks, point, cfg.l_values)
+            try:
+                full = full_transition_shift_ghz(blocks, point, cfg.l_values)
+            except HeliumJcmError as exc:
+                full = [float("nan")] * len(cfg.l_values)
+                failures.extend({"b_y": float(b_y), "l": l,
+                                 "error": _error(exc)} for l in cfg.l_values)
         for l, full_l in zip(cfg.l_values, full):
             try:
                 pert = transition_shift_ghz(vs, point, l)

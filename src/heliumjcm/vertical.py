@@ -19,12 +19,15 @@ loaded library exports them (a numpy built on MKL or Accelerate, or no
 /proc), eigh_tridiagonal itself is the fallback; both paths give the same
 bits.
 
-This is the one module that talks to OpenBLAS. It also binds dsyevd, the
+This is the one module that calls OpenBLAS. It also binds dsyevd, the
 dense symmetric solver np.linalg.eigh calls, with the same "V", "L" call
 and workspace query, so coupled.diagonalize can solve a Hamiltonian in its
 own buffer instead of in numpy's copy (np.linalg.eigh is the fallback,
 with the same bits); and it holds the process-wide one-thread pin that
-every command-line task runs under.
+every command-line task runs under. The command line also asks OpenBLAS
+for one thread before numpy loads it, through OPENBLAS_NUM_THREADS (see
+cli), so that no idle thread pool starts; the pin is what holds a library
+or test caller that loaded numpy first to one thread.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from heliumjcm import (
 )
 from heliumjcm.config import TASKS, RunConfig, load_run_config
 from heliumjcm.coupled import ProductBasis
-from heliumjcm.errors import ConfigError
+from heliumjcm.errors import ConfigError, ConvergenceFailure
 from heliumjcm.materials import GHZ, HBAR, FieldConfiguration
 from heliumjcm.spectroscopy import BroadeningModel, absorption_map
 from heliumjcm.vertical import GridSpec, _single_threaded_blas
@@ -190,6 +190,18 @@ def _run_python(args, blas=None):
         env["OPENBLAS_NUM_THREADS"] = blas
     return subprocess.run([sys.executable, *args], env=env, check=True,
                           capture_output=True, text=True)
+
+
+def _run_main_after_numpy(argv):
+    """cli.main(argv) in a fresh interpreter that loaded numpy, and with it
+    OpenBLAS, at OPENBLAS_NUM_THREADS=2 before importing the command line.
+    The command line then leaves the variable as it is, so the runtime pin
+    alone keeps the task on one BLAS thread."""
+    probe = ("import os, sys, numpy\n"
+             "from heliumjcm import cli\n"
+             "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n"
+             f"sys.exit(cli.main({argv!r}))\n")
+    return _run_python(["-c", probe], "2")
 
 
 def test_committed_configs_validate(capsys):
@@ -584,6 +596,38 @@ def test_shifts_near_resonance_exit_code(tmp_path, capsys):
         f"wrote {out_dir / 't_shifts.csv'} ({rows} rows, {failed} failed)\n"
 
 
+def test_shifts_dense_solve_failure_is_listed_per_l(tmp_path, capsys,
+                                                    monkeypatch):
+    # a failed dense solve at one b_y costs that row's full shifts, not the
+    # artifacts of the whole run
+    solve = cli.full_transition_shift_ghz
+
+    def fail_at_0_1(blocks, point, l_values):
+        if point.b_y == 0.1:
+            raise ConvergenceFailure("dsyevd did not converge")
+        return solve(blocks, point, l_values)
+
+    monkeypatch.setattr(cli, "full_transition_shift_ghz", fail_at_0_1)
+    path = _write(tmp_path, SHIFTS_CFG)
+    out_dir = tmp_path / "o"
+    assert cli.main(["shifts", "--config", path,
+                     "--out", str(out_dir)]) == 3
+    rows = [line.split(",") for line in
+            (out_dir / "t_shifts.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [
+        [b_y, l] for b_y in ("0", "0.1", "0.2") for l in ("0", "1")]
+    assert [row[3] == "nan" for row in rows] == [False, False, True, True,
+                                                 False, False]
+    assert "nan" not in [row[2] for row in rows]
+    body = json.loads((out_dir / "t_shifts.json").read_text())
+    assert body["failures"] == [
+        {"b_y": 0.1, "l": l,
+         "error": "ConvergenceFailure: dsyevd did not converge"}
+        for l in (0, 1)]
+    assert capsys.readouterr().out == \
+        f"wrote {out_dir / 't_shifts.csv'} (6 rows, 2 failed)\n"
+
+
 def test_spectrum_sweep_artifacts(tmp_path):
     path = _write(tmp_path, SMALL_SWEEP_CFG)
     out_dir = tmp_path / "o"
@@ -712,6 +756,11 @@ def test_absorption_map_bytes_independent_of_threads_and_blas(tmp_path):
                   .replace("l_max = 8", "l_max = 50")
                   .replace("sweep_steps = 2", "sweep_steps = 3")
                   .replace("e_perp_steps = 3", "e_perp_steps = 4"))
+
+    def read(out_dir):
+        return tuple((out_dir / name).read_bytes()
+                     for name in ("t_map.csv", "t_map.json", "t_lines.csv"))
+
     blobs = {}
     for threads in ("1", "2"):
         for blas in (None, "1"):
@@ -719,9 +768,13 @@ def test_absorption_map_bytes_independent_of_threads_and_blas(tmp_path):
             _run_python(["-m", "heliumjcm.cli", "absorption-map",
                          "--config", path, "--out", str(out_dir),
                          "--threads", threads], blas)
-            blobs[(threads, blas)] = tuple(
-                (out_dir / name).read_bytes()
-                for name in ("t_map.csv", "t_map.json", "t_lines.csv"))
+            blobs[(threads, blas)] = read(out_dir)
+    # a -m child overrides OPENBLAS_NUM_THREADS as it loads; this one loads
+    # numpy at two BLAS threads first, so only the runtime pin holds it
+    out_dir = tmp_path / "t2-pin"
+    _run_main_after_numpy(["absorption-map", "--config", path,
+                           "--out", str(out_dir), "--threads", "2"])
+    blobs[("2", "runtime pin")] = read(out_dir)
     first = blobs[("1", None)]
     assert len(first[0].decode().splitlines()) == 1 + 3 * 4
     for key, blob in blobs.items():
@@ -747,7 +800,35 @@ def test_fan_task_bytes_independent_of_blas(tmp_path, task):
                      "--out", str(out_dir)], blas)
         blobs[blas] = ((out_dir / f"{stem}.csv").read_bytes(),
                        (out_dir / f"{stem}.json").read_bytes())
-    assert blobs[None] == blobs["1"]
+    out_dir = tmp_path / "pin"
+    _run_main_after_numpy([task, "--config", path, "--out", str(out_dir)])
+    blobs["runtime pin"] = ((out_dir / f"{stem}.csv").read_bytes(),
+                            (out_dir / f"{stem}.json").read_bytes())
+    assert blobs[None] == blobs["1"] == blobs["runtime pin"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or os.cpu_count() == 1,
+                    reason="needs /proc and more than one core")
+def test_command_line_starts_no_blas_pool(tmp_path):
+    # OpenBLAS starts one thread per core as numpy loads it, unless asked
+    # for one first; the pool is never used, but spins on a core
+    path = _write(tmp_path, SHIFTS_CFG)
+    argv = ["heliumjcm", "shifts", "--config", path,
+            "--out", str(tmp_path / "o")]
+    probe = ("import os, runpy, sys\n"
+             "env = dict(os.environ)\n"
+             "import heliumjcm\n"
+             "assert 'numpy' not in sys.modules\n"
+             "assert dict(os.environ) == env\n"
+             f"sys.argv = {argv!r}\n"
+             "try:\n"
+             "    runpy.run_module('heliumjcm.cli', run_name='__main__')\n"
+             "except SystemExit as exc:\n"
+             "    assert exc.code == 0, exc.code\n"
+             "print(len(os.listdir('/proc/self/task')))\n")
+    out = _run_python(["-c", probe])
+    assert out.stdout.splitlines()[-1] == "1"
 
 
 def test_cli_import_leaves_scipy_optimize_out():
