@@ -6,9 +6,11 @@
 # Extracts <rev> into a temporary directory with git archive, runs
 # scripts/regenerate_figures.sh from both trees with the same THREADS
 # (default: one per core), runs the task of this checkout's
-# scripts/crossings.cfg (the certified minimum-gap climb) and of each extra
-# config in both trees too, and compares the two output directories with
-# diff -rq, which names each file that differs. The checkout then runs once
+# scripts/crossings.cfg (the certified minimum-gap climb), of its
+# scripts/rates.cfg (the one task that writes its sidecar alone) and of each
+# extra config in both trees too, so every computing task is compared, and
+# compares the two output directories with diff -rq, which names each file
+# that differs. The checkout then runs once
 # more with THREADS=1 and OPENBLAS_NUM_THREADS=2, and that output is
 # compared with its first, so a command line that no longer overrides the
 # BLAS thread count as it loads, or a dependence on --threads, fails even
@@ -33,7 +35,7 @@ rev="$1"
 shift
 
 here="$(cd "$(dirname "$0")/.." && pwd)"
-set -- "$here/scripts/crossings.cfg" "$@"
+set -- "$here/scripts/crossings.cfg" "$here/scripts/rates.cfg" "$@"
 THREADS="${THREADS:-$(nproc 2>/dev/null || echo 1)}"
 export THREADS
 tmp="$(mktemp -d)"

@@ -20,8 +20,9 @@ environment is left alone, and vertical._single_threaded_blas pins every
 loaded OpenBLAS to one thread for the task and restores its count after.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(artifacts still written, failures listed in the sidecar), 4 self-test
-failure.
+(artifacts still written, failures listed in the sidecar; a task that fails
+as a whole writes its CSV header alone, or the rates sidecar alone, and
+lists the error), 4 self-test failure. Every sidecar carries failures.
 """
 
 from __future__ import annotations
@@ -181,15 +182,18 @@ def _artifact(cfg: RunConfig, out_dir: str, name: str) -> str:
     return os.path.join(out_dir, f"{cfg.prefix}_{name}")
 
 
-def _emit(cfg: RunConfig, out_dir: str, stem: str, header: list[str],
+def _emit(cfg: RunConfig, out_dir: str, stem: str, header: list[str] | None,
           rows, extra: dict, failures: list) -> int:
-    """Write <prefix>_<stem>.csv and its sidecar, print the summary line, and
-    return the exit code: 3 if any point failed, else 0."""
-    csv_path = _artifact(cfg, out_dir, f"{stem}.csv")
-    _write_csv(csv_path, header, rows)
-    _write_sidecar(_artifact(cfg, out_dir, f"{stem}.json"), cfg,
-                   {**extra, "failures": failures})
-    print(f"wrote {csv_path} ({len(rows)} rows, {len(failures)} failed)")
+    """Write <prefix>_<stem>.csv, unless header is None, then its sidecar,
+    print the summary line, and return the exit code: 3 if any point
+    failed, else 0."""
+    path = _artifact(cfg, out_dir, f"{stem}.json")
+    if header is not None:
+        csv_path = _artifact(cfg, out_dir, f"{stem}.csv")
+        _write_csv(csv_path, header, rows)
+    _write_sidecar(path, cfg, {**extra, "failures": failures})
+    print(f"wrote {path}" if header is None else
+          f"wrote {csv_path} ({len(rows)} rows, {len(failures)} failed)")
     return 3 if failures else 0
 
 
@@ -198,20 +202,14 @@ def _fixed_e_perp(
 ) -> tuple[FieldConfiguration, HamiltonianBlocks]:
     """The base field point and the Hamiltonian blocks of its one vertical
     solve, which every field point of a fixed-E_perp task shares. If that
-    solve fails, a task writes its CSV header alone and lists the error."""
+    solve fails, main writes no rows and lists the error."""
     base = cfg.field_config()
     vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max, cfg.grid())
     return base, HamiltonianBlocks(vs, cfg.basis())
 
 
-def _run_spectrum_sweep(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    header = ["sweep_value", "b_y", "state", "energy_ghz", "energy_rel_ghz",
-              "dominant_n", "dominant_l", "dominant_weight"]
-    try:
-        base, blocks = _fixed_e_perp(cfg)
-    except HeliumJcmError as exc:
-        return _emit(cfg, out_dir, "spectrum", header, [], {},
-                     [{"error": _error(exc)}])
+def _run_spectrum_sweep(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
+    base, blocks = _fixed_e_perp(cfg)
     vs = blocks.vs
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
     overlays = cfg.b_y_values if (cfg.sweep_axis == "b_z"
@@ -234,22 +232,15 @@ def _run_spectrum_sweep(cfg: RunConfig, out_dir: str, threads: int) -> int:
                 continue
             rows.append(value, point.b_y, spec)
 
-    return _emit(cfg, out_dir, "spectrum", header, rows,
-                 {"sweep_axis": cfg.sweep_axis,
+    return rows, {"sweep_axis": cfg.sweep_axis,
                   "overlay_b_y": list(overlays),
                   "vertical_levels_ghz":
                       [vs.energy(n) / GHZ for n in range(1, vs.n_max + 1)],
-                  "truncation_residuals": truncation_report(vs)},
-                 failures)
+                  "truncation_residuals": truncation_report(vs)}, failures
 
 
-def _run_shifts(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    header = ["b_y", "l", "perturbative_ghz", "full_ghz"]
-    try:
-        base, blocks = _fixed_e_perp(cfg)
-    except HeliumJcmError as exc:
-        return _emit(cfg, out_dir, "shifts", header, [], {},
-                     [{"error": _error(exc)}])
+def _run_shifts(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
+    base, blocks = _fixed_e_perp(cfg)
     vs = blocks.vs
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
 
@@ -275,18 +266,12 @@ def _run_shifts(cfg: RunConfig, out_dir: str, threads: int) -> int:
                                  "error": _error(exc)})
             rows.append((float(b_y), l, pert, full_l))
 
-    return _emit(cfg, out_dir, "shifts", header, rows,
-                 {"transition_ghz": vs.transition_frequency_ghz(1, 2)},
-                 failures)
+    return (rows, {"transition_ghz": vs.transition_frequency_ghz(1, 2)},
+            failures)
 
 
-def _run_crossings(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    header = ["n_upper", "n_lower", "b_z_cross_t", "b_z_min_gap_t", "gap_ghz"]
-    try:
-        base, blocks = _fixed_e_perp(cfg)
-    except HeliumJcmError as exc:
-        return _emit(cfg, out_dir, "crossings", header, [], {},
-                     [{"error": _error(exc)}])
+def _run_crossings(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
+    base, blocks = _fixed_e_perp(cfg)
     vs = blocks.vs
 
     rows = []
@@ -306,10 +291,10 @@ def _run_crossings(cfg: RunConfig, out_dir: str, threads: int) -> int:
                 failures.append({"pair": [n_hi, n_lo], "error": _error(exc)})
         rows.append((n_hi, n_lo, b_star, b_min, gap / GHZ))
 
-    return _emit(cfg, out_dir, "crossings", header, rows, {}, failures)
+    return rows, {}, failures
 
 
-def _run_absorption_map(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def _run_absorption_map(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
     sweep = np.linspace(cfg.map_sweep_start, cfg.map_sweep_stop,
                         cfg.map_sweep_steps)
     e_grid = np.linspace(cfg.map_e_perp_start, cfg.map_e_perp_stop,
@@ -333,37 +318,26 @@ def _run_absorption_map(cfg: RunConfig, out_dir: str, threads: int) -> int:
                                    indexing="ij")
     rows = np.column_stack((sweep_col.ravel(), e_col.ravel(),
                             amap.intensity.ravel()))
-    return _emit(cfg, out_dir, "map",
-                 [cfg.map_sweep_axis, "e_perp_v_cm", "intensity"], rows,
-                 {"mw_frequency_ghz": amap.mw_frequency_ghz,
+    return rows, {"mw_frequency_ghz": amap.mw_frequency_ghz,
                   "sweep_axis": amap.sweep_name,
                   "line_centers": {"file": os.path.basename(lines_path),
                                    "rows": len(amap.lines.area)},
-                  "basis": amap.basis_report()},
-                 [{"i": i, "j": j, "error": msg}
-                  for i, j, msg in amap.failures])
+                  "basis": amap.basis_report()}, [
+        {"i": i, "j": j, "error": msg} for i, j, msg in amap.failures]
 
 
-def _run_rates(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    path = _artifact(cfg, out_dir, "rates.json")
-    try:
-        base, blocks = _fixed_e_perp(cfg)
-        report = strong_coupling_report(
-            blocks.vs, base, pair=cfg.rates_pair, nu_0=cfg.nu_0,
-            include_occupation=cfg.include_occupation)
-    except HeliumJcmError as exc:
-        _write_sidecar(path, cfg, {"failures": [{"error": _error(exc)}]})
-        print(f"wrote {path}")
-        return 3
-    _write_sidecar(path, cfg, {"report": {
+def _run_rates(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
+    base, blocks = _fixed_e_perp(cfg)
+    report = strong_coupling_report(
+        blocks.vs, base, pair=cfg.rates_pair, nu_0=cfg.nu_0,
+        include_occupation=cfg.include_occupation)
+    return [], {"report": {
         "g_over_h_ghz": report.g_ghz,
         "rate_vertical_per_s": report.rate_vertical,
         "rate_ladder_per_s": report.rate_ladder,
         "elastic_rate_per_s": report.elastic_rate,
         "coherence_ratio": report.ratio,
-    }})
-    print(f"wrote {path}")
-    return 0
+    }}, []
 
 
 def _self_test_checks(mat: MaterialProperties) -> list[tuple[str, bool, str]]:
@@ -417,19 +391,28 @@ def _run_validate(cfg: RunConfig, out_dir: str, threads: int) -> int:
     return 0
 
 
-# subcommand -> (help text, runner(cfg, out_dir, threads) -> exit code)
+# subcommand -> (help text, runner(cfg, out_dir, threads), artifact stem,
+# CSV header line, which may name a config field). A runner with a stem
+# returns (rows, sidecar keys, failures) for main to write (the sidecar
+# alone if there is no header); one without returns its exit code.
 _TASKS = {
     "spectrum-sweep": ("eigenvalue fan over a magnetic-field sweep",
-                       _run_spectrum_sweep),
+                       _run_spectrum_sweep, "spectrum",
+                       "sweep_value,b_y,state,energy_ghz,energy_rel_ghz,"
+                       "dominant_n,dominant_l,dominant_weight"),
     "absorption-map": ("microwave absorption over field x tuning field",
-                       _run_absorption_map),
+                       _run_absorption_map, "map",
+                       "{cfg.map_sweep_axis},e_perp_v_cm,intensity"),
     "shifts": ("perturbative vs exact transition shifts over b_y",
-               _run_shifts),
+               _run_shifts, "shifts", "b_y,l,perturbative_ghz,full_ghz"),
     "crossings": ("uncoupled crossing fields and dressed minimum gaps",
-                  _run_crossings),
-    "rates": ("coupling vs ripplon decay at one operating point", _run_rates),
-    "self-test": ("bundled regression checks", _run_self_test),
-    "validate": ("check a config without computing", _run_validate),
+                  _run_crossings, "crossings",
+                  "n_upper,n_lower,b_z_cross_t,b_z_min_gap_t,gap_ghz"),
+    "rates": ("coupling vs ripplon decay at one operating point", _run_rates,
+              "rates", None),
+    "self-test": ("bundled regression checks", _run_self_test, None, None),
+    "validate": ("check a config without computing", _run_validate, None,
+                 None),
 }
 
 
@@ -440,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "liquid helium in tilted magnetic fields",
     )
     sub = parser.add_subparsers(dest="task", required=True)
-    for task, (help_text, _) in _TASKS.items():
+    for task, (help_text, *_) in _TASKS.items():
         p = sub.add_parser(task, help=help_text)
         p.add_argument("--config",
                        required=task != "self-test",
@@ -491,15 +474,18 @@ def main(argv=None) -> int:
 
     out_dir = (args.out or (cfg.out_dir if cfg is not None else None)
                or os.environ.get(OUT_DIR_ENV, "out"))
-    runner = _TASKS[args.task][1]
-    try:
-        if validating:   # computes nothing, so skips the pin
+    _, runner, stem, header = _TASKS[args.task]
+    if validating:   # computes nothing, so skips the pin
+        return runner(cfg, out_dir, args.threads)
+    with _single_threaded_blas:
+        if stem is None:
             return runner(cfg, out_dir, args.threads)
-        with _single_threaded_blas:
-            return runner(cfg, out_dir, args.threads)
-    except HeliumJcmError as exc:
-        print(f"numerical failure: {_error(exc)}", file=sys.stderr)
-        return 3
+        try:
+            result = runner(cfg, out_dir, args.threads)
+        except HeliumJcmError as exc:
+            result = [], {}, [{"error": _error(exc)}]
+    return _emit(cfg, out_dir, stem,
+                 header and header.format(cfg=cfg).split(","), *result)
 
 
 if __name__ == "__main__":

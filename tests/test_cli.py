@@ -221,6 +221,7 @@ def test_committed_and_benchmark_configs_validate(tmp_path, capsys,
 
     paths = sorted(CONFIG_DIR.glob("*.cfg"))
     paths.append(CONFIG_DIR.parent / "scripts" / "crossings.cfg")
+    paths.append(CONFIG_DIR.parent / "scripts" / "rates.cfg")
     for name, workload in workloads.WORKLOADS.items():
         for seed in range(10):
             for size in ("full", "tiny"):
@@ -626,6 +627,82 @@ def test_shifts_dense_solve_failure_is_listed_per_l(tmp_path, capsys,
         for l in (0, 1)]
     assert capsys.readouterr().out == \
         f"wrote {out_dir / 't_shifts.csv'} (6 rows, 2 failed)\n"
+
+
+def test_task_failure_still_writes_its_artifacts(tmp_path, capsys,
+                                                 monkeypatch):
+    # an error that leaves a task costs its rows, not its artifacts: main
+    # writes the header-only CSV and a sidecar that lists the error
+    def fail(vs):
+        raise ConvergenceFailure("sum rule did not converge")
+
+    monkeypatch.setattr(cli, "truncation_report", fail)
+    path = _write(tmp_path, SMALL_SWEEP_CFG)
+    out_dir = tmp_path / "o"
+    assert cli.main(["spectrum-sweep", "--config", path,
+                     "--out", str(out_dir)]) == 3
+    csv_path = out_dir / "t_spectrum.csv"
+    assert capsys.readouterr().out == \
+        f"wrote {csv_path} (0 rows, 1 failed)\n"
+    assert csv_path.read_text() == (
+        "sweep_value,b_y,state,energy_ghz,energy_rel_ghz,dominant_n,"
+        "dominant_l,dominant_weight\n")
+    body = json.loads(csv_path.with_suffix(".json").read_text())
+    assert body["failures"] == [
+        {"error": "ConvergenceFailure: sum rule did not converge"}]
+
+    # every sidecar lists its failures, a successful rates sidecar too
+    path = _write(tmp_path, RATES_CFG.format(occupation="false"), "rates.cfg")
+    assert cli.main(["rates", "--config", path, "--out", str(out_dir)]) == 0
+    assert json.loads((out_dir / "t_rates.json").read_text())["failures"] \
+        == []
+
+
+SOLVING_TASKS = {
+    "spectrum-sweep": SMALL_SWEEP_CFG,
+    "shifts": SHIFTS_CFG,
+    "crossings": CROSSINGS_CFG,
+    "absorption-map": MAP_CFG,
+    "rates": RATES_CFG.format(occupation="false"),
+}
+
+
+@pytest.mark.parametrize("task", list(SOLVING_TASKS))
+def test_runtime_blas_pin_holds_every_task(tmp_path, monkeypatch, task):
+    # Where numpy was loaded first, the pin in main alone keeps each solve
+    # on one BLAS thread. Few configs are large enough for a second thread
+    # to move a printed digit, so this reads the thread count at each solve
+    # instead of comparing bytes.
+    controls = vertical._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    saved = [getter() for getter, _ in controls]
+    counts = []
+
+    def probe(solve):
+        def probed(*args, **kwargs):
+            counts.append([getter() for getter, _ in controls])
+            return solve(*args, **kwargs)
+        return probed
+
+    # every dense solve, and the one vertical solve of rates
+    monkeypatch.setattr(HamiltonianBlocks, "solve",
+                        probe(HamiltonianBlocks.solve))
+    monkeypatch.setattr(cli, "solve_vertical", probe(cli.solve_vertical))
+    path = _write(tmp_path, SOLVING_TASKS[task])
+    try:
+        for _, setter in controls:
+            setter(2)
+        if [getter() for getter, _ in controls] != [2] * len(controls):
+            pytest.skip("OpenBLAS does not take two threads here")
+        assert cli.main([task, "--config", path,
+                         "--out", str(tmp_path / "o")]) == 0
+        assert counts
+        assert counts == [[1] * len(controls)] * len(counts)
+        assert [getter() for getter, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, setter), count in zip(controls, saved):
+            setter(count)
 
 
 def test_spectrum_sweep_artifacts(tmp_path):
