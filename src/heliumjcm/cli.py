@@ -286,7 +286,8 @@ def _run_crossings(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
         b_min = gap = float("nan")
         if base.b_y != 0.0:
             try:
-                b_min, gap = minimum_gap(blocks, base, pair)
+                b_min, gap = minimum_gap(
+                    blocks, base, pair, (0.95 * b_star, 1.05 * b_star))
             except HeliumJcmError as exc:
                 failures.append({"pair": [n_hi, n_lo], "error": _error(exc)})
         rows.append((n_hi, n_lo, b_star, b_min, gap / GHZ))

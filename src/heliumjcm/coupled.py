@@ -82,6 +82,10 @@ class CoupledSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def __post_init__(self):
+        self.eigenvalues.setflags(write=False)
+        self.eigenvectors.setflags(write=False)
+
     def weights(self, states=slice(None), n: int | None = None,
                 l=slice(None)) -> np.ndarray:
         """Squared eigenvector components, read-only, indexed
@@ -137,12 +141,11 @@ class HamiltonianBlocks:
     The diagonal E_n + hbar w_c l needs only b_z, and the diamagnetic and
     coupling blocks kron(z^2, 1_l) and kron(z, a + a^dagger) need no field at
     all, so an instance builds the two Kronecker products once (on first
-    use, at its cap basis.l_max) and every matrix from them. A Kronecker
-    entry is one product of a z (or z^2) entry and a ladder (or identity)
-    entry, so the blocks of a Landau cut l <= L are the cap's with
-    l, l' <= L, entry for entry those of a ProductBasis(n_max, L) assembly.
-    assemble_hamiltonian goes through the same code, so both routes give
-    bit-identical matrices.
+    use, at its cap basis.l_max) and assemble_hamiltonian slices every
+    matrix from them. A Kronecker entry is one product of a z (or z^2) entry
+    and a ladder (or identity) entry, so the blocks of a Landau cut l <= L
+    are the cap's with l, l' <= L, entry for entry those of a
+    ProductBasis(n_max, L) assembly.
     """
 
     def __init__(
@@ -175,57 +178,61 @@ class HamiltonianBlocks:
                 f"Landau cut {l_max} outside 0..{self.basis.l_max}")
         return ProductBasis(self.basis.n_max, l_max)
 
-    def hamiltonian(self, cfg: FieldConfiguration,
-                    l_max: int | None = None) -> np.ndarray:
-        """Dense Hamiltonian in J at cfg on the Landau cut l <= l_max (the
-        cap if None), exactly symmetric because every term is
-        (solve_vertical symmetrizes the z and z^2 matrices)."""
+    def _diagonal(self, cfg: FieldConfiguration,
+                  basis: ProductBasis) -> np.ndarray:
+        """The uncoupled energies E_n + hbar w_c l in J, flat on basis,
+        after checking cfg.e_perp against the vertical solve's."""
         vs = self.vs
         if abs(cfg.e_perp - vs.e_perp) > 1e-9 * max(1.0, abs(vs.e_perp)):
             raise BasisMismatch(
                 "field configuration e_perp differs from the vertical solve"
             )
-        basis = self._cut(l_max)
-        nb, rungs = basis.n_max, basis.l_max + 1
         omega_c = cyclotron_frequency(cfg.b_z)
-        h = np.diag((vs.energies[:nb, None]
-                     + HBAR * omega_c * np.arange(float(rungs))).ravel())
-
-        if cfg.b_y != 0.0:
-            _, omega_y, l_b = derived_frequencies(cfg)
-            z2, z = (block[:, :rungs, :, :rungs].reshape(h.shape)
-                     for block in self._blocks)
-            h += 0.5 * ELECTRON_MASS * omega_y**2 * z2
-            coupling = HBAR * omega_y / (np.sqrt(2.0) * l_b)
-            h += coupling * z
-        return h
+        return (vs.energies[:basis.n_max, None]
+                + HBAR * omega_c * np.arange(float(basis.l_max + 1))).ravel()
 
     def solve(self, cfg: FieldConfiguration,
               l_max: int | None = None) -> CoupledSpectrum:
         """Spectrum at cfg on the Landau cut l <= l_max (the cap if None).
-        The matrix is assembled for this solve alone, so the dense solver
-        overwrites it instead of working on a copy."""
-        return diagonalize(self.hamiltonian(cfg, l_max), self._cut(l_max),
-                           overwrite=True)
+        A b_y = 0 diagonal whose entries are all distinct (every b_z > 0)
+        is read off, with no matrix assembled: sorted, with the matching
+        unit vectors, np.linalg.eigh's result bit for bit. Any other matrix
+        (a tied diagonal's order is eigh's own) is assembled for this solve
+        alone, so diagonalize overwrites it instead of working on a copy."""
+        if cfg.b_y == 0.0:
+            basis = self._cut(l_max)
+            d = self._diagonal(cfg, basis)
+            order = np.argsort(d)
+            vals = d[order]
+            if np.isfinite(vals).all() and np.all(np.diff(vals) > 0.0):
+                vecs = np.zeros((d.size, d.size))
+                vecs[order, np.arange(d.size)] = 1.0
+                return CoupledSpectrum(basis, vals, vecs)
+        return diagonalize(assemble_hamiltonian(self, cfg, l_max),
+                           self._cut(l_max), overwrite=True)
 
 
-def assemble_hamiltonian(
-    vs: VerticalSpectrum,
-    cfg: FieldConfiguration,
-    basis: ProductBasis = ProductBasis(),
-) -> np.ndarray:
-    """Dense symmetric Hamiltonian in J on the product basis."""
-    return HamiltonianBlocks(vs, basis).hamiltonian(cfg)
+def assemble_hamiltonian(blocks: HamiltonianBlocks, cfg: FieldConfiguration,
+                         l_max: int | None = None) -> np.ndarray:
+    """Dense Hamiltonian in J at cfg on the Landau cut l <= l_max of blocks
+    (the cap if None), exactly symmetric because every term is
+    (solve_vertical symmetrizes the z and z^2 matrices)."""
+    basis = blocks._cut(l_max)
+    h = np.diag(blocks._diagonal(cfg, basis))
+    if cfg.b_y != 0.0:
+        rungs = basis.l_max + 1
+        _, omega_y, l_b = derived_frequencies(cfg)
+        z2, z = (block[:, :rungs, :, :rungs].reshape(h.shape)
+                 for block in blocks._blocks)
+        h += 0.5 * ELECTRON_MASS * omega_y**2 * z2
+        h += HBAR * omega_y / (np.sqrt(2.0) * l_b) * z
+    return h
 
 
 def diagonalize(h: np.ndarray, basis: ProductBasis,
                 overwrite: bool = False) -> CoupledSpectrum:
-    """Eigendecomposition of h, bit for bit np.linalg.eigh's (which reads
-    the lower triangle). A diagonal h whose entries are all distinct
-    (every b_y = 0 Hamiltonian at b_z > 0) is read off without eigh: its
-    diagonal sorted and the matching unit vectors, which are eigh's result
-    bit for bit. A diagonal with ties goes to eigh, whose order among equal
-    entries is its own.
+    """Dense eigendecomposition of h, bit for bit np.linalg.eigh's (which
+    reads the lower triangle).
 
     h is left as it was, unless overwrite is set: then h must be an exactly
     symmetric C-ordered array, and the dense solver runs in its buffer and
@@ -237,25 +244,13 @@ def diagonalize(h: np.ndarray, basis: ProductBasis,
         )
     if not np.all(np.isfinite(h)):
         raise ConvergenceFailure("Hamiltonian contains non-finite entries")
-    d = np.diagonal(h)
-    order = (np.argsort(d) if np.count_nonzero(h) == np.count_nonzero(d)
-             else None)
-    if order is not None and np.all(np.diff(d[order]) > 0.0):
-        vals = d[order]
-        vecs = np.zeros_like(h)
-        vecs[order, np.arange(d.size)] = 1.0
-    else:
-        # h.T of a C-ordered symmetric h is h, in Fortran order
-        a = h.T if overwrite else np.array(h, order="F")
-        try:
-            vals, vecs = _eigh_in_place(a)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(
-                f"dense eigensolver failed: {exc}") from exc
-        vecs = np.ascontiguousarray(vecs)
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return CoupledSpectrum(basis=basis, eigenvalues=vals, eigenvectors=vecs)
+    # h.T of a C-ordered symmetric h is h, in Fortran order
+    a = h.T if overwrite else np.array(h, order="F")
+    try:
+        vals, vecs = _eigh_in_place(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
+    return CoupledSpectrum(basis, vals, np.ascontiguousarray(vecs))
 
 
 def _certify(spec: CoupledSpectrum, states: np.ndarray,

@@ -339,8 +339,9 @@ def test_criterion_8_elastic_enhancement():
 def test_criterion_9_hermiticity_orthonormality(vs15):
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.2)
     basis = ProductBasis(6, 12)
-    h = assemble_hamiltonian(vs15, cfg, basis)
-    spec = HamiltonianBlocks(vs15, basis).solve(cfg)
+    blocks = HamiltonianBlocks(vs15, basis)
+    h = assemble_hamiltonian(blocks, cfg)
+    spec = blocks.solve(cfg)
     asym = np.abs(h - h.T).max() / np.abs(h).max()
     gram = spec.eigenvectors.T @ spec.eigenvectors
     ortho = np.abs(gram - np.eye(basis.size)).max()

@@ -749,6 +749,40 @@ def test_crossings_gap_is_even_in_b_y(tmp_path):
     assert float(minus[4]) == pytest.approx(float(plus[4]), rel=1e-9)
 
 
+def test_crossing_above_20_t_gets_its_gap(tmp_path, capsys):
+    # at 300 V/cm the (6,0)/(1,1) crossing lies near 23.2 T: inside the
+    # configured b_z range, so its minimum gap is searched around it
+    path = _write(tmp_path, """
+[run]
+task = crossings
+[material]
+isotope = he3
+[fields]
+e_perp_v_cm = 300
+b_y = 0.1
+[basis]
+n_max = 6
+l_max = 12
+[crossings]
+pairs = 6, 1
+b_z_max = 80
+[output]
+prefix = t
+""")
+    assert cli.main(["validate", "--config", path]) == 0
+    out_dir = tmp_path / "o"
+    assert cli.main(["crossings", "--config", path,
+                     "--out", str(out_dir)]) == 0
+    lines = (out_dir / "t_crossings.csv").read_text().splitlines()
+    n_hi, n_lo, b_star, b_min, gap = lines[1].split(",")
+    assert (n_hi, n_lo) == ("6", "1")
+    assert float(b_star) == pytest.approx(23.18, abs=0.01)
+    assert abs(float(b_min) / float(b_star) - 1.0) <= 0.05
+    assert np.isfinite(float(gap)) and float(gap) > 0.0
+    body = json.loads((out_dir / "t_crossings.json").read_text())
+    assert body["failures"] == []
+
+
 def test_rates_artifacts(tmp_path):
     path = _write(tmp_path, """
 [run]

@@ -44,7 +44,8 @@ def test_basis_indexing():
 def test_hamiltonian_symmetric(vs15):
     # every term is a symmetric matrix, so assembly needs no symmetrization
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.2)
-    h = assemble_hamiltonian(vs15, cfg, ProductBasis(6, 12))
+    h = assemble_hamiltonian(HamiltonianBlocks(vs15, ProductBasis(6, 12)),
+                             cfg)
     assert np.array_equal(h, h.T)
 
 
@@ -57,7 +58,8 @@ def test_eigenvector_orthonormality(vs15):
 
 def test_trace_preserved(vs15):
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.2)
-    h = assemble_hamiltonian(vs15, cfg, ProductBasis(6, 12))
+    h = assemble_hamiltonian(HamiltonianBlocks(vs15, ProductBasis(6, 12)),
+                             cfg)
     spec = diagonalize(h, ProductBasis(6, 12))
     assert spec.eigenvalues.sum() == pytest.approx(np.trace(h), rel=1e-10)
 
@@ -85,10 +87,11 @@ def test_even_in_coupling_field(vs15):
 def test_basis_mismatch_guards(vs15):
     cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.1)
     with pytest.raises(BasisMismatch):
-        assemble_hamiltonian(vs15, cfg, ProductBasis(8, 10))
+        assemble_hamiltonian(HamiltonianBlocks(vs15, ProductBasis(8, 10)),
+                             cfg)
     with pytest.raises(BasisMismatch):
-        assemble_hamiltonian(vs15, cfg.replace(e_perp=2000.0),
-                             ProductBasis(4, 10))
+        assemble_hamiltonian(HamiltonianBlocks(vs15, ProductBasis(4, 10)),
+                             cfg.replace(e_perp=2000.0))
 
 
 def test_ladder_truncation_converged(vs15):
@@ -114,11 +117,12 @@ def test_shared_blocks_solve_equals_solve_coupled(vs15):
     with _single_threaded_blas:
         for b_z, b_y in ((0.65, 0.0), (0.65, 0.2), (1.2, 0.1), (1.2, -0.3)):
             cfg = FieldConfiguration.from_v_cm(15.0, b_z, b_y)
-            assert np.array_equal(blocks.hamiltonian(cfg),
-                                  assemble_hamiltonian(vs15, cfg, basis))
+            one_shot_h = assemble_hamiltonian(HamiltonianBlocks(vs15, basis),
+                                              cfg)
+            assert np.array_equal(assemble_hamiltonian(blocks, cfg),
+                                  one_shot_h)
             shared = blocks.solve(cfg)
-            one_shot = diagonalize(assemble_hamiltonian(vs15, cfg, basis),
-                                   basis)
+            one_shot = diagonalize(one_shot_h, basis)
             assert np.array_equal(shared.eigenvalues, one_shot.eigenvalues)
             assert np.array_equal(shared.eigenvectors,
                                   one_shot.eigenvectors)
@@ -135,9 +139,9 @@ def test_restricted_blocks_equal_fresh_assembly(vs15):
             keep = (51 * np.arange(6)[:, None] + np.arange(cut + 1)).ravel()
             for b_z, b_y in ((0.584, 0.0), (0.584, 0.6), (1.2, -0.3)):
                 cfg = FieldConfiguration.from_v_cm(15.0, b_z, b_y)
-                h = blocks.hamiltonian(cfg, cut)
-                assert np.array_equal(h, fresh.hamiltonian(cfg))
-                assert np.array_equal(h, blocks.hamiltonian(cfg)[
+                h = assemble_hamiltonian(blocks, cfg, cut)
+                assert np.array_equal(h, assemble_hamiltonian(fresh, cfg))
+                assert np.array_equal(h, assemble_hamiltonian(blocks, cfg)[
                     np.ix_(keep, keep)])
                 mine, theirs = blocks.solve(cfg, cut), fresh.solve(cfg)
                 assert mine.basis == theirs.basis
@@ -147,7 +151,7 @@ def test_restricted_blocks_equal_fresh_assembly(vs15):
     cfg = FieldConfiguration.from_v_cm(15.0, 0.584, 0.6)
     for cut in (-1, 51):
         with pytest.raises(ValueError):
-            blocks.hamiltonian(cfg, cut)
+            assemble_hamiltonian(blocks, cfg, cut)
         with pytest.raises(ValueError):
             blocks.solve(cfg, cut)
 
@@ -277,7 +281,7 @@ def test_diagonalize_overwrites_h_only_when_asked(vs15):
     # np.linalg.eigh's bytes, with C-ordered eigenvectors.
     blocks = HamiltonianBlocks(vs15, ProductBasis(6, 50))
     cfg = FieldConfiguration.from_v_cm(15.0, 0.8, 0.3)
-    h = blocks.hamiltonian(cfg)
+    h = assemble_hamiltonian(blocks, cfg)
     kept = h.copy()
     with _single_threaded_blas:
         want = _eigh_bytes(h)
@@ -292,32 +296,49 @@ def test_diagonalize_overwrites_h_only_when_asked(vs15):
 
 
 def test_diagonal_hamiltonian_solved_without_eigh(vs15, monkeypatch):
-    # b_y = 0 matrices of the fig3 sweep have distinct diagonal entries: the
-    # shortcut gives eigh's eigenvalues and eigenvectors byte for byte. The
-    # b_z = 0 ladder (each E_n tied l_max + 1 times) and random diagonals
-    # with exact ties go through eigh itself.
+    # b_y = 0 points of the fig3 sweep have distinct diagonal entries:
+    # blocks.solve reads them off with no matrix assembled and no dense
+    # solve, and gives eigh's eigenvalues and eigenvectors byte for byte.
+    # The b_z = 0 ladder (each E_n tied l_max + 1 times) and random
+    # diagonals with exact ties go through the dense solve itself.
     basis = ProductBasis(6, 50)
     blocks = HamiltonianBlocks(vs15, basis)
-    untied = [(blocks.hamiltonian(FieldConfiguration.from_v_cm(15.0, b_z, 0.0)),
-               basis) for b_z in (1.0, 1.2, 1.4)]
-    tied = [(blocks.hamiltonian(FieldConfiguration.from_v_cm(15.0, 0.0, 0.0)),
-             basis)]
+    untied = [FieldConfiguration.from_v_cm(15.0, b_z, 0.0)
+              for b_z in (1.0, 1.2, 1.4)]
+    ladder = FieldConfiguration.from_v_cm(15.0, 0.0, 0.0)
+    tied = []
     rng = np.random.default_rng(7)
     for n_max, l_max in ((1, 2), (2, 4), (6, 50)):
         small = ProductBasis(n_max, l_max)
         d = rng.integers(-2, 3, small.size) * 1e-23
         tied.append((np.diag(d), small))
+    dense_solves = []
+    eigh = coupled._eigh_in_place
+
+    def counted_eigh(a):
+        dense_solves.append(a.shape)
+        return eigh(a)
+
+    def _spec_bytes(spec):
+        return spec.eigenvalues.tobytes(), spec.eigenvectors.tobytes()
+
     with _single_threaded_blas:
-        want = [_eigh_bytes(h) for h, _ in untied + tied]
-        for (h, b), (vals, vecs) in zip(tied, want[len(untied):]):
-            spec = diagonalize(h, b)
-            assert spec.eigenvalues.tobytes() == vals
-            assert spec.eigenvectors.tobytes() == vecs
-        monkeypatch.setattr(np.linalg, "eigh", None)   # must not be called
-        for (h, b), (vals, vecs) in zip(untied, want):
-            spec = diagonalize(h, b)
-            assert spec.eigenvalues.tobytes() == vals
-            assert spec.eigenvectors.tobytes() == vecs
+        want = [_eigh_bytes(assemble_hamiltonian(blocks, cfg))
+                for cfg in untied + [ladder]]
+        tied_want = [_eigh_bytes(h) for h, _ in tied]
+        monkeypatch.setattr(coupled, "_eigh_in_place", counted_eigh)
+        assert _spec_bytes(blocks.solve(ladder)) == want[-1]
+        for (h, b), w in zip(tied, tied_want):
+            assert _spec_bytes(diagonalize(h, b)) == w
+        assert len(dense_solves) == 1 + len(tied)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("untied b_y = 0 point left the read-off")
+
+        monkeypatch.setattr(coupled, "_eigh_in_place", forbidden)
+        monkeypatch.setattr(coupled, "assemble_hamiltonian", forbidden)
+        for cfg, w in zip(untied, want):
+            assert _spec_bytes(blocks.solve(cfg)) == w
 
 
 def _fan_blocks(vs15):

@@ -590,31 +590,45 @@ def test_map_builds_one_pair_of_blocks_per_column(he3, monkeypatch):
     assert len(calls) <= 2 * e_perp.size
 
 
-def test_every_map_solve_goes_through_diagonalize(he3, monkeypatch):
-    calls = {"diagonalize": 0, "eigh": 0, "b_y = 0": 0}
+def test_every_dense_map_solve_goes_through_diagonalize(he3, monkeypatch):
+    calls = {"diagonalize": 0, "eigh": 0}
+    solves = []   # (b_y, diagonalize calls, eigh calls) of each blocks.solve
     diagonalize, eigh = coupled.diagonalize, coupled._eigh_in_place
+    solve = coupled.HamiltonianBlocks.solve
 
     def counted_diagonalize(h, basis, **kwargs):
         calls["diagonalize"] += 1
-        calls["b_y = 0"] += (np.count_nonzero(h)
-                             == np.count_nonzero(np.diagonal(h)))
         return diagonalize(h, basis, **kwargs)
 
     def counted_eigh(*args, **kwargs):
         calls["eigh"] += 1
         return eigh(*args, **kwargs)
 
+    def counted_solve(self, cfg, l_max=None):
+        before = dict(calls)
+        spec = solve(self, cfg, l_max)
+        solves.append((cfg.b_y, *(calls[k] - before[k] for k in calls)))
+        return spec
+
     monkeypatch.setattr(coupled, "diagonalize", counted_diagonalize)
     monkeypatch.setattr(coupled, "_eigh_in_place", counted_eigh)
+    monkeypatch.setattr(coupled.HamiltonianBlocks, "solve", counted_solve)
     base = FieldConfiguration.from_v_cm(29.0, 0.584, temperature=0.33)
     amap = absorption_map(he3, base, "b_y", np.array([0.0, 0.6]),
                           np.array([28.0, 30.0]), 90.0,
                           basis=ProductBasis(6, 30))
-    # the b_y = 0.6 T pixels fail their first cut and are solved again;
-    # a b_y = 0 Hamiltonian is diagonal and needs no eigh
-    assert calls["diagonalize"] > amap.intensity.size
-    assert calls["b_y = 0"] > 0
-    assert calls["eigh"] == calls["diagonalize"] - calls["b_y = 0"]
+    assert not amap.failures
+    # every dense solve goes through diagonalize, and only there
+    assert calls["eigh"] == calls["diagonalize"] > 0
+    # a b_y = 0 pixel is read off its diagonal: neither call
+    flat = [s for s in solves if s[0] == 0.0]
+    assert flat and all(s[1:] == (0, 0) for s in flat)
+    # the b_y = 0.6 T pixels fail their first cut and are solved again,
+    # each solve one diagonalize and one eigh
+    tilted = [s for s in solves if s[0] != 0.0]
+    assert len(tilted) > amap.intensity.shape[1]
+    assert all(s[1:] == (1, 1) for s in tilted)
+    assert len(tilted) == calls["diagonalize"]
 
 
 def test_absorption_map_keeps_traced_lines_as_arrays(he3, traced_memory):
