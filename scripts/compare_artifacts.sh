@@ -15,16 +15,19 @@
 # compared with its first, so a command line that no longer overrides the
 # BLAS thread count as it loads, or a dependence on --threads, fails even
 # when <rev> has the same fault (the runtime one-thread pin, which holds
-# callers that load numpy first, is checked by tests/test_cli.py). Last it
-# prints the source line count, wc -l of src/heliumjcm/*.py, and the peak
-# RSS and CPU seconds of each config's run (getrusage RUSAGE_CHILDREN
-# ru_maxrss and ru_utime + ru_stime, taken by a python3 wrapper put first
-# on PATH), of <rev> and of the checkout; neither changes the exit status.
+# callers that load numpy first, is checked by tests/test_cli.py). Both
+# trees also run validate on each of this checkout's configs/*.cfg and on
+# each config above, and their stdout, stderr and exit status are compared
+# with diff -r, which prints each difference. Last it prints the source
+# line count, wc -l of src/heliumjcm/*.py, and the peak RSS and CPU
+# seconds of each config's run (getrusage RUSAGE_CHILDREN ru_maxrss and
+# ru_utime + ru_stime, taken by a python3 wrapper put first on PATH), of
+# <rev> and of the checkout; neither changes the exit status.
 # The temporary directory is removed on exit.
-# Exits 0 if every CSV and JSON is byte-identical, 1 on any difference,
-# and with the status of a failing run otherwise; an extra config that
-# exits 3 (a numerical failure, which still writes its artifacts) is
-# compared like the others.
+# Exits 0 if every CSV and JSON and every validate output is identical, 1
+# on any difference, and with the status of a failing run otherwise; an
+# extra config that exits 3 (a numerical failure, which still writes its
+# artifacts) is compared like the others.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -84,6 +87,25 @@ run() {
     done
 }
 
+# check <tree> <out> <cfg ...>: validate's stdout, stderr and exit status
+# on each config into <out>/<index>-<config name>.{out,err,status}, run by
+# the real python3 so that peak.py logs none of them
+check() {
+    tree="$1"
+    out="$2"
+    shift 2
+    mkdir "$out"
+    i=0
+    for cfg in "$@"; do
+        i=$((i + 1))
+        name="$out/$i-$(basename "$cfg")"
+        status=0
+        PYTHONPATH="$tree/src" "$python" -m heliumjcm.cli validate \
+            --config "$cfg" >"$name.out" 2>"$name.err" || status=$?
+        echo "$status" >"$name.status"
+    done
+}
+
 run "$tmp/tree" "$tmp/base" "$@"
 run "$here" "$tmp/change" "$@"
 (
@@ -91,12 +113,21 @@ run "$here" "$tmp/change" "$@"
     export THREADS OPENBLAS_NUM_THREADS
     run "$here" "$tmp/pinned" "$@"
 )
+set -- "$here"/configs/*.cfg "$@"
+check "$tmp/tree" "$tmp/base.validate" "$@"
+check "$here" "$tmp/change.validate" "$@"
 
 status=0
 if diff -rq "$tmp/base" "$tmp/change"; then
     echo "identical: $(ls "$tmp/change" | wc -l) files against $rev"
 else
     echo "artifacts differ from $rev" >&2
+    status=1
+fi
+if diff -r "$tmp/base.validate" "$tmp/change.validate"; then
+    echo "identical: validate on $# configs against $rev"
+else
+    echo "validate output differs from $rev" >&2
     status=1
 fi
 if diff -rq "$tmp/change" "$tmp/pinned"; then

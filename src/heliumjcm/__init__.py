@@ -24,9 +24,8 @@ _EXPORTS = {
         "perturbative_shift", "tilde_energy", "transition_shift_ghz"),
     "config": ("RunConfig", "load_run_config"),
     "coupled": (
-        "CoupledSpectrum", "HamiltonianBlocks", "ProductBasis",
-        "assemble_hamiltonian", "diagonalize", "find_crossing",
-        "minimum_gap"),
+        "CoupledSpectrum", "HamiltonianBlocks", "assemble_hamiltonian",
+        "diagonalize", "find_crossing", "minimum_gap"),
     "dissipation": (
         "RipplonBath", "StrongCouplingReport", "resonant_wavenumber",
         "scba_elastic_rate", "strong_coupling_report", "two_ripplon_rate"),
@@ -36,14 +35,15 @@ _EXPORTS = {
         "HeliumJcmError", "NearResonance", "NoCrossingInRange",
         "NotDownward"),
     "materials": (
-        "FieldConfiguration", "MaterialProperties", "cyclotron_frequency",
+        "BroadeningModel", "FieldConfiguration", "GridSpec",
+        "MaterialProperties", "ProductBasis", "cyclotron_frequency",
         "derived_frequencies", "material_for"),
     "spectroscopy": (
-        "AbsorptionMap", "BroadeningModel", "TransitionLine",
-        "absorption_map", "thermal_populations", "transition_catalog"),
+        "AbsorptionMap", "TransitionLine", "absorption_map",
+        "thermal_populations", "transition_catalog"),
     "vertical": (
-        "GridSpec", "VerticalSpectrum", "find_transition_field",
-        "solve_vertical", "stark_slope", "truncation_report"),
+        "VerticalSpectrum", "find_transition_field", "solve_vertical",
+        "stark_slope", "truncation_report"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()
            for name in names}

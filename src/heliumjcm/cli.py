@@ -19,6 +19,15 @@ Where numpy is already loaded (a library or test caller of main), the
 environment is left alone, and vertical._single_threaded_blas pins every
 loaded OpenBLAS to one thread for the task and restores its count after.
 
+validate, and a configuration error, load no numpy: this module imports
+only the standard library, config, errors and materials as it loads, and
+numpy and the task modules are imported when a computing task or self-test
+first calls into them. Each task-module function the runners call is a
+module-level name here (solve_vertical, truncation_report, absorption_map,
+minimum_gap, transition_shift_ghz, full_transition_shift_ghz) that imports
+the real one on call and forwards to it, so a wrapper or test double set
+on this module is what every task calls.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (artifacts still written, failures listed in the sidecar; a task that fails
 as a whole writes its CSV header alone, or the rates sidecar alone, and
@@ -28,30 +37,21 @@ lists the error), 4 self-test failure. Every sidecar carries failures.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 # OpenBLAS starts a pool of one thread per core as numpy loads it. No task
 # uses it (each runs under the one-thread pin in main), yet an idle pool
 # thread spins for about 0.13 s of CPU per process. Asking for one thread
-# before the load starts no pool.
+# before the load, which the first computing call makes, starts no pool.
 if "numpy" not in sys.modules:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
-
 from . import __version__
-from .analytics import full_transition_shift_ghz, transition_shift_ghz
 from .config import RunConfig, load_run_config
-from .coupled import (
-    CoupledSpectrum,
-    HamiltonianBlocks,
-    ProductBasis,
-    find_crossing,
-    minimum_gap,
-)
-from .dissipation import strong_coupling_report
 from .errors import ConfigError, HeliumJcmError
 from .materials import (
     BOLTZMANN,
@@ -64,11 +64,37 @@ from .materials import (
     V_PER_CM,
     FieldConfiguration,
     MaterialProperties,
+    ProductBasis,
     cyclotron_frequency,
     material_for,
 )
-from .spectroscopy import absorption_map
-from .vertical import _single_threaded_blas, solve_vertical, truncation_report
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .coupled import CoupledSpectrum, HamiltonianBlocks
+
+
+def _forward(module: str, name: str):
+    """The module-level function `name` of this module: it imports
+    <module>.<name>, and with it numpy, on call and forwards to it."""
+    def forward(*args, **kwargs):
+        real = getattr(importlib.import_module(module, __package__), name)
+        return real(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+# The task modules' functions the runners call, by these names of this
+# module, which the benchmark tracer wraps and tests replace.
+solve_vertical = _forward(".vertical", "solve_vertical")
+truncation_report = _forward(".vertical", "truncation_report")
+absorption_map = _forward(".spectroscopy", "absorption_map")
+minimum_gap = _forward(".coupled", "minimum_gap")
+transition_shift_ghz = _forward(".analytics", "transition_shift_ghz")
+full_transition_shift_ghz = _forward(".analytics",
+                                     "full_transition_shift_ghz")
 
 OUT_DIR_ENV = "HELIUMJCM_OUT"
 
@@ -84,6 +110,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     below 1e10 as str() does, and nan and inf literally; adding 0.0 to each
     block turns -0.0 into 0.0, which prints as 0.
     """
+    import numpy as np
+
     line = ",".join(["%.10g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -103,6 +131,8 @@ class _SweepRows:
     dominant_n, dominant_l, dominant_weight."""
 
     def __init__(self, points: int, basis: ProductBasis):
+        import numpy as np
+
         self.size = basis.size
         self.energy = np.empty(points * self.size)
         self.weight = np.empty(points * self.size)
@@ -125,6 +155,8 @@ class _SweepRows:
         return self.points * self.size
 
     def __getitem__(self, rows: slice) -> np.ndarray:
+        import numpy as np
+
         span = range(len(self))[rows]
         index = np.arange(span.start, span.stop, span.step)
         point, state = np.divmod(index, self.size)
@@ -176,24 +208,21 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _artifact(cfg: RunConfig, out_dir: str, name: str) -> str:
-    """out_dir/<prefix>_<name>, making out_dir if it is missing."""
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, f"{cfg.prefix}_{name}")
-
-
 def _emit(cfg: RunConfig, out_dir: str, stem: str, header: list[str] | None,
-          rows, extra: dict, failures: list) -> int:
-    """Write <prefix>_<stem>.csv, unless header is None, then its sidecar,
-    print the summary line, and return the exit code: 3 if any point
-    failed, else 0."""
-    path = _artifact(cfg, out_dir, f"{stem}.json")
-    if header is not None:
-        csv_path = _artifact(cfg, out_dir, f"{stem}.csv")
-        _write_csv(csv_path, header, rows)
-    _write_sidecar(path, cfg, {**extra, "failures": failures})
-    print(f"wrote {path}" if header is None else
-          f"wrote {csv_path} ({len(rows)} rows, {len(failures)} failed)")
+          rows, extra: dict, failures: list, tables=()) -> int:
+    """Write each further table (name, header, rows), then the task's own
+    unless header is None, to out_dir/<prefix>_<name>.csv and the sidecar
+    to <prefix>_<stem>.json, making out_dir if it is missing; print the
+    summary line, and return the exit code: 3 if any point failed, else
+    0."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{cfg.prefix}_")
+    for name, table_header, table in (*tables, (stem, header, rows)):
+        if table_header is not None:
+            _write_csv(f"{path}{name}.csv", table_header, table)
+    _write_sidecar(f"{path}{stem}.json", cfg, {**extra, "failures": failures})
+    print(f"wrote {path}{stem}.json" if header is None else
+          f"wrote {path}{stem}.csv ({len(rows)} rows, {len(failures)} failed)")
     return 3 if failures else 0
 
 
@@ -203,12 +232,16 @@ def _fixed_e_perp(
     """The base field point and the Hamiltonian blocks of its one vertical
     solve, which every field point of a fixed-E_perp task shares. If that
     solve fails, main writes no rows and lists the error."""
+    from .coupled import HamiltonianBlocks
+
     base = cfg.field_config()
     vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max, cfg.grid())
     return base, HamiltonianBlocks(vs, cfg.basis())
 
 
-def _run_spectrum_sweep(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
+def _run_spectrum_sweep(cfg: RunConfig, threads: int) -> tuple:
+    import numpy as np
+
     base, blocks = _fixed_e_perp(cfg)
     vs = blocks.vs
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
@@ -239,7 +272,9 @@ def _run_spectrum_sweep(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
                   "truncation_residuals": truncation_report(vs)}, failures
 
 
-def _run_shifts(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
+def _run_shifts(cfg: RunConfig, threads: int) -> tuple:
+    import numpy as np
+
     base, blocks = _fixed_e_perp(cfg)
     vs = blocks.vs
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
@@ -270,7 +305,9 @@ def _run_shifts(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
             failures)
 
 
-def _run_crossings(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
+def _run_crossings(cfg: RunConfig, threads: int) -> tuple:
+    from .coupled import find_crossing
+
     base, blocks = _fixed_e_perp(cfg)
     vs = blocks.vs
 
@@ -295,7 +332,9 @@ def _run_crossings(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
     return rows, {}, failures
 
 
-def _run_absorption_map(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
+def _run_absorption_map(cfg: RunConfig, threads: int) -> tuple:
+    import numpy as np
+
     sweep = np.linspace(cfg.map_sweep_start, cfg.map_sweep_stop,
                         cfg.map_sweep_steps)
     e_grid = np.linspace(cfg.map_e_perp_start, cfg.map_e_perp_stop,
@@ -311,23 +350,24 @@ def _run_absorption_map(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
         threads=threads,
     )
 
-    lines_path = _artifact(cfg, out_dir, "lines.csv")
-    _write_csv(lines_path, [cfg.map_sweep_axis, "e_perp_v_cm", "initial_l",
-                            "final_n", "final_l", "area"],
-               np.column_stack(amap.lines))
+    lines = ("lines", [cfg.map_sweep_axis, "e_perp_v_cm", "initial_l",
+                       "final_n", "final_l", "area"],
+             np.column_stack(amap.lines))
     sweep_col, e_col = np.meshgrid(amap.sweep_values, amap.e_perp_v_cm,
                                    indexing="ij")
     rows = np.column_stack((sweep_col.ravel(), e_col.ravel(),
                             amap.intensity.ravel()))
     return rows, {"mw_frequency_ghz": amap.mw_frequency_ghz,
                   "sweep_axis": amap.sweep_name,
-                  "line_centers": {"file": os.path.basename(lines_path),
+                  "line_centers": {"file": f"{cfg.prefix}_lines.csv",
                                    "rows": len(amap.lines.area)},
                   "basis": amap.basis_report()}, [
-        {"i": i, "j": j, "error": msg} for i, j, msg in amap.failures]
+        {"i": i, "j": j, "error": msg} for i, j, msg in amap.failures], [lines]
 
 
-def _run_rates(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
+def _run_rates(cfg: RunConfig, threads: int) -> tuple:
+    from .dissipation import strong_coupling_report
+
     base, blocks = _fixed_e_perp(cfg)
     report = strong_coupling_report(
         blocks.vs, base, pair=cfg.rates_pair, nu_0=cfg.nu_0,
@@ -343,6 +383,8 @@ def _run_rates(cfg: RunConfig, out_dir: str, threads: int) -> tuple:
 
 def _self_test_checks(mat: MaterialProperties) -> list[tuple[str, bool, str]]:
     """Hydrogenic limit, sum rule, uncoupled fan: (name, passed, detail)."""
+    from .coupled import HamiltonianBlocks
+
     checks: list[tuple[str, bool, str]] = []
 
     vs = solve_vertical(mat, 0.0, 4)
@@ -372,7 +414,7 @@ def _self_test_checks(mat: MaterialProperties) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _run_self_test(cfg: RunConfig | None, out_dir: str, threads: int) -> int:
+def _run_self_test(cfg: RunConfig | None, threads: int) -> int:
     """Fast bundled regression; exit 4 if a check fails or crashes."""
     mat = cfg.material() if cfg is not None else material_for("he3")
     try:
@@ -385,17 +427,18 @@ def _run_self_test(cfg: RunConfig | None, out_dir: str, threads: int) -> int:
     return 0 if all(passed for _, passed, _ in checks) else 4
 
 
-def _run_validate(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def _run_validate(cfg: RunConfig, threads: int) -> int:
     """The config checks in main are the whole task; list what they passed."""
     for name, value in cfg.resolved_items():
         print(f"  {name} = {value}")
     return 0
 
 
-# subcommand -> (help text, runner(cfg, out_dir, threads), artifact stem,
-# CSV header line, which may name a config field). A runner with a stem
-# returns (rows, sidecar keys, failures) for main to write (the sidecar
-# alone if there is no header); one without returns its exit code.
+# subcommand -> (help text, runner(cfg, threads), artifact stem, CSV header
+# line, which may name a config field). A runner with a stem returns (rows,
+# sidecar keys, failures), and optionally a list of further tables (name,
+# header, rows), for main to write (the sidecar alone if there is no
+# header); one without returns its exit code.
 _TASKS = {
     "spectrum-sweep": ("eigenvalue fan over a magnetic-field sweep",
                        _run_spectrum_sweep, "spectrum",
@@ -473,18 +516,19 @@ def main(argv=None) -> int:
         if validating:
             print(f"ok: {args.config} ({cfg.task})")
 
-    out_dir = (args.out or (cfg.out_dir if cfg is not None else None)
-               or os.environ.get(OUT_DIR_ENV, "out"))
     _, runner, stem, header = _TASKS[args.task]
-    if validating:   # computes nothing, so skips the pin
-        return runner(cfg, out_dir, args.threads)
+    if validating:   # computes nothing, so skips the pin and numpy
+        return runner(cfg, args.threads)
+    from .vertical import _single_threaded_blas
+
     with _single_threaded_blas:
         if stem is None:
-            return runner(cfg, out_dir, args.threads)
+            return runner(cfg, args.threads)
         try:
-            result = runner(cfg, out_dir, args.threads)
+            result = runner(cfg, args.threads)
         except HeliumJcmError as exc:
             result = [], {}, [{"error": _error(exc)}]
+    out_dir = args.out or cfg.out_dir or os.environ.get(OUT_DIR_ENV, "out")
     return _emit(cfg, out_dir, stem,
                  header and header.format(cfg=cfg).split(","), *result)
 

@@ -16,17 +16,18 @@ import math
 import os
 from dataclasses import dataclass, field, fields as dc_fields
 
-from .coupled import ProductBasis
 from .errors import ConfigError
 from .materials import (
+    DEFAULT_BAND_GHZ,
     EV,
     V_PER_CM,
+    BroadeningModel,
     FieldConfiguration,
+    GridSpec,
     MaterialProperties,
+    ProductBasis,
     material_for,
 )
-from .spectroscopy import DEFAULT_BAND_GHZ, BroadeningModel
-from .vertical import GridSpec
 
 TASKS = ("spectrum-sweep", "absorption-map", "shifts", "crossings",
          "rates", "self-test")

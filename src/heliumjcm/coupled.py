@@ -31,6 +31,7 @@ from .materials import (
     ELECTRON_MASS,
     HBAR,
     FieldConfiguration,
+    ProductBasis,
     cyclotron_frequency,
     derived_frequencies,
 )
@@ -42,32 +43,6 @@ _OVERLAP_THRESHOLD = 0.5
 # A Landau cut is certified when every state that reaches an artifact holds
 # at most this weight on the top two rungs of the ladder.
 _EDGE_WEIGHT_LIMIT = 1e-10
-
-
-@dataclass(frozen=True)
-class ProductBasis:
-    """Truncated |n,l> basis, 1 <= n <= n_max, 0 <= l <= l_max."""
-
-    n_max: int = 6
-    l_max: int = 50
-
-    def __post_init__(self):
-        if self.n_max < 1 or self.l_max < 0:
-            raise ValueError("need n_max >= 1 and l_max >= 0")
-
-    @property
-    def size(self) -> int:
-        return self.n_max * (self.l_max + 1)
-
-    @property
-    def label_dtype(self) -> np.dtype:
-        """The narrowest integer dtype that holds every label n and l."""
-        return np.min_scalar_type(max(self.n_max, self.l_max))
-
-    def index(self, n: int, l: int) -> int:
-        if not (1 <= n <= self.n_max and 0 <= l <= self.l_max):
-            raise IndexError(f"state ({n},{l}) outside basis")
-        return (n - 1) * (self.l_max + 1) + l
 
 
 @dataclass(frozen=True)
@@ -278,17 +253,33 @@ def _certify(spec: CoupledSpectrum, states: np.ndarray,
                       landau + 2 + math.ceil(min(rungs_needed.max(), cap)))
 
 
+def _crossing_field(
+    vs: VerticalSpectrum,
+    pair: tuple[tuple[int, int], tuple[int, int]],
+) -> float:
+    """b_z (T) where the uncoupled levels (n_a,l_a) and (n_b,l_b) cross, at
+    any field: the b_y = 0 energies E_n + hbar w_c l are linear in b_z, so
+    it is the closed form (E_b - E_a) / (hbar w_c(1 T) (l_a - l_b)). Raises
+    NoCrossingInRange for equal l, where the difference is constant, or a
+    root at b_z <= 0."""
+    (n_a, l_a), (n_b, l_b) = pair
+    if l_a != l_b:
+        root = ((vs.energy(n_b) - vs.energy(n_a))
+                / (HBAR * cyclotron_frequency(1.0) * (l_a - l_b)))
+        if root > 0.0:
+            return root
+    raise NoCrossingInRange(f"levels {pair} do not cross at any b_z > 0")
+
+
 def find_crossing(
     vs: VerticalSpectrum,
     pair: tuple[tuple[int, int], tuple[int, int]],
     b_z_range: tuple[float, float],
 ) -> float:
-    """b_z (T) where the uncoupled levels (n_a,l_a) and (n_b,l_b) cross.
-
-    The b_y = 0 energies E_n + hbar w_c l are linear in b_z, so the root is
-    the closed form (E_b - E_a) / (hbar w_c(1 T) (l_a - l_b)), held inside
-    the interval; raises NoCrossingInRange when the difference keeps one
-    sign over the interval (equal l included, where it is constant).
+    """b_z (T) where the uncoupled levels (n_a,l_a) and (n_b,l_b) cross
+    inside b_z_range: the closed form of _crossing_field, held inside the
+    interval; raises NoCrossingInRange when the difference keeps one sign
+    over the interval (equal l included, where it is constant).
     """
     (n_a, l_a), (n_b, l_b) = pair
 
@@ -309,9 +300,7 @@ def find_crossing(
         raise NoCrossingInRange(
             f"levels {pair} do not cross for b_z in {b_z_range} T"
         )
-    root = ((vs.energy(n_b) - vs.energy(n_a))
-            / (HBAR * cyclotron_frequency(1.0) * (l_a - l_b)))
-    return min(max(root, lo), hi)
+    return min(max(_crossing_field(vs, pair), lo), hi)
 
 
 def minimum_gap(
@@ -325,7 +314,9 @@ def minimum_gap(
 
     Sweeps b_z, following the two dressed branches by eigenvector overlap
     continuity rather than energy order, which swaps at the crossing. When
-    b_z_range is omitted a +-5% window around the uncoupled crossing is used.
+    b_z_range is omitted a +-5% window around the uncoupled crossing is used,
+    at whatever field the closed form puts it (NoCrossingInRange if the
+    levels never cross at b_z > 0).
     Raises BranchTrackingLost when successive eigenvectors overlap below
     _OVERLAP_THRESHOLD (0.5), the sign the sweep step is too coarse.
 
@@ -337,7 +328,7 @@ def minimum_gap(
     ladder's, and at the cap the result is the full ladder's, bit for bit.
     """
     if b_z_range is None:
-        center = find_crossing(blocks.vs, pair, (1e-3, 20.0))
+        center = _crossing_field(blocks.vs, pair)
         b_z_range = (0.95 * center, 1.05 * center)
     values = np.linspace(b_z_range[0], b_z_range[1], n_steps)
     cap = blocks.basis.l_max

@@ -6,6 +6,12 @@ says otherwise; helpers are provided for the units customary in this problem
 Rydberg R_e and lengths in units of the effective Bohr radius r_B; the scale
 factors live on MaterialProperties so the conversion happens in exactly one
 place.
+
+This module imports no numpy, so it also holds the frozen parameter
+dataclasses a run config builds (ProductBasis, GridSpec, BroadeningModel)
+and the default map band: the config layer and the command line's validate
+read them without loading numpy. coupled, vertical and spectroscopy import
+them from here.
 """
 
 from __future__ import annotations
@@ -215,3 +221,84 @@ def cyclotron_frequency(b_z: float) -> float:
     """e B / m_e in rad/s for any field component B, of either sign and at
     B = 0: omega_c from b_z, and the coupling frequency omega_y from b_y."""
     return ELEMENTARY_CHARGE * b_z / ELECTRON_MASS
+
+
+@dataclass(frozen=True)
+class ProductBasis:
+    """Truncated |n,l> basis, 1 <= n <= n_max, 0 <= l <= l_max."""
+
+    n_max: int = 6
+    l_max: int = 50
+
+    def __post_init__(self):
+        if self.n_max < 1 or self.l_max < 0:
+            raise ValueError("need n_max >= 1 and l_max >= 0")
+
+    @property
+    def size(self) -> int:
+        return self.n_max * (self.l_max + 1)
+
+    @property
+    def label_dtype(self):
+        """The narrowest integer numpy dtype that holds every label n and
+        l."""
+        import numpy as np
+
+        return np.min_scalar_type(max(self.n_max, self.l_max))
+
+    def index(self, n: int, l: int) -> int:
+        if not (1 <= n <= self.n_max and 0 <= l <= self.l_max):
+            raise IndexError(f"state ({n},{l}) outside basis")
+        return (n - 1) * (self.l_max + 1) + l
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Uniform solver grid: extent in units of r_B and interior point count."""
+
+    z_max: float = 150.0
+    n_points: int = 4000
+
+    def __post_init__(self):
+        if self.z_max <= 0.0:
+            raise ValueError("z_max must be positive")
+        if self.n_points < 16:
+            raise ValueError("n_points must be at least 16")
+
+
+# Default half-width, GHz, of the band around the drive whose lines a map
+# catalogs.
+DEFAULT_BAND_GHZ = 30.0
+
+
+@dataclass(frozen=True)
+class BroadeningModel:
+    """Gaussian linewidth model, all widths as standard deviations in GHz.
+
+    base_width covers the b_y-independent inhomogeneity of the tuning field.
+    The fluctuating in-plane Coulomb field of the neighbors adds
+    kappa (b_y/b_z) E_f with E_f = c_f n_s^(3/4) (n_s in cm^-2, E_f in V/cm);
+    c_f is a calibration constant, not a measured one. Thermal motion across
+    b_y adds kappa sqrt(k_B T / m_e) b_y, but only once the Landau splitting
+    has sunk below k_B T, where the in-plane motion is quasi-classical.
+    """
+
+    base_width_ghz: float = 0.2
+    kappa_ghz_cm_per_v: float = 0.74
+    areal_density_cm2: float = 1e7
+    fluct_field_coefficient: float = 4.3e-6   # V/cm per cm^-3/2
+    include_thermal: bool = True
+
+    def width_ghz(self, cfg: FieldConfiguration) -> float:
+        b_y = abs(cfg.b_y)
+        terms = [self.base_width_ghz]
+        if cfg.b_z > 0.0 and b_y > 0.0:
+            e_f = self.fluct_field_coefficient * self.areal_density_cm2**0.75
+            terms.append(self.kappa_ghz_cm_per_v * (b_y / cfg.b_z) * e_f)
+            if (self.include_thermal
+                    and HBAR * cyclotron_frequency(cfg.b_z)
+                    < BOLTZMANN * cfg.temperature):
+                rms_v_cm = (math.sqrt(BOLTZMANN * cfg.temperature / ELECTRON_MASS)
+                            * b_y / V_PER_CM)
+                terms.append(self.kappa_ghz_cm_per_v * rms_v_cm)
+        return math.hypot(*terms) if len(terms) > 1 else terms[0]

@@ -23,23 +23,24 @@ from .coupled import (
     _EDGE_WEIGHT_LIMIT,
     CoupledSpectrum,
     HamiltonianBlocks,
-    ProductBasis,
     _certify,
 )
 from .errors import DegenerateField, HeliumJcmError
 from .materials import (
     BOLTZMANN,
+    DEFAULT_BAND_GHZ,
     ELEMENTARY_CHARGE,
-    ELECTRON_MASS,
     GHZ,
     HBAR,
     V_PER_CM,
+    BroadeningModel,
     FieldConfiguration,
+    GridSpec,
     MaterialProperties,
+    ProductBasis,
     cyclotron_frequency,
 )
 from .vertical import (
-    GridSpec,
     VerticalSpectrum,
     _single_threaded_blas,
     solve_vertical,
@@ -49,9 +50,6 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # A map pixel deposits the lines within this many widths of the drive.
 _DEPOSIT_WINDOW = 8.0
-# Default half-width, GHz, of the band around the drive whose lines a map
-# catalogs.
-DEFAULT_BAND_GHZ = 30.0
 
 
 def thermal_populations(cfg: FieldConfiguration, l_cut: int) -> np.ndarray:
@@ -67,39 +65,6 @@ def thermal_populations(cfg: FieldConfiguration, l_cut: int) -> np.ndarray:
     x = HBAR * cyclotron_frequency(cfg.b_z) / (BOLTZMANN * cfg.temperature)
     weights = np.exp(-x * np.arange(l_cut + 1))
     return weights / weights.sum()
-
-
-@dataclass(frozen=True)
-class BroadeningModel:
-    """Gaussian linewidth model, all widths as standard deviations in GHz.
-
-    base_width covers the b_y-independent inhomogeneity of the tuning field.
-    The fluctuating in-plane Coulomb field of the neighbors adds
-    kappa (b_y/b_z) E_f with E_f = c_f n_s^(3/4) (n_s in cm^-2, E_f in V/cm);
-    c_f is a calibration constant, not a measured one. Thermal motion across
-    b_y adds kappa sqrt(k_B T / m_e) b_y, but only once the Landau splitting
-    has sunk below k_B T, where the in-plane motion is quasi-classical.
-    """
-
-    base_width_ghz: float = 0.2
-    kappa_ghz_cm_per_v: float = 0.74
-    areal_density_cm2: float = 1e7
-    fluct_field_coefficient: float = 4.3e-6   # V/cm per cm^-3/2
-    include_thermal: bool = True
-
-    def width_ghz(self, cfg: FieldConfiguration) -> float:
-        b_y = abs(cfg.b_y)
-        terms = [self.base_width_ghz]
-        if cfg.b_z > 0.0 and b_y > 0.0:
-            e_f = self.fluct_field_coefficient * self.areal_density_cm2**0.75
-            terms.append(self.kappa_ghz_cm_per_v * (b_y / cfg.b_z) * e_f)
-            if (self.include_thermal
-                    and HBAR * cyclotron_frequency(cfg.b_z)
-                    < BOLTZMANN * cfg.temperature):
-                rms_v_cm = (math.sqrt(BOLTZMANN * cfg.temperature / ELECTRON_MASS)
-                            * b_y / V_PER_CM)
-                terms.append(self.kappa_ghz_cm_per_v * rms_v_cm)
-        return math.hypot(*terms) if len(terms) > 1 else terms[0]
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from .errors import ConvergenceFailure, GridTooSmall
 from .materials import (
     ELEMENTARY_CHARGE,
     GHZ,
+    GridSpec,
     MaterialProperties,
     V_PER_CM,
 )
@@ -60,20 +61,6 @@ _ROOT_TOL_V_CM = 1e-3
 # integers.
 _STEBZ, _STEIN = "scipy_dstebz_64_", "scipy_dstein_64_"
 _SYEVD = "scipy_dsyevd_64_"
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform solver grid: extent in units of r_B and interior point count."""
-
-    z_max: float = 150.0
-    n_points: int = 4000
-
-    def __post_init__(self):
-        if self.z_max <= 0.0:
-            raise ValueError("z_max must be positive")
-        if self.n_points < 16:
-            raise ValueError("n_points must be at least 16")
 
 
 @dataclass(frozen=True)

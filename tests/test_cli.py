@@ -18,10 +18,13 @@ from heliumjcm import (
     HamiltonianBlocks,
     RipplonBath,
     cli,
+    coupled,
     cyclotron_frequency,
     full_transition_shift_ghz,
+    materials,
     resonant_wavenumber,
     solve_vertical,
+    spectroscopy,
     vertical,
 )
 from heliumjcm.config import TASKS, RunConfig, load_run_config
@@ -651,6 +654,14 @@ def test_task_failure_still_writes_its_artifacts(tmp_path, capsys,
     assert body["failures"] == [
         {"error": "ConvergenceFailure: sum rule did not converge"}]
 
+    # a map that fails as a whole writes no lines table either
+    monkeypatch.setattr(cli, "absorption_map", lambda *args, **kw: fail(None))
+    path = _write(tmp_path, MAP_CFG, "map.cfg")
+    assert cli.main(["absorption-map", "--config", path,
+                     "--out", str(out_dir)]) == 3
+    assert (out_dir / "t_map.csv").read_text() == "b_y,e_perp_v_cm,intensity\n"
+    assert not (out_dir / "t_lines.csv").exists()
+
     # every sidecar lists its failures, a successful rates sidecar too
     path = _write(tmp_path, RATES_CFG.format(occupation="false"), "rates.cfg")
     assert cli.main(["rates", "--config", path, "--out", str(out_dir)]) == 0
@@ -961,6 +972,44 @@ def test_cli_import_and_validate_load_no_scipy(tmp_path):
         "from heliumjcm import cli; "
         f"assert cli.main(['validate', '--config', {str(path)!r}]) == 0")])
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_validate_and_config_errors_load_no_numpy(tmp_path):
+    # numpy's import alone would take most of validate's time: each run of
+    # the module as python -m runs it, on every committed and script config
+    # and on an unknown key (exit 2), records its exit code and whether
+    # numpy was loaded
+    configs = sorted(CONFIG_DIR.glob("*.cfg"))
+    configs += sorted((CONFIG_DIR.parent / "scripts").glob("*.cfg"))
+    assert len(configs) == 9
+    bad = _write(tmp_path, "[fields]\nb_x = 1.0\n", "bad.cfg")
+    runs = [["validate", "--config", str(path)] for path in configs]
+    runs += [["validate", "--config", bad], ["shifts", "--config", bad]]
+    probe = ("import runpy, sys\n"
+             "codes = []\n"
+             f"for argv in {runs!r}:\n"
+             "    sys.argv[1:] = argv\n"
+             "    try:\n"
+             "        runpy.run_module('heliumjcm.cli', run_name='__main__')\n"
+             "    except SystemExit as exc:\n"
+             "        codes.append((exc.code, 'numpy' in sys.modules))\n"
+             "print(codes)\n")
+    out = _run_python(["-c", probe])
+    assert out.stdout.splitlines()[-1] == repr(
+        [(0, False)] * len(configs) + [(2, False)] * 2)
+    out = _run_python(["-c", "import sys, heliumjcm.config; "
+                             "print('numpy' in sys.modules)"])
+    assert out.stdout.strip() == "False"
+
+
+def test_config_dataclasses_are_the_task_modules_own():
+    # config builds them from materials without numpy; the task modules,
+    # and the names the benchmark tracer wraps, hold the same objects
+    assert coupled.ProductBasis is materials.ProductBasis
+    assert vertical.GridSpec is materials.GridSpec
+    assert spectroscopy.BroadeningModel is materials.BroadeningModel
+    assert spectroscopy.DEFAULT_BAND_GHZ is materials.DEFAULT_BAND_GHZ
+    assert heliumjcm.ProductBasis is materials.ProductBasis
 
 
 def test_computing_tasks_load_no_scipy(tmp_path):

@@ -353,7 +353,7 @@ _TRACK_PAIR = coupled._track_pair
 def _cap_gap(blocks, cfg, pair, b_z_range=None, n_steps=81):
     """minimum_gap's sweep on the full ladder, without the certified cut."""
     if b_z_range is None:
-        center = find_crossing(blocks.vs, pair, (1e-3, 20.0))
+        center = coupled._crossing_field(blocks.vs, pair)
         b_z_range = (0.95 * center, 1.05 * center)
     values = np.linspace(*b_z_range, n_steps)
     return _TRACK_PAIR(blocks, blocks.basis.l_max, cfg, pair, values)[0]
@@ -439,6 +439,25 @@ def test_minimum_gap_loss_below_cap_moves_to_cap(vs15, monkeypatch):
         want = _cap_gap(blocks, cfg, ((2, 0), (1, 1)))
     assert landau_cuts == [5, 20]
     assert got == want
+
+
+def test_minimum_gap_default_window_at_any_field(he3):
+    # at 300 V/cm (6,0) and (1,1) cross near 23.18 T: the default window is
+    # +-5% around the closed-form root, wherever it lies
+    vs = solve_vertical(he3, 30000.0)
+    blocks = HamiltonianBlocks(vs, ProductBasis(6, 12))
+    cfg = FieldConfiguration.from_v_cm(300.0, 0.0, 0.1)
+    pair = ((6, 0), (1, 1))
+    b_star = find_crossing(vs, pair, (1e-3, 80.0))
+    assert b_star == pytest.approx(23.18, abs=0.01)
+    with _single_threaded_blas:
+        got = minimum_gap(blocks, cfg, pair)
+        want = minimum_gap(blocks, cfg, pair, (0.95 * b_star, 1.05 * b_star))
+    assert got == want and got[1] > 0.0
+    # equal l never cross, and (1,0)/(2,1) only at a negative field
+    for pair in (((1, 0), (2, 0)), ((1, 0), (2, 1))):
+        with pytest.raises(NoCrossingInRange, match="b_z > 0"):
+            minimum_gap(blocks, cfg, pair)
 
 
 def _brentq_crossing(vs, pair, b_z_range):
