@@ -5,17 +5,17 @@ The Hamiltonian (with the cyclotron zero-point energy already dropped) is
     H = E_n delta + hbar w_c l delta + (m w_y^2 / 2) (z^2)_nn' delta_ll'
         + (hbar w_y / sqrt(2) l_B) z_nn' (sqrt(l+1) d_{l',l+1} + sqrt(l) d_{l',l-1})
 
-assembled in SI Joules with Kronecker products, flat index
-k = (n - 1) (l_max + 1) + l. The diamagnetic z^2 block is kept as the full
-matrix in n. CoupledSpectrum is the one reader of that layout: its weights,
-indexed (state, n - 1, l) and squared for the states or labels a caller
-asks for, serve every label lookup, the Landau-cut certificate and the line
-deposit.
+assembled in SI Joules from its nonzero entries, flat index
+k = (n - 1) (l_max + 1) + l: viewed as (n, l, n', l'), the diamagnetic term
+fills the l = l' blocks (full matrices in n), the coupling the l' = l +- 1
+blocks, and every other entry off the diagonal is zero. CoupledSpectrum is
+the one reader of that layout: its weights, indexed (state, n - 1, l) and
+squared for the states or labels a caller asks for, serve every label
+lookup, the Landau-cut certificate and the line deposit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -103,24 +103,16 @@ class CoupledSpectrum:
         return n + 1, l, w[np.arange(idx.size), idx]
 
 
-def _landau_ladder(l_max: int) -> np.ndarray:
-    """Matrix of <l'| a + a^dagger |l> on 0..l_max."""
-    s = np.diag(np.sqrt(np.arange(1.0, l_max + 1)), 1)
-    return s + s.T
-
-
 class HamiltonianBlocks:
     """The coupled problem at one vertical solve: the handle every coupled
     solve goes through.
 
-    The diagonal E_n + hbar w_c l needs only b_z, and the diamagnetic and
-    coupling blocks kron(z^2, 1_l) and kron(z, a + a^dagger) need no field at
-    all, so an instance builds the two Kronecker products once (on first
-    use, at its cap basis.l_max) and assemble_hamiltonian slices every
-    matrix from them. A Kronecker entry is one product of a z (or z^2) entry
-    and a ladder (or identity) entry, so the blocks of a Landau cut l <= L
-    are the cap's with l, l' <= L, entry for entry those of a
-    ProductBasis(n_max, L) assembly.
+    It holds the vertical solve vs and the cap basis, and nothing derived
+    from them: the diagonal E_n + hbar w_c l needs only b_z, and the
+    diamagnetic and coupling entries are one z^2 or z entry times field
+    prefactors, so assemble_hamiltonian writes every matrix from vs alone.
+    A Landau cut l <= L is the same assembly on fewer rungs, entry for
+    entry a ProductBasis(n_max, L) assembly.
     """
 
     def __init__(
@@ -134,15 +126,6 @@ class HamiltonianBlocks:
             )
         self.vs = vs
         self.basis = basis
-
-    @functools.cached_property
-    def _blocks(self) -> list[np.ndarray]:
-        """The diamagnetic and coupling blocks at the cap, indexed
-        (n, l, n', l')."""
-        nb, lb = self.basis.n_max, self.basis.l_max
-        return [np.kron(m[:nb, :nb], s).reshape(nb, lb + 1, nb, lb + 1)
-                for m, s in ((self.vs.z2_matrix, np.eye(lb + 1)),
-                             (self.vs.z_matrix, _landau_ladder(lb)))]
 
     def _cut(self, l_max: int | None) -> ProductBasis:
         """The basis of the Landau cut l <= l_max (the cap if None)."""
@@ -191,16 +174,31 @@ def assemble_hamiltonian(blocks: HamiltonianBlocks, cfg: FieldConfiguration,
                          l_max: int | None = None) -> np.ndarray:
     """Dense Hamiltonian in J at cfg on the Landau cut l <= l_max of blocks
     (the cap if None), exactly symmetric because every term is
-    (solve_vertical symmetrizes the z and z^2 matrices)."""
+    (solve_vertical symmetrizes the z and z^2 matrices).
+
+    Viewed as (n, l, n', l'), the diamagnetic entries are added on the
+    l = l' blocks of the diagonal matrix and the coupling entries on the
+    l' = l +- 1 blocks, each the scalar prefactor times (ladder entry times
+    z entry), as a Kronecker product gives it. No entry gets more than one
+    term besides the diagonal, so no sum is reordered, and every other
+    entry stays +0.0."""
     basis = blocks._cut(l_max)
     h = np.diag(blocks._diagonal(cfg, basis))
     if cfg.b_y != 0.0:
-        rungs = basis.l_max + 1
+        nb, rungs = basis.n_max, basis.l_max + 1
         _, omega_y, l_b = derived_frequencies(cfg)
-        z2, z = (block[:, :rungs, :, :rungs].reshape(h.shape)
-                 for block in blocks._blocks)
-        h += 0.5 * ELECTRON_MASS * omega_y**2 * z2
-        h += HBAR * omega_y / (np.sqrt(2.0) * l_b) * z
+        z2 = (0.5 * ELECTRON_MASS * omega_y**2
+              * blocks.vs.z2_matrix[:nb, :nb])
+        z = blocks.vs.z_matrix[:nb, :nb]
+        coupling = HBAR * omega_y / (np.sqrt(2.0) * l_b)
+        ladder = np.sqrt(np.arange(1.0, rungs))   # <l+1| a^dagger |l>
+        entries = coupling * (ladder[:, None, None] * z)
+        l = np.arange(rungs)
+        # indexed by (l, n, n'): the l' = l, l + 1 and l - 1 blocks
+        hv = h.reshape(nb, rungs, nb, rungs)
+        hv[:, l, :, l] += z2
+        hv[:, l[:-1], :, l[1:]] += entries
+        hv[:, l[1:], :, l[:-1]] += entries
     return h
 
 

@@ -414,6 +414,8 @@ def absorption_map(
                 states = np.union1d(lines.initial_states,
                                     lines.final_index[near | keep])
                 edge, landau = _certify(spec, states, cap)
+                if landau is not None:
+                    del spec, lines   # not alive during the larger solve
         except HeliumJcmError as exc:
             errors[i, j] = exc
             return

@@ -41,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, GridTooSmall
-from .materials import (
-    ELEMENTARY_CHARGE,
-    GHZ,
-    GridSpec,
-    MaterialProperties,
-    V_PER_CM,
-)
+from .materials import GHZ, GridSpec, MaterialProperties, V_PER_CM
 
 # Fraction of the grid, counted from the outer wall, whose probability mass
 # must stay below the leak tolerance for the highest state.

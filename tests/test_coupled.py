@@ -1,6 +1,7 @@
 """Coupled-basis Hamiltonian: assembly invariants, the uncoupled fan,
 crossings and avoided crossings."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,7 @@ from heliumjcm import (
     solve_vertical,
     thermal_populations,
 )
-from heliumjcm import coupled, spectroscopy
+from heliumjcm import coupled, materials, spectroscopy
 from heliumjcm.vertical import _single_threaded_blas
 
 GHZ = 1e9 * PLANCK
@@ -154,6 +155,55 @@ def test_restricted_blocks_equal_fresh_assembly(vs15):
             assemble_hamiltonian(blocks, cfg, cut)
         with pytest.raises(ValueError):
             blocks.solve(cfg, cut)
+
+
+def _kron_hamiltonian(vs, cfg, basis):
+    """Reference assembly with Kronecker products, in the package's
+    constants: diag(E_n + hbar w_c l) + (m w_y^2 / 2) kron(z^2, 1_l)
+    + (hbar w_y / sqrt(2) l_B) kron(z, a + a^dagger)."""
+    nb, lb = basis.n_max, basis.l_max
+    hbar = materials.HBAR
+    _, omega_y, l_b = materials.derived_frequencies(cfg)
+    w_c = cyclotron_frequency(cfg.b_z)
+    h = np.diag((vs.energies[:nb, None]
+                 + hbar * w_c * np.arange(float(lb + 1))).ravel())
+    s = np.diag(np.sqrt(np.arange(1.0, lb + 1)), 1)
+    h += (0.5 * materials.ELECTRON_MASS * omega_y**2
+          * np.kron(vs.z2_matrix[:nb, :nb], np.eye(lb + 1)))
+    h += hbar * omega_y / (np.sqrt(2.0) * l_b) * np.kron(vs.z_matrix[:nb, :nb],
+                                                         s + s.T)
+    return h
+
+
+@pytest.mark.parametrize("n_max", [6, 4])
+def test_assembly_is_the_kronecker_sum_bit_for_bit(vs15, n_max):
+    # every entry, signed zeros included, on each Landau cut of the cap and
+    # with fewer vertical levels than the solve holds
+    blocks = HamiltonianBlocks(vs15, ProductBasis(n_max, 50))
+    for b_y in (0.6, -0.3, 0.2, 0.0):
+        cfg = FieldConfiguration.from_v_cm(15.0, 0.584, b_y)
+        for cut in (0, 1, 17, 49, 50):
+            h = assemble_hamiltonian(blocks, cfg, cut)
+            ref = _kron_hamiltonian(vs15, cfg, ProductBasis(n_max, cut))
+            assert h.tobytes() == ref.tobytes()
+
+
+def test_cap_solve_keeps_no_field_independent_matrices(vs15):
+    # a solve holds the matrix it overwrites and the spectrum it returns,
+    # and the handle keeps nothing once the spectrum is dropped
+    blocks = HamiltonianBlocks(vs15, ProductBasis(6, 50))
+    cfg = FieldConfiguration.from_v_cm(15.0, 0.584, 0.6)
+    n2 = 8 * blocks.basis.size**2
+    tracemalloc.start()
+    try:
+        spec = blocks.solve(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+        del spec
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3 * n2
+    assert held < 0.1 * n2
 
 
 def test_dominant_labels_match_dominant(vs15):

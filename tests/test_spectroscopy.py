@@ -568,28 +568,6 @@ def test_cap_pixels_bit_identical_to_cap_solve(he3):
     assert sum(n for _, n in report["pixels_by_l_max"]) == 4
 
 
-def test_map_builds_one_pair_of_blocks_per_column(he3, monkeypatch):
-    # fig6 regime, 12 x 4 pixels: pixels climb through several Landau cuts,
-    # and every cut of a column is sliced from the column's one pair of
-    # Kronecker blocks
-    calls = []
-    kron = np.kron
-
-    def counted_kron(*args, **kwargs):
-        calls.append(args)
-        return kron(*args, **kwargs)
-
-    monkeypatch.setattr(np, "kron", counted_kron)
-    base = FieldConfiguration.from_v_cm(29.0, 0.584, temperature=0.33)
-    e_perp = np.linspace(24.0, 34.0, 4)
-    amap = absorption_map(he3, base, "b_y", np.linspace(0.0, 0.6, 12),
-                          e_perp, 90.0, BroadeningModel(areal_density_cm2=5e6),
-                          ProductBasis(6, 50))
-    assert not amap.failures
-    assert len(np.unique(amap.landau_cut)) > 2
-    assert len(calls) <= 2 * e_perp.size
-
-
 def test_every_dense_map_solve_goes_through_diagonalize(he3, monkeypatch):
     calls = {"diagonalize": 0, "eigh": 0}
     solves = []   # (b_y, diagonalize calls, eigh calls) of each blocks.solve
