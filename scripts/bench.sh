@@ -13,10 +13,11 @@
 # Writes BENCH_<pr>.json at the root of the checkout: the seed, the commit
 # the checkout stands on and whether its tree differs from it, the name of
 # the OpenBLAS kernel numpy's OpenBLAS picks on this CPU (its
-# get_corename, found through heliumjcm.vertical._openblas_functions; the
-# printed digits of the artifacts depend on it), and per workload the last
-# JSON line of each run and the environment block perfbench writes to its
-# report under .perfbench/. Exits 0 when every run succeeded and reported
+# get_corename, found and typed through
+# heliumjcm.vertical._openblas_functions; the printed digits of the
+# artifacts depend on it), and per workload the last JSON line of each run
+# and the environment block perfbench writes to its report under
+# .perfbench/. Exits 0 when every run succeeded and reported
 # "correct": true, 1 at the first run that fails or does not, 2 on a usage
 # error.
 set -eu
@@ -72,9 +73,8 @@ from heliumjcm.vertical import _openblas_functions
 
 pr, seed, seconds, tmp, *workloads = sys.argv[1:]
 cores = [func for (func,) in _openblas_functions(
-    [("scipy_openblas_get_corename64_",), ("openblas_get_corename",)])]
-for func in cores:
-    func.restype = ctypes.c_char_p
+    [((name, [], ctypes.c_char_p),)
+     for name in ("scipy_openblas_get_corename64_", "openblas_get_corename")])]
 head = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
                       capture_output=True, text=True).stdout.strip()
 dirty = bool(subprocess.run(["git", "status", "--porcelain", "--", "src"],

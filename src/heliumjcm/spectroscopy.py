@@ -395,7 +395,9 @@ def absorption_map(
         cfg = base_cfg.replace(**{sweep_name: float(sweep_values[i]),
                                   "e_perp": blocks.vs.e_perp})
         try:
-            cut = _auto_l_cut(cfg, cap) if l_cut is None else l_cut
+            # cap + 1 where the automatic cut wants more rungs than cap
+            wanted = _auto_l_cut(cfg, cap + 1) if l_cut is None else l_cut
+            cut = min(wanted, cap)
             populations = thermal_populations(cfg, cut)
             width = broadening.width_ghz(cfg)
             landau = _first_landau_cut(cfg, cut, band[1], cap)
@@ -423,8 +425,7 @@ def absorption_map(
                                    width)
         landau_cut[i, j] = spec.basis.l_max
         edge_weight[i, j] = edge
-        # the automatic thermal cut wanted more rungs than the cap has
-        clamped[i, j] = l_cut is None and _auto_l_cut(cfg, cap + 1) > cap
+        clamped[i, j] = wanted > cap
         traced[i, j] = (*(labels[keep].astype(basis.label_dtype)
                           for labels in (lines.initial_l, lines.final_n,
                                          lines.final_l)),

@@ -14,20 +14,20 @@ The lowest states of the fine grid come from LAPACK's bisection dstebz
 scipy.linalg.eigh_tridiagonal(select="i") runs; the half-resolution grid
 gives eigenvalues only, so it stops after dstebz, as eigh_tridiagonal does
 with eigvals_only. They are called through ctypes on the ILP64 symbols of
-the OpenBLAS numpy already loads, so a solve imports no scipy. Where no
-loaded library exports them (a numpy built on MKL or Accelerate, or no
-/proc), eigh_tridiagonal itself is the fallback; both paths give the same
-bits.
+the OpenBLAS numpy already loads, so a solve imports no scipy. The same
+probe finds dsyevd, the dense symmetric solver np.linalg.eigh calls, which
+runs with its "V", "L" call and workspace query so that coupled.diagonalize
+solves a Hamiltonian in its own buffer instead of in numpy's copy. numpy's
+bundled OpenBLAS exports all three or none; where no loaded library does (a
+numpy built on MKL or Accelerate, or no /proc), both solves fall back, to
+eigh_tridiagonal and np.linalg.eigh, with the same bits.
 
-This is the one module that calls OpenBLAS. It also binds dsyevd, the
-dense symmetric solver np.linalg.eigh calls, with the same "V", "L" call
-and workspace query, so coupled.diagonalize can solve a Hamiltonian in its
-own buffer instead of in numpy's copy (np.linalg.eigh is the fallback,
-with the same bits); and it holds the process-wide one-thread pin that
-every command-line task runs under. The command line also asks OpenBLAS
-for one thread before numpy loads it, through OPENBLAS_NUM_THREADS (see
-cli), so that no idle thread pool starts; the pin is what holds a library
-or test caller that loaded numpy first to one thread.
+This is the one module that calls OpenBLAS, and one table types every
+function it calls. It also holds the process-wide one-thread pin that every
+command-line task runs under. The command line also asks OpenBLAS for one
+thread before numpy loads it, through OPENBLAS_NUM_THREADS (see cli), so
+that no idle thread pool starts; the pin is what holds a library or test
+caller that loaded numpy first to one thread.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ _TAIL_TOLERANCE = 1e-6
 # find_transition_field, V/cm.
 _SLOPE_STEP_V_CM = 0.1
 _ROOT_TOL_V_CM = 1e-3
-# dstebz and dstein as numpy's bundled OpenBLAS exports them, with 64-bit
-# integers.
-_STEBZ, _STEIN = "scipy_dstebz_64_", "scipy_dstein_64_"
-_SYEVD = "scipy_dsyevd_64_"
 
 
 @dataclass(frozen=True)
@@ -106,23 +102,38 @@ class VerticalSpectrum:
         return self.transition_energy(n, m) / GHZ
 
 
-# (get, set) thread-count symbols: numpy's bundled OpenBLAS (64-bit integer
+# Every OpenBLAS function the package calls, as (name, argument types,
+# result type), in the groups _openblas_functions looks up. LAPACK is
+# numpy's bundled OpenBLAS's, with 64-bit integers: Fortran passes every
+# argument by reference, and each CHARACTER*1 argument adds a hidden
+# trailing size_t length.
+_REF, _LEN = ctypes.c_void_p, ctypes.c_size_t
+_LAPACK_GROUP = (("scipy_dstebz_64_", [_REF] * 18 + [_LEN] * 2, None),
+                 ("scipy_dstein_64_", [_REF] * 13, None),
+                 ("scipy_dsyevd_64_", [_REF] * 11 + [_LEN] * 2, None))
+# (get, set) thread counts: numpy's bundled OpenBLAS (64-bit integer
 # interface), scipy's, and an unprefixed system OpenBLAS.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
+_THREAD_GROUPS = (
+    (("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
+     ("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)),
+    (("scipy_openblas_get_num_threads", [], ctypes.c_int),
+     ("scipy_openblas_set_num_threads", [ctypes.c_int], None)),
+    (("openblas_get_num_threads64_", [], ctypes.c_int),
+     ("openblas_set_num_threads64_", [ctypes.c_int], None)),
+    (("openblas_get_num_threads", [], ctypes.c_int),
+     ("openblas_set_num_threads", [ctypes.c_int], None)),
 )
 
 
 def _openblas_functions(groups) -> list[tuple]:
     """For every OpenBLAS mapped into this process, in path order, the
-    functions of the first group of symbol names in groups that it exports
-    in full; empty where none is loaded or /proc is unavailable."""
+    functions of the first group in groups that it exports in full, each
+    typed by its (name, argument types, result type) entry; empty where
+    none is loaded or /proc is unavailable."""
     try:
         with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
+            # the pathname is the sixth field, and may hold spaces
+            paths = sorted({line.split(None, 5)[5].rstrip("\n") for line in fh
                             if "openblas" in line.lower()})
     except OSError:
         return []
@@ -132,39 +143,23 @@ def _openblas_functions(groups) -> list[tuple]:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for names in groups:
-            funcs = tuple(getattr(lib, name, None) for name in names)
+        for group in groups:
+            funcs = tuple(getattr(lib, name, None) for name, _, _ in group)
             if None not in funcs:
+                for func, (_, argtypes, restype) in zip(funcs, group):
+                    func.argtypes, func.restype = argtypes, restype
                 found.append(funcs)
                 break
     return found
 
 
 @functools.cache
-def _lapack_tridiagonal():
-    """(dstebz, dstein) from a loaded OpenBLAS, or None where no loaded
-    library exports both; solve_vertical then falls back to scipy."""
-    for stebz, stein in _openblas_functions([(_STEBZ, _STEIN)]):
-        # Fortran passes everything by reference; dstebz's two CHARACTER*1
-        # arguments add hidden trailing size_t lengths.
-        stebz.argtypes = [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 2
-        stein.argtypes = [ctypes.c_void_p] * 13
-        stebz.restype = stein.restype = None
-        return stebz, stein
-    return None
-
-
-@functools.cache
-def _lapack_syevd():
-    """dsyevd from a loaded OpenBLAS, or None where no loaded library
-    exports it; _eigh_in_place then falls back to np.linalg.eigh."""
-    for (syevd,) in _openblas_functions([(_SYEVD,)]):
-        # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO, and
-        # the hidden lengths of the two CHARACTER*1 arguments
-        syevd.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t] * 2
-        syevd.restype = None
-        return syevd
-    return None
+def _lapack():
+    """(dstebz, dstein, dsyevd) from a loaded OpenBLAS, or None where no
+    loaded library exports all three; the vertical solve then falls back
+    to scipy and _eigh_in_place to np.linalg.eigh."""
+    found = _openblas_functions([_LAPACK_GROUP])
+    return found[0] if found else None
 
 
 def _openblas_thread_controls() -> list[tuple]:
@@ -175,16 +170,10 @@ def _openblas_thread_controls() -> list[tuple]:
     with numpy. Only where it falls back to scipy does this import
     scipy.linalg first, so that the OpenBLAS scipy brings is pinned before
     the first solve."""
-    if _lapack_tridiagonal() is None:
+    if _lapack() is None:
         import scipy.linalg  # noqa: F401
 
-    controls = _openblas_functions(_OPENBLAS_THREAD_SYMBOLS)
-    for getter, setter in controls:
-        getter.argtypes = []
-        getter.restype = ctypes.c_int
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-    return controls
+    return _openblas_functions(_THREAD_GROUPS)
 
 
 class _SingleThreadedBlas:
@@ -248,13 +237,13 @@ def _lowest_eigenpairs(diag: np.ndarray, off: np.ndarray, k: int,
     eigenvalues alone: what eigh_tridiagonal(diag, off, eigvals_only,
     select="i", select_range=(0, k - 1)) returns, bit for bit. The
     eigenvalues alone stop after dstebz, as scipy does."""
-    routines = _lapack_tridiagonal()
+    routines = _lapack()
     if routines is None:
         from scipy.linalg import eigh_tridiagonal   # scipy is slow to import
 
         return eigh_tridiagonal(diag, off, eigvals_only=eigvals_only,
                                 select="i", select_range=(0, k - 1))
-    stebz, stein = routines
+    stebz, stein, _ = routines
     diag = np.ascontiguousarray(diag, dtype=float)
     off = np.ascontiguousarray(off, dtype=float)
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
@@ -304,9 +293,10 @@ def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             and a.shape[0] == a.shape[1] and a.flags.f_contiguous
             and a.flags.writeable):
         raise ValueError("need a writable Fortran-ordered float64 square")
-    syevd = _lapack_syevd()
-    if syevd is None:
+    routines = _lapack()
+    if routines is None:
         return np.linalg.eigh(a)
+    syevd = routines[2]
     n = a.shape[0]
     w, info = np.empty(n), np.zeros(1, np.int64)
 

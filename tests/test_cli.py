@@ -1015,7 +1015,7 @@ def test_config_dataclasses_are_the_task_modules_own():
 def test_computing_tasks_load_no_scipy(tmp_path):
     # the vertical solve runs LAPACK from numpy's OpenBLAS, so no task the
     # command line computes imports scipy
-    if vertical._lapack_tridiagonal() is None:
+    if vertical._lapack() is None:
         pytest.skip("numpy's BLAS exports no dstebz/dstein")
     runs = [["self-test"]]
     for task, text in (("spectrum-sweep", SMALL_SWEEP_CFG),

@@ -2,6 +2,7 @@
 matrix-element quality, Stark utilities."""
 
 import gc
+import io
 
 import numpy as np
 import pytest
@@ -137,9 +138,9 @@ def test_grid_guards(he3):
 @pytest.fixture
 def scipy_fallback(monkeypatch):
     """Hides numpy's dstebz/dstein, as on a numpy without OpenBLAS."""
-    if vertical._lapack_tridiagonal() is None:
+    if vertical._lapack() is None:
         pytest.skip("numpy's BLAS exports no dstebz/dstein")
-    monkeypatch.setattr(vertical, "_lapack_tridiagonal", lambda: None)
+    monkeypatch.setattr(vertical, "_lapack", lambda: None)
 
 
 def _solve_or_error(he3, e_v_cm, n_max, n_points):
@@ -188,7 +189,7 @@ def test_more_states_than_points_is_a_convergence_failure(request, fallback):
 def test_lapack_solve_leaves_no_reference_cycles(he3):
     # arrays passed to dstebz/dstein must be freed by reference counting,
     # not left for the cyclic collector, or peak memory follows its timing
-    if vertical._lapack_tridiagonal() is None:
+    if vertical._lapack() is None:
         pytest.skip("numpy's BLAS exports no dstebz/dstein")
     solve_vertical(he3, 1500.0)
     gc.collect()
@@ -207,7 +208,7 @@ def test_eigenvalues_alone_match_scipy(f):
     # eigh_tridiagonal(eigvals_only=True) and those of the full solve
     from scipy.linalg import eigh_tridiagonal
 
-    if vertical._lapack_tridiagonal() is None:
+    if vertical._lapack() is None:
         pytest.skip("numpy's BLAS exports no dstebz/dstein")
     n_points, z_max = 2000, 150.0
     dz = z_max / (n_points + 1)
@@ -235,8 +236,8 @@ def test_dense_solve_in_place_matches_eigh(monkeypatch, fallback):
     # sizes the maps solve and on spectra with ties; where no library
     # exports dsyevd, np.linalg.eigh itself runs and a is left as it was
     if fallback:
-        monkeypatch.setattr(vertical, "_lapack_syevd", lambda: None)
-    elif vertical._lapack_syevd() is None:
+        monkeypatch.setattr(vertical, "_lapack", lambda: None)
+    elif vertical._lapack() is None:
         pytest.skip("numpy's BLAS exports no dsyevd")
     rng = np.random.default_rng(3)
     matrices = [_symmetric(n, rng) for n in (1, 36, 108, 186, 306)]
@@ -257,3 +258,48 @@ def test_dense_solve_in_place_matches_eigh(monkeypatch, fallback):
     # both paths take the same arrays
     with pytest.raises(ValueError):
         vertical._eigh_in_place(_symmetric(3, rng))   # C-ordered
+
+
+def _loaded_openblas() -> str:
+    with open("/proc/self/maps") as fh:
+        for line in fh:
+            if "openblas" in line.lower():
+                return line.split(None, 5)[5].rstrip("\n")
+    pytest.skip("no OpenBLAS loaded")
+
+
+def test_openblas_under_a_path_with_spaces_is_found(tmp_path, monkeypatch):
+    # a maps line ends with the pathname, which may hold spaces; here it is
+    # a link to the loaded OpenBLAS, which the loader maps only once
+    link = tmp_path / "open blas" / "libopenblas.so"
+    link.parent.mkdir()
+    link.symlink_to(_loaded_openblas())
+    line = f"7f0000000000-7f0000100000 r-xp 00000000 fd:01 42    {link}\n"
+    monkeypatch.setattr(vertical, "open", lambda path: io.StringIO(line),
+                        raising=False)
+    found = vertical._openblas_functions(vertical._THREAD_GROUPS)
+    assert len(found) == 1
+    getter, _ = found[0]
+    assert getter() >= 1
+
+
+def test_a_group_is_found_whole_or_not_at_all():
+    # a group with one symbol the library lacks yields no entry, and the
+    # next group is tried; _lapack is None or all three LAPACK functions,
+    # each typed as the table says
+    _loaded_openblas()
+    missing = ("heliumjcm_no_such_symbol", [], None)
+    lacking = [group + (missing,) for group in vertical._THREAD_GROUPS]
+    assert vertical._openblas_functions(lacking) == []
+    assert (len(vertical._openblas_functions(
+                lacking + list(vertical._THREAD_GROUPS)))
+            == len(vertical._openblas_functions(vertical._THREAD_GROUPS)))
+    routines = vertical._lapack()
+    if routines is None:
+        return
+    assert len(routines) == len(vertical._LAPACK_GROUP) == 3
+    for func, (name, argtypes, restype) in zip(routines,
+                                               vertical._LAPACK_GROUP):
+        assert func.__name__ == name
+        assert list(func.argtypes) == argtypes
+        assert func.restype is restype
