@@ -194,8 +194,13 @@ def full_transition_shift_ghz(
 ) -> list[float]:
     """Same observable from the dense diagonalization, GHz: the b_y-induced
     change of the (1,l) -> (2,l) transition frequency, one shift per level
-    of l_values, all read from one solve.
+    of l_values, all read from one solve; exactly 0.0 each at b_y = 0,
+    where nothing is solved, and basis.index rejects an l as locate does.
     """
+    if cfg.b_y == 0.0:
+        for l in l_values:
+            blocks.basis.index(2, l)
+        return [0.0] * len(l_values)
     spec = blocks.solve(cfg)
     bare = blocks.vs.transition_frequency_ghz(1, 2)
     return [

@@ -22,11 +22,13 @@ loaded OpenBLAS to one thread for the task and restores its count after.
 validate, and a configuration error, load no numpy: this module imports
 only the standard library, config, errors and materials as it loads, and
 numpy and the task modules are imported when a computing task or self-test
-first calls into them. Each task-module function the runners call is a
-module-level name here (solve_vertical, truncation_report, absorption_map,
-minimum_gap, transition_shift_ghz, full_transition_shift_ghz) that imports
-the real one on call and forwards to it, so a wrapper or test double set
-on this module is what every task calls.
+first calls into them. The six forwarders here (solve_vertical,
+truncation_report, absorption_map, minimum_gap, transition_shift_ghz,
+full_transition_shift_ghz) import the real function on call: the benchmark
+tracer wraps these names and tests replace them, so a wrapper or double set
+on this module is what every task calls. HamiltonianBlocks, find_crossing
+and strong_coupling_report are imported inside the runners, which repeat
+no decision of the library or of RunConfig.validate.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (artifacts still written, failures listed in the sidecar; a task that fails
@@ -52,7 +54,7 @@ if "numpy" not in sys.modules:
 
 from . import __version__
 from .config import RunConfig, load_run_config
-from .errors import ConfigError, HeliumJcmError
+from .errors import ConfigError, HeliumJcmError, failure_text
 from .materials import (
     BOLTZMANN,
     ELECTRON_MASS,
@@ -86,8 +88,6 @@ def _forward(module: str, name: str):
     return forward
 
 
-# The task modules' functions the runners call, by these names of this
-# module, which the benchmark tracer wraps and tests replace.
 solve_vertical = _forward(".vertical", "solve_vertical")
 truncation_report = _forward(".vertical", "truncation_report")
 absorption_map = _forward(".spectroscopy", "absorption_map")
@@ -204,10 +204,6 @@ def _write_sidecar(path: str, cfg: RunConfig, extra: dict) -> None:
         fh.write("\n")
 
 
-def _error(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def _emit(cfg: RunConfig, out_dir: str, stem: str, header: list[str] | None,
           rows, extra: dict, failures: list, tables=()) -> int:
     """Write each further table (name, header, rows), then the task's own
@@ -245,23 +241,20 @@ def _run_spectrum_sweep(cfg: RunConfig, threads: int) -> tuple:
     base, blocks = _fixed_e_perp(cfg)
     vs = blocks.vs
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
-    overlays = cfg.b_y_values if (cfg.sweep_axis == "b_z"
-                                  and cfg.b_y_values) else (base.b_y,)
+    overlays = cfg.b_y_values or (base.b_y,)   # validate: b_z sweeps only
 
     rows = _SweepRows(len(overlays) * values.size, blocks.basis)
     failures = []
     for b_y in overlays:
+        overlay = base.replace(b_y=float(b_y))
         for value in values:
-            if cfg.sweep_axis == "b_z":
-                point = base.replace(b_z=float(value), b_y=float(b_y))
-            else:
-                point = base.replace(b_y=float(value))
+            point = overlay.replace(**{cfg.sweep_axis: float(value)})
             try:
                 spec = blocks.solve(point)
             except HeliumJcmError as exc:
                 failures.append({"sweep_value": float(value),
                                  "b_y": float(point.b_y),
-                                 "error": _error(exc)})
+                                 "error": failure_text(exc)})
                 continue
             rows.append(value, point.b_y, spec)
 
@@ -283,22 +276,19 @@ def _run_shifts(cfg: RunConfig, threads: int) -> tuple:
     failures = []
     for b_y in values:
         point = base.replace(b_y=float(b_y))
-        if point.b_y == 0.0:
-            full = [0.0] * len(cfg.l_values)
-        else:
-            try:
-                full = full_transition_shift_ghz(blocks, point, cfg.l_values)
-            except HeliumJcmError as exc:
-                full = [float("nan")] * len(cfg.l_values)
-                failures.extend({"b_y": float(b_y), "l": l,
-                                 "error": _error(exc)} for l in cfg.l_values)
+        try:
+            full = full_transition_shift_ghz(blocks, point, cfg.l_values)
+        except HeliumJcmError as exc:
+            full = [float("nan")] * len(cfg.l_values)
+            failures.extend({"b_y": float(b_y), "l": l,
+                             "error": failure_text(exc)} for l in cfg.l_values)
         for l, full_l in zip(cfg.l_values, full):
             try:
                 pert = transition_shift_ghz(vs, point, l)
             except HeliumJcmError as exc:
                 pert = float("nan")
                 failures.append({"b_y": float(b_y), "l": l,
-                                 "error": _error(exc)})
+                                 "error": failure_text(exc)})
             rows.append((float(b_y), l, pert, full_l))
 
     return (rows, {"transition_ghz": vs.transition_frequency_ghz(1, 2)},
@@ -309,24 +299,23 @@ def _run_crossings(cfg: RunConfig, threads: int) -> tuple:
     from .coupled import find_crossing
 
     base, blocks = _fixed_e_perp(cfg)
-    vs = blocks.vs
 
     rows = []
     failures = []
     for n_hi, n_lo in cfg.crossing_pairs:
         pair = ((n_hi, 0), (n_lo, 1))
         try:
-            b_star = find_crossing(vs, pair, (cfg.b_z_min, cfg.b_z_max))
+            b_star = find_crossing(blocks.vs, pair, (cfg.b_z_min, cfg.b_z_max))
         except HeliumJcmError as exc:
-            failures.append({"pair": [n_hi, n_lo], "error": _error(exc)})
+            failures.append({"pair": [n_hi, n_lo], "error": failure_text(exc)})
             continue
         b_min = gap = float("nan")
         if base.b_y != 0.0:
             try:
-                b_min, gap = minimum_gap(
-                    blocks, base, pair, (0.95 * b_star, 1.05 * b_star))
+                b_min, gap = minimum_gap(blocks, base, pair)
             except HeliumJcmError as exc:
-                failures.append({"pair": [n_hi, n_lo], "error": _error(exc)})
+                failures.append({"pair": [n_hi, n_lo],
+                                 "error": failure_text(exc)})
         rows.append((n_hi, n_lo, b_star, b_min, gap / GHZ))
 
     return rows, {}, failures
@@ -383,7 +372,7 @@ def _run_rates(cfg: RunConfig, threads: int) -> tuple:
 
 def _self_test_checks(mat: MaterialProperties) -> list[tuple[str, bool, str]]:
     """Hydrogenic limit, sum rule, uncoupled fan: (name, passed, detail)."""
-    from .coupled import HamiltonianBlocks
+    from .coupled import HamiltonianBlocks, assemble_hamiltonian, diagonalize
 
     checks: list[tuple[str, bool, str]] = []
 
@@ -402,13 +391,14 @@ def _self_test_checks(mat: MaterialProperties) -> list[tuple[str, bool, str]]:
     checks.append(("ground-state dipole sum rule within 5%", resid < 0.05,
                    f"missing weight {resid:.2%}"))
 
+    # the dense solver on the b_y = 0 matrix against the closed-form fan
     cfg0 = FieldConfiguration(e_perp=15.0 * V_PER_CM, b_z=0.65, b_y=0.0)
-    spec = HamiltonianBlocks(vs6, ProductBasis(n_max=4, l_max=12)).solve(cfg0)
-    expected = sorted(
-        vs6.energy(n) + HBAR * cyclotron_frequency(0.65) * l
-        for n in range(1, 5) for l in range(13)
-    )
-    fan_err = max(abs(a - b) for a, b in zip(spec.eigenvalues, expected))
+    blocks = HamiltonianBlocks(vs6, ProductBasis(n_max=4, l_max=12))
+    dense = diagonalize(assemble_hamiltonian(blocks, cfg0), blocks.basis)
+    hw_c = HBAR * cyclotron_frequency(0.65)
+    expected = sorted(vs6.energy(n) + hw_c * l
+                      for n in range(1, 5) for l in range(13))
+    fan_err = max(abs(a - b) for a, b in zip(dense.eigenvalues, expected))
     checks.append(("uncoupled ladder fan exact", fan_err < 1e-9 * GHZ,
                    f"worst deviation {fan_err / GHZ:.2e} GHz"))
     return checks
@@ -473,8 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        required=task != "self-test",
                        help="path to an INI run configuration")
         p.add_argument("--out", default=None,
-                       help=f"output directory (default ${OUT_DIR_ENV} "
-                            "or ./out)")
+                       help="output directory (default [output] out_dir, "
+                            f"else ${OUT_DIR_ENV}, else ./out)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads for map columns (at least 1; "
                             "up to one per core helps). Every computing task "
@@ -502,10 +492,7 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if cfg.task:
-            errors, warnings = cfg.validate()
-        else:
-            errors, warnings = ["run.task: required for validate"], []
+        errors, warnings = cfg.validate()
         for line in warnings:
             print(f"warning: {line}",
                   file=sys.stdout if validating else sys.stderr)
@@ -527,7 +514,7 @@ def main(argv=None) -> int:
         try:
             result = runner(cfg, args.threads)
         except HeliumJcmError as exc:
-            result = [], {}, [{"error": _error(exc)}]
+            result = [], {}, [{"error": failure_text(exc)}]
     out_dir = args.out or cfg.out_dir or os.environ.get(OUT_DIR_ENV, "out")
     return _emit(cfg, out_dir, stem,
                  header and header.format(cfg=cfg).split(","), *result)

@@ -223,6 +223,8 @@ class RunConfig:
         errors: list[str] = []
         warnings: list[str] = []
 
+        if not self.task:   # only the validate subcommand loads no task
+            return ["run.task: required for validate"], warnings
         if self.task not in TASKS:
             errors.append(f"run.task: unknown task {self.task!r}; "
                           f"expected one of {', '.join(TASKS)}")

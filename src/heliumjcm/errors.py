@@ -1,9 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and their failure text.
 
 Every error raised by the numerical layers derives from HeliumJcmError so
 batch drivers can distinguish physics/numerics failures from programming
 errors and report them per sweep point instead of aborting a whole run.
 """
+
+
+def failure_text(exc: BaseException) -> str:
+    """The text every artifact lists for a failure: "<type>: <message>"."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 class HeliumJcmError(Exception):

@@ -25,7 +25,7 @@ from .coupled import (
     HamiltonianBlocks,
     _certify,
 )
-from .errors import DegenerateField, HeliumJcmError
+from .errors import DegenerateField, HeliumJcmError, failure_text
 from .materials import (
     BOLTZMANN,
     DEFAULT_BAND_GHZ,
@@ -459,7 +459,7 @@ def absorption_map(
         run_columns()
         for future in futures:   # re-raises a helper's unexpected exception
             future.result()
-    failures = [(i, j, f"{type(exc).__name__}: {exc}")
+    failures = [(i, j, failure_text(exc))
                 for (i, j), exc in np.ndenumerate(errors) if exc is not None]
 
     # Line-center traces: along E_perp at fixed sweep value, find where each

@@ -237,3 +237,20 @@ def test_cancellation_field_closed_form(he3):
         doublet_cancellation_field(he3, 0.0, 1e-9, 0.5)
     with pytest.raises(ValueError):
         doublet_cancellation_field(he3, 1.18, -1e-9, 0.5)
+
+
+def test_full_shift_is_zero_at_b_y_zero_without_solving(vs15, monkeypatch):
+    blocks = HamiltonianBlocks(vs15, ProductBasis(6, 20))
+    cfg = FieldConfiguration.from_v_cm(15.0, 0.65, 0.0)
+    with pytest.raises(IndexError):   # l above l_max, as locate raises it
+        full_transition_shift_ghz(blocks, cfg.replace(b_y=0.1), [21])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved at b_y = 0")
+
+    monkeypatch.setattr(blocks, "solve", forbidden)
+    l_values = (0, 1, 20)
+    assert full_transition_shift_ghz(blocks, cfg, l_values) == \
+        [0.0] * len(l_values)
+    with pytest.raises(IndexError):
+        full_transition_shift_ghz(blocks, cfg, (0, 21))

@@ -369,6 +369,16 @@ steps = 11
      "rates.nu_0"),
     (CROSSINGS_CFG.replace("[output]", "[sweep]\nsteps = 1\n[output]"),
      "sweep.steps"),
+    (SHIFTS_CFG.replace("task = shifts", "task = frobnicate"), "run.task"),
+    (SMALL_SWEEP_CFG.replace("start = 0.5", "start = 0.0"), "sweep.start"),
+    (MAP_CFG.replace("mw_frequency_ghz = 90.0\n", ""),
+     "map.mw_frequency_ghz"),
+    (MAP_CFG.replace("b_z = 0.584\n", ""), "fields.b_z"),
+    (MAP_CFG.replace("b_z = 0.584\n", "").replace("sweep_axis = b_y",
+                                                   "sweep_axis = b_z"),
+     "map.sweep_start"),
+    (CROSSINGS_CFG.replace("pairs = 2,1", "pairs ="), "crossings.pairs"),
+    (SHIFTS_CFG.replace("task = shifts\n", ""), "run.task"),
 ], ids=["b_y-sweep-without-b_z", "l_cut-negative", "l_cut-above-l_max",
         "band_ghz-zero", "base_width-zero", "l_values-above-l_max",
         "prefix-with-separator", "map-without-sweep-range",
@@ -381,7 +391,10 @@ steps = 11
         "map-sets-e_perp", "map-sets-swept-b_y", "sweep-sets-swept-b_z",
         "sweep-sets-overlaid-b_y", "sweep-sets-swept-b_y", "shifts-sets-b_y",
         "crossings-sets-b_z", "shifts-empty-l_values", "sweep-zero-band_ghz",
-        "map-negative-nu_0", "crossings-sweep-steps-one"])
+        "map-negative-nu_0", "crossings-sweep-steps-one", "unknown-task",
+        "sweep-b_z-from-zero", "map-without-mw_frequency",
+        "map-b_y-sweep-without-b_z", "map-b_z-from-zero",
+        "crossings-without-pairs", "validate-without-task"])
 def test_validate_reports_errors(tmp_path, capsys, text, key):
     bad = _write(tmp_path, text)
     assert cli.main(["validate", "--config", bad]) == 2
@@ -561,6 +574,37 @@ def test_self_test_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 4
     assert "[FAIL]" not in out
+    assert "[PASS] uncoupled ladder fan exact: worst deviation 0.00e+00 GHz" \
+        in out
+
+
+def _eigh_off_by_1e_22_joule(eigh):
+    def shifted(a):
+        vals, vecs = eigh(a)
+        return vals + 1e-22, vecs
+    return shifted
+
+
+def _diagonal_one_rung_up(diagonal):
+    def one_rung_up(self, cfg, basis):
+        d = diagonal(self, cfg, basis).reshape(basis.n_max, -1)
+        return (d + (d[:, 1:2] - d[:, :1])).ravel()
+    return one_rung_up
+
+
+@pytest.mark.parametrize("owner, name, double", [
+    (coupled, "_eigh_in_place", _eigh_off_by_1e_22_joule),
+    (coupled.HamiltonianBlocks, "_diagonal", _diagonal_one_rung_up),
+], ids=["dense-solver", "diagonal"])
+def test_self_test_fan_check_fails_on_a_fault(monkeypatch, capsys, owner,
+                                              name, double):
+    # the fan check diagonalizes the b_y = 0 matrix and compares it with
+    # E_n + hbar w_c l written out, so a dense solver off by 1e-22 J (about
+    # 150 GHz) fails it, and so does a diagonal with every Landau rung one
+    # step up, which solve's read-off of that diagonal would share
+    monkeypatch.setattr(owner, name, double(getattr(owner, name)))
+    assert cli.main(["self-test"]) == 4
+    assert "[FAIL] uncoupled ladder fan exact" in capsys.readouterr().out
 
 
 def test_shifts_run_deterministic(tmp_path):
@@ -743,6 +787,41 @@ def test_crossings_artifacts(tmp_path):
     assert row[0] == "2" and row[1] == "1"
     assert float(row[2]) == pytest.approx(2.8306, abs=5e-3)
     assert float(row[4]) > 0.0
+
+
+def test_crossings_failures_keep_the_good_rows(tmp_path, monkeypatch):
+    # (6,0)/(1,1) crosses near 5.6 T, outside b_z_max = 5; the gap search
+    # of (3,0)/(2,1) fails; (2,0)/(1,1) keeps its row and its gap
+    gap = cli.minimum_gap
+
+    def fail_on_3_2(blocks, base, pair, *window):
+        if pair == ((3, 0), (2, 1)):
+            raise coupled.BranchTrackingLost("overlap 0.100 below 0.5")
+        return gap(blocks, base, pair, *window)
+
+    monkeypatch.setattr(cli, "minimum_gap", fail_on_3_2)
+    path = _write(tmp_path, CROSSINGS_CFG.replace("pairs = 2,1",
+                                                  "pairs = 2,1; 6,1; 3,2"))
+    out_dir = tmp_path / "o"
+    assert cli.main(["crossings", "--config", path,
+                     "--out", str(out_dir)]) == 3
+    body = json.loads((out_dir / "t_crossings.json").read_text())
+    assert [failure["pair"] for failure in body["failures"]] == [[6, 1],
+                                                                 [3, 2]]
+    assert body["failures"][0]["error"].startswith("NoCrossingInRange: ")
+    assert body["failures"][1]["error"] == \
+        "BranchTrackingLost: overlap 0.100 below 0.5"
+
+    cfg = load_run_config(path)
+    base = cfg.field_config()
+    vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max, cfg.grid())
+    with _single_threaded_blas:
+        b_min, want = coupled.minimum_gap(HamiltonianBlocks(vs, cfg.basis()),
+                                          base, ((2, 0), (1, 1)))
+    b_star = coupled.find_crossing(vs, ((3, 0), (2, 1)), (0.5, 5.0))
+    rows = _data_lines(out_dir / "t_crossings.csv")
+    assert rows[0].split(",")[3:] == [_cell(b_min), _cell(want / GHZ)]
+    assert rows[1:] == [f"3,2,{_cell(b_star)},nan,nan"]
 
 
 def test_crossings_gap_is_even_in_b_y(tmp_path):
@@ -1092,11 +1171,25 @@ def test_map_sidecar_reports_landau_cuts(tmp_path):
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):
+    # --out, else [output] out_dir, else $HELIUMJCM_OUT, else ./out
     path = _write(tmp_path, SHIFTS_CFG)
     target = tmp_path / "env_out"
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(target))
     assert cli.main(["shifts", "--config", path]) == 0
     assert (target / "t_shifts.csv").exists()
+
+    # a config that sets out_dir: with --out (prefix a) and without (b)
+    cfg_dir, flag_dir = tmp_path / "cfg_out", tmp_path / "flag_out"
+    for prefix, argv in (("a", ["--out", str(flag_dir)]), ("b", [])):
+        path = _write(tmp_path, SHIFTS_CFG.replace(
+            "prefix = t", f"prefix = {prefix}\nout_dir = {cfg_dir}"),
+            f"{prefix}.cfg")
+        assert cli.main(["shifts", "--config", path, *argv]) == 0
+    assert {d.name: sorted(p.name for p in d.iterdir())
+            for d in tmp_path.iterdir() if d.is_dir()} == {
+        name: [f"{prefix}_shifts.csv", f"{prefix}_shifts.json"]
+        for name, prefix in (("env_out", "t"), ("flag_out", "a"),
+                             ("cfg_out", "b"))}
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -1273,6 +1366,34 @@ def test_spectrum_sweep_holds_compact_rows(tmp_path, traced_memory):
 
 def _data_lines(path) -> list[str]:
     return Path(path).read_text().splitlines()[1:]
+
+
+def test_b_y_spectrum_sweep_rows_are_the_solver_values(tmp_path):
+    # on a b_y axis the swept value is each point's b_y and the overlay
+    # list is the one base b_y
+    path = _write(tmp_path, SMALL_SWEEP_CFG.replace(
+        "e_perp_v_cm = 15.0", "e_perp_v_cm = 15.0\nb_z = 0.65").replace(
+        "axis = b_z\nstart = 0.5\nstop = 1.5", "axis = b_y\nstart = 0.0\n"
+        "stop = 0.2").replace("b_y_values = 0.0, 0.1\n", ""))
+    out_dir = tmp_path / "o"
+    assert cli.main(["spectrum-sweep", "--config", path,
+                     "--out", str(out_dir)]) == 0
+    body = json.loads((out_dir / "t_spectrum.json").read_text())
+    assert body["sweep_axis"] == "b_y" and body["overlay_b_y"] == [0.0]
+    cfg = load_run_config(path)
+    base = cfg.field_config()
+    vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max, cfg.grid())
+    blocks = HamiltonianBlocks(vs, cfg.basis())
+    rows = [line.split(",") for line in
+            _data_lines(out_dir / "t_spectrum.csv")]
+    assert len(rows) == 3 * blocks.basis.size
+    for b_y, block in zip((0.0, 0.1, 0.2), range(0, len(rows),
+                                                  blocks.basis.size)):
+        with _single_threaded_blas:
+            spec = blocks.solve(base.replace(b_y=b_y))
+        for k, row in enumerate(rows[block:block + blocks.basis.size]):
+            assert row[:4] == [_cell(b_y), _cell(b_y), str(k),
+                               _cell(spec.eigenvalues[k] / GHZ)]
 
 
 def test_spectrum_sweep_csv_cells_are_the_solver_values(tmp_path):
