@@ -26,9 +26,9 @@ first calls into them. The six forwarders here (solve_vertical,
 truncation_report, absorption_map, minimum_gap, transition_shift_ghz,
 full_transition_shift_ghz) import the real function on call: the benchmark
 tracer wraps these names and tests replace them, so a wrapper or double set
-on this module is what every task calls. HamiltonianBlocks, find_crossing
-and strong_coupling_report are imported inside the runners, which repeat
-no decision of the library or of RunConfig.validate.
+on this module is what every task calls. HamiltonianBlocks, find_crossing,
+strong_coupling_report and solver_report are imported inside the runners,
+which repeat no decision of the library or of RunConfig.validate.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (artifacts still written, failures listed in the sidecar; a task that fails
@@ -238,6 +238,8 @@ def _fixed_e_perp(
 def _run_spectrum_sweep(cfg: RunConfig, threads: int) -> tuple:
     import numpy as np
 
+    from .vertical import solver_report
+
     base, blocks = _fixed_e_perp(cfg)
     vs = blocks.vs
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
@@ -258,7 +260,8 @@ def _run_spectrum_sweep(cfg: RunConfig, threads: int) -> tuple:
                 continue
             rows.append(value, point.b_y, spec)
 
-    return rows, {"sweep_axis": cfg.sweep_axis,
+    return rows, {"vertical": solver_report([vs.solver]),
+                  "sweep_axis": cfg.sweep_axis,
                   "overlay_b_y": list(overlays),
                   "vertical_levels_ghz":
                       [vs.energy(n) / GHZ for n in range(1, vs.n_max + 1)],
@@ -267,6 +270,8 @@ def _run_spectrum_sweep(cfg: RunConfig, threads: int) -> tuple:
 
 def _run_shifts(cfg: RunConfig, threads: int) -> tuple:
     import numpy as np
+
+    from .vertical import solver_report
 
     base, blocks = _fixed_e_perp(cfg)
     vs = blocks.vs
@@ -291,12 +296,13 @@ def _run_shifts(cfg: RunConfig, threads: int) -> tuple:
                                  "error": failure_text(exc)})
             rows.append((float(b_y), l, pert, full_l))
 
-    return (rows, {"transition_ghz": vs.transition_frequency_ghz(1, 2)},
-            failures)
+    return (rows, {"transition_ghz": vs.transition_frequency_ghz(1, 2),
+                   "vertical": solver_report([vs.solver])}, failures)
 
 
 def _run_crossings(cfg: RunConfig, threads: int) -> tuple:
     from .coupled import find_crossing
+    from .vertical import solver_report
 
     base, blocks = _fixed_e_perp(cfg)
 
@@ -318,7 +324,7 @@ def _run_crossings(cfg: RunConfig, threads: int) -> tuple:
                                  "error": failure_text(exc)})
         rows.append((n_hi, n_lo, b_star, b_min, gap / GHZ))
 
-    return rows, {}, failures
+    return rows, {"vertical": solver_report([blocks.vs.solver])}, failures
 
 
 def _run_absorption_map(cfg: RunConfig, threads: int) -> tuple:
@@ -350,18 +356,20 @@ def _run_absorption_map(cfg: RunConfig, threads: int) -> tuple:
                   "sweep_axis": amap.sweep_name,
                   "line_centers": {"file": f"{cfg.prefix}_lines.csv",
                                    "rows": len(amap.lines.area)},
-                  "basis": amap.basis_report()}, [
+                  "basis": amap.basis_report(),
+                  "vertical": amap.vertical}, [
         {"i": i, "j": j, "error": msg} for i, j, msg in amap.failures], [lines]
 
 
 def _run_rates(cfg: RunConfig, threads: int) -> tuple:
     from .dissipation import strong_coupling_report
+    from .vertical import solver_report
 
     base, blocks = _fixed_e_perp(cfg)
     report = strong_coupling_report(
         blocks.vs, base, pair=cfg.rates_pair, nu_0=cfg.nu_0,
         include_occupation=cfg.include_occupation)
-    return [], {"report": {
+    return [], {"vertical": solver_report([blocks.vs.solver]), "report": {
         "g_over_h_ghz": report.g_ghz,
         "rate_vertical_per_s": report.rate_vertical,
         "rate_ladder_per_s": report.rate_ladder,

@@ -44,6 +44,7 @@ from .vertical import (
     VerticalSpectrum,
     _single_threaded_blas,
     solve_vertical,
+    solver_report,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -247,6 +248,7 @@ class AbsorptionMap:
     edge_weight: np.ndarray | None = field(default=None, repr=False)
     landau_cap: int = 0
     l_cut_clamped: int = 0   # pixels whose automatic thermal cut hit the cap
+    vertical: dict | None = None   # vertical.solver_report of the columns
 
     def basis_report(self) -> dict:
         """The Landau cuts in summary: pixels per cut, the pixels that
@@ -326,7 +328,7 @@ def absorption_map(
     mw_frequency_ghz: float,
     broadening: BroadeningModel = BroadeningModel(),
     basis: ProductBasis = ProductBasis(),
-    grid: GridSpec = GridSpec(),
+    grid: GridSpec | None = None,
     l_cut: int | None = None,
     band_ghz: float = DEFAULT_BAND_GHZ,
     threads: int = 1,
@@ -336,7 +338,8 @@ def absorption_map(
     sweep_name must be "b_y" or "b_z"; the tuning axis is always E_perp, so
     sweeping it as the outer axis too is rejected. The map is computed one
     E_perp column at a time: one vertical solve and one HamiltonianBlocks
-    serve every pixel of the column, on every Landau cut.
+    serve every pixel of the column, on every Landau cut. grid selects the
+    finite-difference reference for that solve; by default it is spectral.
 
     basis.l_max is a cap on the Landau ladder. Each pixel is first solved
     on the cut _first_landau_cut gives for its field point, and climbs by
@@ -388,6 +391,7 @@ def absorption_map(
     traced.fill((*(np.empty(0, basis.label_dtype) for _ in range(3)),
                  np.empty(0), np.empty(0)))
     errors = np.empty(shape, dtype=object)
+    solvers = [None] * e_grid.size   # each column's VerticalSolver
 
     def run_pixel(blocks: HamiltonianBlocks, i: int, j: int):
         """Write pixel (i, j), solved on the first Landau cut that passes
@@ -439,6 +443,7 @@ def absorption_map(
         except HeliumJcmError as exc:
             errors[:, j] = exc
             return
+        solvers[j] = vs.solver
         for i in range(sweep_values.size):
             run_pixel(blocks, i, j)
 
@@ -496,4 +501,5 @@ def absorption_map(
         edge_weight=edge_weight,
         landau_cap=cap,
         l_cut_clamped=int(clamped.sum()),
+        vertical=solver_report(s for s in solvers if s is not None),
     )

@@ -257,7 +257,12 @@ def test_each_field_is_the_schema_row_of_one_key():
 
     default = RunConfig()
     assert default.basis() == ProductBasis()
-    assert default.grid() == GridSpec()
+    # no [grid] key: the library's default, spectral vertical solve
+    assert default.grid() is None
+    assert inspect.signature(absorption_map).parameters["grid"].default \
+        is None
+    assert dataclasses.replace(default, n_points=2000).grid() == \
+        GridSpec(n_points=2000)
     assert default.broadening() == BroadeningModel()
     assert default.temperature == FieldConfiguration(0.0, 0.0).temperature
     assert default.band_ghz == \
@@ -1102,12 +1107,56 @@ def test_computing_tasks_load_no_scipy(tmp_path):
                        ("absorption-map", MAP_CFG)):
         runs.append([task, "--config", _write(tmp_path, text, f"{task}.cfg"),
                      "--out", str(tmp_path / task)])
+    # the spectral vertical solve builds its quadrature without
+    # numpy.polynomial, whose import alone adds to every run's memory
+    runs.append(["absorption-map", "--config",
+                 _write(tmp_path, "\n".join(
+                     line for line in MAP_CFG.splitlines()
+                     if not line.startswith(("[grid]", "n_points", "z_max"))),
+                     "spectral.cfg"), "--out", str(tmp_path / "spectral")])
     probe = ("import sys; from heliumjcm import cli\n"
              f"for argv in {runs!r}:\n"
              "    assert cli.main(argv) == 0, argv\n"
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')\n"
+             "             or m.startswith('numpy.polynomial')))")
     out = _run_python(["-c", probe])
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("grid", ["", "[grid]\nz_max = 150\n"])
+def test_vertical_block_names_the_solver(tmp_path, grid):
+    # the sidecar says which vertical solver ran, with deterministic values
+    text = "\n".join(line for line in SHIFTS_CFG.splitlines()
+                     if not line.startswith(("[grid]", "n_points", "z_max")))
+    path = _write(tmp_path, text + "\n" + grid)
+    assert cli.main(["shifts", "--config", path, "--out",
+                     str(tmp_path / "o")]) == 0
+    block = json.loads((tmp_path / "o" / "t_shifts.json").read_text())[
+        "vertical"]
+    if grid:
+        assert block == {"solver": "finite-difference", "z_max_r_B": 150.0,
+                         "n_points": 4000}
+    else:
+        assert block["solver"] == "laguerre"
+        assert block["basis_size"] == vertical._laguerre_size(6)
+        low, high = block["scale_r_B"]
+        assert 0.0 < low == high
+        assert 0.0 < block["worst_tail_amplitude"] < vertical._TAIL_AMPLITUDE
+
+
+@pytest.mark.parametrize("grid", ["", "[grid]\nn_points = 8000\n"])
+def test_large_n_max_advisory_only_on_the_grid(tmp_path, capsys, grid):
+    # n_max > 12 strains the finite-difference box, not the Laguerre basis;
+    # and a [grid] key changes which vertical solver runs, so validate says so
+    text = "\n".join(line for line in SHIFTS_CFG.splitlines()
+                     if not line.startswith(("[grid]", "n_points", "z_max")))
+    path = _write(tmp_path, text.replace("n_max = 6", "n_max = 14")
+                  + "\n" + grid)
+    assert cli.main(["validate", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert ("consider a larger grid.z_max" in out) == bool(grid)
+    assert ("warning: grid: a [grid] key selects the finite-difference "
+            "reference" in out) == bool(grid)
 
 
 GRID_TOO_COARSE_CFG = CROSSINGS_CFG.replace("n_max = 6", "n_max = 51") \
@@ -1471,7 +1520,9 @@ def test_failed_vertical_solve_still_writes_artifacts(tmp_path, capsys,
              if not line.startswith(("[basis]", "n_max", "l_max", "[grid]",
                                      "n_points", "z_max"))]
     text = "\n".join(lines).replace("e_perp_v_cm = 15.0", "e_perp_v_cm = 0.0")
-    path = _write(tmp_path, text + "\n[basis]\nn_max = 8\nl_max = 20\n")
+    # the finite-difference reference in a 40 r_B box cannot hold n = 8
+    path = _write(tmp_path, text + "\n[basis]\nn_max = 8\nl_max = 20\n"
+                  "[grid]\nz_max = 40\n")
     assert cli.main(["validate", "--config", path]) == 0
     capsys.readouterr()
     out_dir = tmp_path / "o"

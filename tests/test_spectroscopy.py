@@ -347,12 +347,14 @@ def test_map_failed_pixels_recorded_as_nan(he3):
 
 
 def test_map_failed_column_recorded_in_every_pixel(he3):
-    # the default grid cannot hold n = 8 at 0 V/cm, so the vertical solve of
-    # column 0 fails and every pixel of that column carries its error
+    # a 40 r_B finite-difference box cannot hold n = 8 at 0 V/cm, so the
+    # vertical solve of column 0 fails and every pixel of that column
+    # carries its error
     base = FieldConfiguration.from_v_cm(15.0, 0.584, temperature=0.33)
     maps = [absorption_map(he3, base, "b_y", np.array([0.0, 0.1]),
                            np.array([0.0, 30.0]), 90.0,
-                           basis=ProductBasis(8, 8), l_cut=5, threads=threads)
+                           basis=ProductBasis(8, 8), grid=GridSpec(40.0, 2000),
+                           l_cut=5, threads=threads)
             for threads in (1, 2)]
     amap = maps[0]
     assert [(i, j) for i, j, _ in amap.failures] == [(0, 0), (1, 0)]

@@ -34,8 +34,6 @@ e_perp_v_cm = 15.0
 [basis]
 n_max = 4
 l_max = 6
-[grid]
-n_points = 1500
 [sweep]
 axis = b_z
 start = 0.5

@@ -37,33 +37,139 @@ def test_grid_doubling_converged(he3):
     assert shift.max() < 1e-5
 
 
-def test_orthonormality(vs15):
-    dz = vs15.grid[1] - vs15.grid[0]
-    overlap = vs15.wavefunctions @ vs15.wavefunctions.T * dz
-    assert np.allclose(overlap, np.eye(vs15.n_max), atol=1e-8)
+@pytest.fixture(scope="module")
+def fd15(he3):
+    # the finite-difference reference at 15 V/cm, on the default grid
+    return solve_vertical(he3, 1500.0, grid=GridSpec())
 
 
-def test_matrix_elements_match_quadrature(vs15):
+def test_orthonormality(fd15):
+    dz = fd15.grid[1] - fd15.grid[0]
+    overlap = fd15.wavefunctions @ fd15.wavefunctions.T * dz
+    assert np.allclose(overlap, np.eye(fd15.n_max), atol=1e-8)
+
+
+def test_spectral_orthonormality(vs15):
+    c = vs15.coefficients
+    assert vs15.grid is None and vs15.wavefunctions is None
+    assert np.abs(c @ c.T - np.eye(vs15.n_max)).max() < 1e-13
+
+
+def test_matrix_elements_match_quadrature(fd15):
     # recompute a few elements by direct quadrature, independent of the
     # solver's own assembly path
-    dz = vs15.grid[1] - vs15.grid[0]
-    psi = vs15.wavefunctions
-    z = vs15.grid
+    dz = fd15.grid[1] - fd15.grid[0]
+    psi = fd15.wavefunctions
+    z = fd15.grid
     for (n, m) in ((1, 1), (1, 2), (2, 3), (2, 2)):
         direct = float(np.sum(psi[n - 1] * z * psi[m - 1]) * dz)
-        assert vs15.z_elem(n, m) == pytest.approx(direct, rel=1e-10)
+        assert fd15.z_elem(n, m) == pytest.approx(direct, rel=1e-10)
     direct2 = float(np.sum(psi[0] * z**2 * psi[0]) * dz)
-    assert vs15.z2_elem(1, 1) == pytest.approx(direct2, rel=1e-10)
+    assert fd15.z2_elem(1, 1) == pytest.approx(direct2, rel=1e-10)
 
 
-def test_phase_convention(vs15):
+def test_phase_convention(fd15):
     # wavefunctions positive at the wall pins every off-diagonal sign;
     # the couplings out of n = 1 and out of n = 2 all come out negative
     # for these tilted-well states
-    assert vs15.wavefunctions[:, 0].min() > 0.0
+    assert fd15.wavefunctions[:, 0].min() > 0.0
+    assert fd15.z_elem(1, 2) < 0.0
+    assert fd15.z_elem(1, 3) < 0.0
+    assert fd15.z_elem(2, 3) < 0.0
+
+
+def test_spectral_phase_convention(vs15):
+    # psi'(0) is sum_k c_k sqrt((k+1)(k+2)) / (2 s): positive at the wall,
+    # which gives the off-diagonal signs of the reference
+    c = vs15.coefficients
+    k = np.arange(c.shape[1])
+    assert (c @ np.sqrt((k + 1.0) * (k + 2.0))).min() > 0.0
     assert vs15.z_elem(1, 2) < 0.0
     assert vs15.z_elem(1, 3) < 0.0
     assert vs15.z_elem(2, 3) < 0.0
+
+
+def _reduced(vs):
+    r_b, r_e = vs.material.bohr_radius, vs.material.rydberg_energy
+    return (vs.energies / r_e, vs.z_matrix / r_b, vs.z2_matrix / r_b**2,
+            vs.dvdz_diag * r_b / r_e)
+
+
+@pytest.mark.parametrize("e_v_cm", [2.0, 15.0, 30.0, 58.0])
+def test_spectral_matches_extrapolated_grid(he3, e_v_cm):
+    # z and z^2 against the grid's (4 z_32k - z_16k) / 3, energies against
+    # the (already extrapolated) 32k-point energies
+    e_perp = e_v_cm * V_PER_CM
+    energies, z, z2, _ = _reduced(solve_vertical(he3, e_perp))
+    fine, finer = (_reduced(solve_vertical(he3, e_perp,
+                                           grid=GridSpec(150.0, n)))
+                   for n in (16000, 32000))
+    assert np.abs(energies - finer[0]).max() < 1e-9
+    for k, ours in ((1, z), (2, z2)):
+        reference = (4.0 * finer[k] - fine[k]) / 3.0
+        assert np.abs(ours - reference).max() < 1e-8 * np.abs(reference).max()
+
+
+def test_grid_dvdz_converges_at_second_order(he3):
+    # with the wall endpoint of <2/zeta^2>, the grid's dV/dz error falls by
+    # about 4 per doubling toward the spectral value
+    exact = solve_vertical(he3, 1500.0).dvdz_diag
+    errors = [np.abs(solve_vertical(he3, 1500.0, grid=GridSpec(150.0, n))
+                     .dvdz_diag - exact).max() for n in (4000, 8000, 16000)]
+    assert errors[0] / errors[1] >= 3.5 and errors[1] / errors[2] >= 3.5
+
+
+@pytest.mark.parametrize("n_max", [2, 6, 10, 14, 20])
+def test_spectral_basis_converged(he3, n_max):
+    # a solve at M agrees with one at 2M on the same scale; the tail check
+    # may raise instead, but on this range no solve needs it
+    size = vertical._laguerre_size(n_max)
+    raised = 0
+    for e_v_cm in np.linspace(0.0, 58.0, 30):
+        f = he3.stark_parameter(e_v_cm * V_PER_CM)
+        try:
+            vs = solve_vertical(he3, e_v_cm * V_PER_CM, n_max)
+        except ConvergenceFailure:
+            raised += 1
+            continue
+        assert vs.solver.basis_size == size
+        ours = _reduced(vs)
+        twice = vertical._solve_laguerre(f, n_max, 2 * size, vs.solver.scale)
+        assert np.abs(ours[0] - twice[0]).max() < 1e-10
+        for a, b in zip(ours[1:], twice[1:4]):
+            assert np.abs(a - b).max() < 1e-10 * np.abs(b).max()
+    assert raised == 0
+
+
+def test_spectral_tail_check_raises(he3, monkeypatch):
+    # a basis too short for the states it returns is refused
+    monkeypatch.setattr(vertical, "_laguerre_size", lambda n_max: 12)
+    with pytest.raises(ConvergenceFailure, match="Laguerre functions"):
+        solve_vertical(he3, 0.0, n_max=8)
+
+
+def test_spectral_solves_bit_identical(he3):
+    first, again = (solve_vertical(he3, 1500.0, n_max=8) for _ in range(2))
+    for name in ("energies", "z_matrix", "z2_matrix", "dvdz_diag",
+                 "coefficients"):
+        assert getattr(first, name).tobytes() == \
+            getattr(again, name).tobytes(), name
+    assert first.solver == again.solver
+
+
+def test_laguerre_quadrature_matches_laggauss():
+    # the package builds its nodes and weights without numpy.polynomial
+    from numpy.polynomial.laguerre import laggauss
+    from scipy.special import eval_genlaguerre
+
+    size = 20
+    nodes, weights = laggauss(size + 8)
+    phi = np.array([nodes * eval_genlaguerre(j, 2, nodes)
+                    / np.sqrt((j + 1.0) * (j + 2.0)) for j in range(size)])
+    assert np.abs((phi * weights) @ phi.T - np.eye(size)).max() < 1e-12
+    reference = (phi * nodes * weights) @ phi.T
+    x = vertical._laguerre_matrices(size)[2]
+    assert np.abs(x - reference).max() < 1e-11 * np.abs(reference).max()
 
 
 def test_energies_increase_with_tilt(he3, vs15):
@@ -174,6 +280,13 @@ def test_non_finite_tilt_is_a_convergence_failure(request, fallback, f):
         vertical._solve_reduced(f, 150.0, 400, 4)
     assert str(failed.value) == ("tridiagonal eigensolver failed: array "
                                  "must not contain infs or NaNs")
+
+
+@pytest.mark.parametrize("e_perp", [float("nan"), float("inf")])
+def test_non_finite_field_is_a_spectral_convergence_failure(he3, e_perp):
+    # the default solve refuses a nan basis rather than return it
+    with pytest.raises(ConvergenceFailure):
+        solve_vertical(he3, e_perp)
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "scipy"])
