@@ -8,7 +8,8 @@ number of cells that changed and, per changed column, the largest absolute
 change and the largest change relative to that column's largest magnitude
 in <dir_a>. A CSV whose header differs, or whose row count differs, is
 reported as such. For each JSON sidecar present in both, lists the keys
-(dotted paths) whose values differ. Exits 1 when a relative change exceeds
+(dotted paths) whose values differ or that one sidecar lacks, so a key
+dropped from one side is listed even where the other held null. Exits 1 when a relative change exceeds
 --tol (default 0), or a header or row count differs, else 0; sidecar keys
 are listed but do not change the exit status.
 """
@@ -29,11 +30,15 @@ def _csv(path: str) -> tuple[str, np.ndarray]:
     return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
+_ABSENT = object()   # a key one side lacks: unequal to any JSON value
+
+
 def _keys(a, b, prefix: str = "") -> list[str]:
-    """Dotted paths at which the JSON values a and b differ."""
+    """Dotted paths at which the JSON values a and b differ, or which only
+    one of them has."""
     if isinstance(a, dict) and isinstance(b, dict):
         return [key for name in sorted(set(a) | set(b))
-                for key in _keys(a.get(name), b.get(name),
+                for key in _keys(a.get(name, _ABSENT), b.get(name, _ABSENT),
                                  f"{prefix}{name}.")]
     return [] if a == b else [prefix.rstrip(".")]
 

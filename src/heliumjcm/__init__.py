@@ -35,9 +35,9 @@ _EXPORTS = {
         "HeliumJcmError", "NearResonance", "NoCrossingInRange",
         "NotDownward"),
     "materials": (
-        "BroadeningModel", "FieldConfiguration", "GridSpec",
-        "MaterialProperties", "ProductBasis", "cyclotron_frequency",
-        "derived_frequencies", "material_for"),
+        "BroadeningModel", "FieldConfiguration", "MaterialProperties",
+        "ProductBasis", "cyclotron_frequency", "derived_frequencies",
+        "material_for"),
     "spectroscopy": (
         "AbsorptionMap", "TransitionLine", "absorption_map",
         "thermal_populations", "transition_catalog"),

@@ -231,7 +231,7 @@ def _fixed_e_perp(
     from .coupled import HamiltonianBlocks
 
     base = cfg.field_config()
-    vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max, cfg.grid())
+    vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max)
     return base, HamiltonianBlocks(vs, cfg.basis())
 
 
@@ -339,7 +339,6 @@ def _run_absorption_map(cfg: RunConfig, threads: int) -> tuple:
         cfg.mw_frequency_ghz,
         broadening=cfg.broadening(),
         basis=cfg.basis(),
-        grid=cfg.grid(),
         l_cut=cfg.l_cut,
         band_ghz=cfg.band_ghz,
         threads=threads,

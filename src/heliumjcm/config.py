@@ -23,7 +23,6 @@ from .materials import (
     V_PER_CM,
     BroadeningModel,
     FieldConfiguration,
-    GridSpec,
     MaterialProperties,
     ProductBasis,
     material_for,
@@ -118,14 +117,6 @@ class RunConfig:
                       _at_least(2, "need at least two levels"))
     l_max: int = _key("basis", "l_max", int, ProductBasis.l_max,
                       _at_least(1, "need at least two rungs"))
-    # Unset, the vertical solve is spectral; either key selects the
-    # finite-difference reference, the other taking GridSpec's default.
-    z_max: float | None = _key("grid", "z_max", _float, None,
-                               (lambda value: value > 10.0,
-                                "box must extend past the bound tails"))
-    n_points: int | None = _key("grid", "n_points", int, None,
-                                _at_least(200, "too coarse to trust"))
-
     sweep_axis: str = _key("sweep", "axis", str.strip, "b_z", _AXIS)
     sweep_start: float | None = _key("sweep", "start", _float)
     sweep_stop: float | None = _key("sweep", "stop", _float)
@@ -201,15 +192,6 @@ class RunConfig:
     def basis(self) -> ProductBasis:
         return ProductBasis(n_max=self.n_max, l_max=self.l_max)
 
-    def grid(self) -> GridSpec | None:
-        """The finite-difference grid a [grid] key selects, else None."""
-        if self.z_max is None and self.n_points is None:
-            return None
-        return GridSpec(
-            z_max=GridSpec.z_max if self.z_max is None else self.z_max,
-            n_points=(GridSpec.n_points if self.n_points is None
-                      else self.n_points))
-
     def broadening(self) -> BroadeningModel:
         return BroadeningModel(
             base_width_ghz=self.base_width_ghz,
@@ -250,11 +232,6 @@ class RunConfig:
                 self.material()
             except ValueError as exc:
                 errors.append(f"material.binding_rydberg_mev: {exc}")
-        grid = self.grid()
-        if grid is not None and 4 * self.n_max > grid.n_points:
-            errors.append(f"grid.n_points: {grid.n_points} points cannot "
-                          f"hold {self.n_max} levels; need at least "
-                          f"{4 * self.n_max}")
 
         if self.task in ("spectrum-sweep", "shifts", "crossings", "rates") \
                 and self.e_perp_v_cm is None:
@@ -346,13 +323,6 @@ class RunConfig:
                 f"{b_y_reach:g} T: the ladder is too short for the "
                 "admixture this coupling drives; expect truncation error"
             )
-        if grid is not None:
-            warnings.append("grid: a [grid] key selects the finite-difference "
-                            "reference in place of the default Laguerre "
-                            "vertical solve")
-            if self.n_max > 12:
-                warnings.append("basis.n_max: high levels are loosely bound; "
-                                "consider a larger grid.z_max")
         return errors, warnings
 
     def _swept_fields(self) -> tuple[str, ...]:

@@ -21,7 +21,8 @@ class DegenerateField(HeliumJcmError):
 
 
 class GridTooSmall(HeliumJcmError):
-    """The highest requested vertical state leaks into the grid boundary."""
+    """The highest requested state of the finite-difference reference leaks
+    into the grid boundary."""
 
 
 class ConvergenceFailure(HeliumJcmError):

@@ -8,10 +8,9 @@ factors live on MaterialProperties so the conversion happens in exactly one
 place.
 
 This module imports no numpy, so it also holds the frozen parameter
-dataclasses a run config builds (ProductBasis, GridSpec, BroadeningModel)
-and the default map band: the config layer and the command line's validate
-read them without loading numpy. coupled, vertical and spectroscopy import
-them from here.
+dataclasses a run config builds (ProductBasis, BroadeningModel) and the
+default map band: the config layer and the command line's validate read
+them without loading numpy. coupled and spectroscopy import them from here.
 """
 
 from __future__ import annotations
@@ -250,20 +249,6 @@ class ProductBasis:
         if not (1 <= n <= self.n_max and 0 <= l <= self.l_max):
             raise IndexError(f"state ({n},{l}) outside basis")
         return (n - 1) * (self.l_max + 1) + l
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform solver grid: extent in units of r_B and interior point count."""
-
-    z_max: float = 150.0
-    n_points: int = 4000
-
-    def __post_init__(self):
-        if self.z_max <= 0.0:
-            raise ValueError("z_max must be positive")
-        if self.n_points < 16:
-            raise ValueError("n_points must be at least 16")
 
 
 # Default half-width, GHz, of the band around the drive whose lines a map

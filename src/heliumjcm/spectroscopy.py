@@ -35,7 +35,6 @@ from .materials import (
     V_PER_CM,
     BroadeningModel,
     FieldConfiguration,
-    GridSpec,
     MaterialProperties,
     ProductBasis,
     cyclotron_frequency,
@@ -328,7 +327,6 @@ def absorption_map(
     mw_frequency_ghz: float,
     broadening: BroadeningModel = BroadeningModel(),
     basis: ProductBasis = ProductBasis(),
-    grid: GridSpec | None = None,
     l_cut: int | None = None,
     band_ghz: float = DEFAULT_BAND_GHZ,
     threads: int = 1,
@@ -338,8 +336,7 @@ def absorption_map(
     sweep_name must be "b_y" or "b_z"; the tuning axis is always E_perp, so
     sweeping it as the outer axis too is rejected. The map is computed one
     E_perp column at a time: one vertical solve and one HamiltonianBlocks
-    serve every pixel of the column, on every Landau cut. grid selects the
-    finite-difference reference for that solve; by default it is spectral.
+    serve every pixel of the column, on every Landau cut.
 
     basis.l_max is a cap on the Landau ladder. Each pixel is first solved
     on the cut _first_landau_cut gives for its field point, and climbs by
@@ -438,7 +435,7 @@ def absorption_map(
     def run_column(j: int):
         e_perp = float(e_grid[j] * V_PER_CM)
         try:
-            vs = solve_vertical(mat, e_perp, basis.n_max, grid)
+            vs = solve_vertical(mat, e_perp, basis.n_max)
             blocks = HamiltonianBlocks(vs, basis)
         except HeliumJcmError as exc:
             errors[:, j] = exc

@@ -2,46 +2,38 @@
 
 The dimensionless Hamiltonian -d^2/dzeta^2 - 2/zeta + f*zeta (energies in
 R_e, lengths in r_B, f = e E_perp r_B / R_e) is solved on the half-line
-zeta > 0 with psi(0) = 0 in one of two ways.
+zeta > 0 with psi(0) = 0 by solve_vertical, in the orthonormal Laguerre
+functions phi_k(x) = x exp(-x/2) L_k^(2)(x) / sqrt((k+1)(k+2)), zeta = s x
+(J. P. Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., Dover 2001,
+ch. 17). Every matrix element the package needs (kinetic, 1/zeta, zeta,
+zeta^2 and 1/zeta^2) is a polynomial times exp(-x), so Gauss-Laguerre
+quadrature with M + 2 nodes gives it exactly; the matrices are built once
+per basis size M and a solve is one M x M eigh. The scale s follows n_max
+and f (see _laguerre_scale), there is no box, and a basis-tail check raises
+rather than return an unconverged solve. Every task of the command line
+runs this solve.
 
-Without a GridSpec (the default, and every run whose config sets no [grid]
-key) it is expanded in the orthonormal Laguerre functions
-phi_k(x) = x exp(-x/2) L_k^(2)(x) / sqrt((k+1)(k+2)), zeta = s x (J. P.
-Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., Dover 2001, ch. 17).
-Every matrix element the package needs (kinetic, 1/zeta, zeta, zeta^2 and
-1/zeta^2) is a polynomial times exp(-x), so Gauss-Laguerre quadrature with
-M + 2 nodes gives it exactly; the matrices are built once per basis size M
-and a solve is one M x M eigh. The scale s follows n_max and f (see
-_laguerre_scale), there is no box, and a basis-tail check raises rather
-than return an unconverged solve.
-
-With a GridSpec (a library caller, or a config that sets a [grid] key) the
-finite-difference reference runs: a symmetric three-point stencil on a
-uniform grid with Dirichlet walls at 0 and z_max. Its eigenvalues are
-Richardson extrapolated from the full and half resolution grids, and its
-matrix elements come from the fine grid with an O(dz^2) error (about 1e-4
-relative in z at the default 4,000 points, eight orders above the Laguerre
-solve's).
-
-The lowest states of the fine grid come from LAPACK's bisection dstebz
-(range "I", order "B", abstol 0) and inverse iteration dstein, the pair that
-scipy.linalg.eigh_tridiagonal(select="i") runs; the half-resolution grid
-gives eigenvalues only, so it stops after dstebz, as eigh_tridiagonal does
-with eigvals_only. They are called through ctypes on the ILP64 symbols of
-the OpenBLAS numpy already loads, so a solve imports no scipy. The same
-probe finds dsyevd, the dense symmetric solver np.linalg.eigh calls, which
-runs with its "V", "L" call and workspace query so that coupled.diagonalize
-solves a Hamiltonian in its own buffer instead of in numpy's copy. numpy's
-bundled OpenBLAS exports all three or none; where no loaded library does (a
-numpy built on MKL or Accelerate, or no /proc), both solves fall back, to
-eigh_tridiagonal and np.linalg.eigh, with the same bits.
+reference_solve keeps a finite-difference solve as an independent check of
+it, for tests: a symmetric three-point stencil on a uniform GridSpec grid
+with Dirichlet walls at 0 and z_max, whose lowest states come from
+scipy.linalg.eigh_tridiagonal. Its eigenvalues are Richardson extrapolated
+from the full and half resolution grids, and its matrix elements come from
+the fine grid with an O(dz^2) error (about 1e-4 relative in z at the
+default 4,000 points, eight orders above the Laguerre solve's).
 
 This is the one module that calls OpenBLAS, and one table types every
-function it calls. It also holds the process-wide one-thread pin that every
-command-line task runs under. The command line also asks OpenBLAS for one
-thread before numpy loads it, through OPENBLAS_NUM_THREADS (see cli), so
-that no idle thread pool starts; the pin is what holds a library or test
-caller that loaded numpy first to one thread.
+function it calls: the thread-count controls, and dsyevd, the dense
+symmetric solver np.linalg.eigh calls, which runs with its "V", "L" call
+and workspace query so that coupled.diagonalize solves a Hamiltonian in its
+own buffer instead of in numpy's copy. It is called through ctypes on the
+ILP64 symbol of the OpenBLAS numpy already loads; where no loaded library
+exports it (a numpy built on MKL or Accelerate, or no /proc), the solve
+falls back to np.linalg.eigh, with the same bits. The module also holds
+the process-wide one-thread pin that every command-line task runs under.
+The command line also asks OpenBLAS for one thread before numpy loads it,
+through OPENBLAS_NUM_THREADS (see cli), so that no idle thread pool starts;
+the pin is what holds a library or test caller that loaded numpy first to
+one thread.
 """
 
 from __future__ import annotations
@@ -56,10 +48,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceFailure, GridTooSmall
-from .materials import GHZ, GridSpec, MaterialProperties, V_PER_CM
+from .materials import GHZ, MaterialProperties, V_PER_CM
 
-# Fraction of the grid, counted from the outer wall, whose probability mass
-# must stay below the leak tolerance for the highest state.
+# Reference grid: fraction of the box, counted from the outer wall, whose
+# probability mass must stay below the leak tolerance for the highest state.
 _TAIL_FRACTION = 0.01
 _TAIL_TOLERANCE = 1e-6
 # Laguerre solve: the largest amplitude a returned state may hold on the
@@ -74,15 +66,29 @@ _ROOT_TOL_V_CM = 1e-3
 
 
 class VerticalSolver(NamedTuple):
-    """How a vertical solve was made: on the finite-difference grid, or
-    (grid None) in the Laguerre basis of basis_size functions at scale
-    (r_B per unit of x), where tail is the largest amplitude of a returned
-    state on the basis's last _TAIL_FUNCTIONS functions."""
+    """How a vertical solve was made: in the Laguerre basis of basis_size
+    functions at scale (r_B per unit of x), where tail is the largest
+    amplitude of a returned state on the basis's last _TAIL_FUNCTIONS
+    functions."""
 
-    grid: GridSpec | None
-    basis_size: int = 0
-    scale: float = 0.0
-    tail: float = 0.0
+    basis_size: int
+    scale: float
+    tail: float
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Uniform grid of the finite-difference reference: extent in units of
+    r_B and interior point count."""
+
+    z_max: float = 150.0
+    n_points: int = 4000
+
+    def __post_init__(self):
+        if self.z_max <= 0.0:
+            raise ValueError("z_max must be positive")
+        if self.n_points < 16:
+            raise ValueError("n_points must be at least 16")
 
 
 @dataclass(frozen=True)
@@ -90,16 +96,16 @@ class VerticalSpectrum:
     """Lowest bound states of the vertical motion and their matrix elements.
 
     All arrays are SI: energies in J, z_matrix in m, z2_matrix in m^2,
-    dvdz_diag in J/m; the finite-difference reference also keeps its grid
-    in m and wavefunctions in m^-1/2 normalized so that sum(psi_n psi_m) dz
-    = delta_nm, and the Laguerre solve its basis coefficients (n_max, M),
-    orthonormal rows. Index convention: row/column i holds state n = i + 1.
-    Arrays are frozen after construction.
+    dvdz_diag in J/m; the Laguerre solve also keeps its basis coefficients
+    (n_max, M), orthonormal rows, and the finite-difference reference
+    (solver None) its grid in m and wavefunctions in m^-1/2 normalized so
+    that sum(psi_n psi_m) dz = delta_nm. Index convention: row/column i
+    holds state n = i + 1. Arrays are frozen after construction.
     """
 
     material: MaterialProperties
     e_perp: float               # V/m
-    solver: VerticalSolver
+    solver: VerticalSolver | None
     energies: np.ndarray        # (n_max,)
     z_matrix: np.ndarray        # (n_max, n_max)
     z2_matrix: np.ndarray       # (n_max, n_max)
@@ -143,9 +149,7 @@ class VerticalSpectrum:
 # argument by reference, and each CHARACTER*1 argument adds a hidden
 # trailing size_t length.
 _REF, _LEN = ctypes.c_void_p, ctypes.c_size_t
-_LAPACK_GROUP = (("scipy_dstebz_64_", [_REF] * 18 + [_LEN] * 2, None),
-                 ("scipy_dstein_64_", [_REF] * 13, None),
-                 ("scipy_dsyevd_64_", [_REF] * 11 + [_LEN] * 2, None))
+_LAPACK_GROUP = (("scipy_dsyevd_64_", [_REF] * 11 + [_LEN] * 2, None),)
 # (get, set) thread counts: numpy's bundled OpenBLAS (64-bit integer
 # interface), scipy's, and an unprefixed system OpenBLAS.
 _THREAD_GROUPS = (
@@ -190,25 +194,10 @@ def _openblas_functions(groups) -> list[tuple]:
 
 @functools.cache
 def _lapack():
-    """(dstebz, dstein, dsyevd) from a loaded OpenBLAS, or None where no
-    loaded library exports all three; the vertical solve then falls back
-    to scipy and _eigh_in_place to np.linalg.eigh."""
+    """dsyevd from a loaded OpenBLAS, or None where no loaded library
+    exports it; _eigh_in_place then falls back to np.linalg.eigh."""
     found = _openblas_functions([_LAPACK_GROUP])
-    return found[0] if found else None
-
-
-def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS mapped into this
-    process; empty where none is loaded or /proc is unavailable.
-
-    The vertical solve runs LAPACK from numpy's OpenBLAS, which is loaded
-    with numpy. Only where it falls back to scipy does this import
-    scipy.linalg first, so that the OpenBLAS scipy brings is pinned before
-    the first solve."""
-    if _lapack() is None:
-        import scipy.linalg  # noqa: F401
-
-    return _openblas_functions(_THREAD_GROUPS)
+    return found[0][0] if found else None
 
 
 class _SingleThreadedBlas:
@@ -231,7 +220,7 @@ class _SingleThreadedBlas:
             if self._depth == 0:
                 self._saved = [
                     (setter, getter())
-                    for getter, setter in _openblas_thread_controls()]
+                    for getter, setter in _openblas_functions(_THREAD_GROUPS)]
                 for setter, _ in self._saved:
                     setter(1)
             self._depth += 1
@@ -248,69 +237,11 @@ class _SingleThreadedBlas:
 _single_threaded_blas = _SingleThreadedBlas()
 
 
-def _check_info(info: int, routine: str, positive: str) -> None:
-    """scipy's LAPACK info check, with its texts."""
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of internal "
-                         f"{routine} (eigh_tridiagonal)")
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{routine} (eigh_tridiagonal) {positive % info}")
-
-
 # Every LAPACK argument goes by reference: scalars through byref, arrays by
 # address (an array's .ctypes would sit in a reference cycle and keep the
 # array alive until the cyclic collector runs).
 def _ref(value, ctype=ctypes.c_int64):
     return ctypes.byref(ctype(value))
-
-
-def _lowest_eigenpairs(diag: np.ndarray, off: np.ndarray, k: int,
-                       eigvals_only: bool = False):
-    """The k lowest eigenvalues (ascending) and eigenvectors (columns) of the
-    symmetric tridiagonal matrix (diag, off), or with eigvals_only the
-    eigenvalues alone: what eigh_tridiagonal(diag, off, eigvals_only,
-    select="i", select_range=(0, k - 1)) returns, bit for bit. The
-    eigenvalues alone stop after dstebz, as scipy does."""
-    routines = _lapack()
-    if routines is None:
-        from scipy.linalg import eigh_tridiagonal   # scipy is slow to import
-
-        return eigh_tridiagonal(diag, off, eigvals_only=eigvals_only,
-                                select="i", select_range=(0, k - 1))
-    stebz, stein, _ = routines
-    diag = np.ascontiguousarray(diag, dtype=float)
-    off = np.ascontiguousarray(off, dtype=float)
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    n = diag.size
-    if not 1 <= k <= n:
-        raise ValueError("select_range out of bounds")
-
-    m, nsplit, info = (np.zeros(1, np.int64) for _ in range(3))
-    w, work = np.zeros(n), np.zeros(5 * n)
-    iblock, isplit = np.zeros(n, np.int64), np.zeros(n, np.int64)
-    iwork = np.zeros(3 * n, np.int64)
-    # RANGE, ORDER, N, VL, VU (unused for range "I"), IL, IU, ABSTOL, ...;
-    # order "B" for dstein, "E" (ascending) for the eigenvalues alone
-    stebz(b"I", b"E" if eigvals_only else b"B", _ref(n),
-          _ref(0.0, ctypes.c_double), _ref(1.0, ctypes.c_double), _ref(1),
-          _ref(k), _ref(0.0, ctypes.c_double),
-          *(a.ctypes.data for a in (diag, off, m, nsplit, w, iblock, isplit,
-                                    work, iwork, info)), 1, 1)
-    _check_info(int(info[0]), "stebz", "did not converge (LAPACK info=%d)")
-    w = w[:m[0]]
-    if eigvals_only:
-        return w
-    vecs = np.zeros((n, w.size), order="F")
-    ifail = np.zeros(w.size, np.int64)
-    stein(_ref(n), diag.ctypes.data, off.ctypes.data, _ref(w.size),
-          *(a.ctypes.data for a in (w, iblock, isplit, vecs)), _ref(n),
-          *(a.ctypes.data for a in (work, iwork, ifail, info)))
-    _check_info(int(info[0]), "stein", "%d eigenvectors failed to converge")
-    # dstebz order "B" groups the eigenvalues by split block
-    order = np.argsort(w)
-    return w[order], vecs[:, order]
 
 
 def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,10 +259,9 @@ def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             and a.shape[0] == a.shape[1] and a.flags.f_contiguous
             and a.flags.writeable):
         raise ValueError("need a writable Fortran-ordered float64 square")
-    routines = _lapack()
-    if routines is None:
+    syevd = _lapack()
+    if syevd is None:
         return np.linalg.eigh(a)
-    syevd = routines[2]
     n = a.shape[0]
     w, info = np.empty(n), np.zeros(1, np.int64)
 
@@ -349,31 +279,6 @@ def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if info[0] > 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return w, a
-
-
-def _solve_reduced(f: float, z_max: float, n_points: int, n_max: int,
-                   eigvals_only: bool = False):
-    """Finite-difference eigenpairs of the reduced Hamiltonian.
-
-    Returns (zeta, dz, eigenvalues, psi) with psi of shape (n_max, n_points)
-    normalized to unit L2 norm in the reduced length and positive near the
-    wall; that sign convention fixes all matrix-element phases repo-wide.
-    With eigvals_only psi is None and no eigenvector is computed.
-    """
-    dz = z_max / (n_points + 1)
-    zeta = dz * np.arange(1, n_points + 1)
-    diag = 2.0 / dz**2 - 2.0 / zeta + f * zeta
-    off = np.full(n_points - 1, -1.0 / dz**2)
-    try:
-        found = _lowest_eigenpairs(diag, off, n_max, eigvals_only)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
-    if eigvals_only:
-        return zeta, dz, found, None
-    vals, vecs = found
-    psi = (vecs / math.sqrt(dz)).T
-    psi = psi * np.sign(psi[:, 0])[:, None]
-    return zeta, dz, vals, psi
 
 
 @functools.cache
@@ -474,38 +379,34 @@ def solve_vertical(
     mat: MaterialProperties,
     e_perp: float,
     n_max: int = 6,
-    grid: GridSpec | None = None,
 ) -> VerticalSpectrum:
-    """Solve the vertical problem at e_perp (V/m) for the lowest n_max states:
-    in the Laguerre basis, or on the finite-difference grid when one is
-    given.
+    """Solve the vertical problem at e_perp (V/m) for the lowest n_max states
+    in the Laguerre basis.
 
-    The Laguerre solve raises ConvergenceFailure when a state holds more
-    than _TAIL_AMPLITUDE on the basis's last functions; the grid raises
-    GridTooSmall when the highest state carries more than 1e-6 of its norm
-    in the outer 1% of the box. Both raise ConvergenceFailure from the
-    eigensolver.
+    Raises ConvergenceFailure when a state holds more than _TAIL_AMPLITUDE
+    on the basis's last functions, or from the eigensolver.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     f = mat.stark_parameter(e_perp)
-    if grid is None:
-        size = _laguerre_size(n_max)
-        scale = _laguerre_scale(f, n_max, size)
-        vals, z_red, z2_red, dvdz_red, coefficients, tail = _solve_laguerre(
-            f, n_max, size, scale)
-        if not tail <= _TAIL_AMPLITUDE:     # also refuses a nan tail
-            raise ConvergenceFailure(
-                f"a state of n <= {n_max} holds amplitude {tail:.2e} on the "
-                f"last {_TAIL_FUNCTIONS} of {size} Laguerre functions; the "
-                "basis did not converge")
-        solver = VerticalSolver(None, size, scale, tail)
-        extra = dict(coefficients=coefficients)
-    else:
-        vals, z_red, z2_red, dvdz_red, zeta, psi = _solve_grid(f, n_max, grid)
-        solver = VerticalSolver(grid)
-        extra = dict(grid=zeta * mat.bohr_radius,
-                     wavefunctions=psi / math.sqrt(mat.bohr_radius))
+    size = _laguerre_size(n_max)
+    scale = _laguerre_scale(f, n_max, size)
+    vals, z_red, z2_red, dvdz_red, coefficients, tail = _solve_laguerre(
+        f, n_max, size, scale)
+    if not tail <= _TAIL_AMPLITUDE:     # also refuses a nan tail
+        raise ConvergenceFailure(
+            f"a state of n <= {n_max} holds amplitude {tail:.2e} on the "
+            f"last {_TAIL_FUNCTIONS} of {size} Laguerre functions; the "
+            "basis did not converge")
+    return _spectrum(mat, e_perp, VerticalSolver(size, scale, tail), vals,
+                     z_red, z2_red, dvdz_red, coefficients=coefficients)
+
+
+def _spectrum(mat: MaterialProperties, e_perp: float,
+              solver: VerticalSolver | None, vals, z_red, z2_red, dvdz_red,
+              **extra) -> VerticalSpectrum:
+    """The VerticalSpectrum of a solve in reduced units, in SI and frozen;
+    ConvergenceFailure where the eigenvalues do not strictly increase."""
     if np.any(np.diff(vals) <= 0.0):
         raise ConvergenceFailure("eigenvalues not strictly increasing")
 
@@ -524,12 +425,41 @@ def solve_vertical(
                             **arrays)
 
 
-def _solve_grid(f: float, n_max: int, grid: GridSpec):
-    """The finite-difference reference: (energies, z, z^2, <2/zeta^2> + f,
-    zeta, psi) in reduced units, energies Richardson extrapolated."""
+def solver_report(solvers) -> dict | None:
+    """The sidecar's account of the vertical solves made, given each one's
+    VerticalSolver: the Laguerre basis size, the smallest and largest scale
+    and the worst tail amplitude. None where no solve was made."""
+    solvers = list(solvers)
+    if not solvers:
+        return None
+    scales = [solver.scale for solver in solvers]
+    return {"solver": "laguerre",
+            "basis_size": solvers[0].basis_size,
+            "scale_r_B": [min(scales), max(scales)],
+            "worst_tail_amplitude": max(solver.tail for solver in solvers)}
+
+
+def reference_solve(
+    mat: MaterialProperties,
+    e_perp: float,
+    n_max: int = 6,
+    grid: GridSpec = GridSpec(),
+) -> VerticalSpectrum:
+    """The finite-difference reference of solve_vertical, on grid: energies
+    Richardson extrapolated, z, z^2 and dV/dz from the fine grid, with the
+    grid and wavefunctions kept and solver None.
+
+    Raises GridTooSmall when the highest state carries more than 1e-6 of its
+    norm in the outer 1% of the box, and ConvergenceFailure from the
+    eigensolver.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    f = mat.stark_parameter(e_perp)
     if 4 * n_max > grid.n_points:
         raise ValueError("grid too coarse for the requested number of states")
-    zeta, dz, vals_fine, psi = _solve_reduced(f, grid.z_max, grid.n_points, n_max)
+    zeta, dz, vals_fine, psi = _solve_reduced(f, grid.z_max, grid.n_points,
+                                              n_max)
     _, dz_c, vals_coarse, _ = _solve_reduced(
         f, grid.z_max, grid.n_points // 2, n_max, eigvals_only=True)
 
@@ -552,27 +482,39 @@ def _solve_grid(f: float, n_max: int, grid: GridSpec):
     z2_red = (psi * zeta**2) @ psi.T * dz
     dvdz_red = (np.sum(psi**2 * (2.0 / zeta**2 + f), axis=1) * dz
                 + dz * (psi[:, 0] / zeta[0]) ** 2)
-    return (vals, 0.5 * (z_red + z_red.T), 0.5 * (z2_red + z2_red.T),
-            dvdz_red, zeta, psi)
+    return _spectrum(mat, e_perp, None, vals, 0.5 * (z_red + z_red.T),
+                     0.5 * (z2_red + z2_red.T), dvdz_red,
+                     grid=zeta * mat.bohr_radius,
+                     wavefunctions=psi / math.sqrt(mat.bohr_radius))
 
 
-def solver_report(solvers) -> dict | None:
-    """The sidecar's account of the vertical solves made, given each one's
-    VerticalSolver: the finite-difference grid, or the Laguerre basis size,
-    the smallest and largest scale and the worst tail amplitude. None where
-    no solve was made."""
-    solvers = list(solvers)
-    if not solvers:
-        return None
-    grid = solvers[0].grid
-    if grid is not None:
-        return {"solver": "finite-difference", "z_max_r_B": grid.z_max,
-                "n_points": grid.n_points}
-    scales = [solver.scale for solver in solvers]
-    return {"solver": "laguerre",
-            "basis_size": solvers[0].basis_size,
-            "scale_r_B": [min(scales), max(scales)],
-            "worst_tail_amplitude": max(solver.tail for solver in solvers)}
+def _solve_reduced(f: float, z_max: float, n_points: int, n_max: int,
+                   eigvals_only: bool = False):
+    """Finite-difference eigenpairs of the reduced Hamiltonian.
+
+    Returns (zeta, dz, eigenvalues, psi) with psi of shape (n_max, n_points)
+    normalized to unit L2 norm in the reduced length and positive near the
+    wall, the sign convention of the Laguerre solve.
+    With eigvals_only psi is None and no eigenvector is computed.
+    """
+    dz = z_max / (n_points + 1)
+    zeta = dz * np.arange(1, n_points + 1)
+    diag = 2.0 / dz**2 - 2.0 / zeta + f * zeta
+    off = np.full(n_points - 1, -1.0 / dz**2)
+    # the command line never runs the reference, and so imports no scipy
+    from scipy.linalg import eigh_tridiagonal
+
+    try:
+        found = eigh_tridiagonal(diag, off, eigvals_only=eigvals_only,
+                                 select="i", select_range=(0, n_max - 1))
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
+    if eigvals_only:
+        return zeta, dz, found, None
+    vals, vecs = found
+    psi = (vecs / math.sqrt(dz)).T
+    psi = psi * np.sign(psi[:, 0])[:, None]
+    return zeta, dz, vals, psi
 
 
 def truncation_report(vs: VerticalSpectrum) -> np.ndarray:

@@ -415,8 +415,6 @@ e_perp_v_cm = 15.0
 b_z = 0.65
 [basis]
 l_max = 20
-[grid]
-n_points = 2000
 [sweep]
 axis = b_y
 start = 0.0

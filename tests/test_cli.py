@@ -32,7 +32,7 @@ from heliumjcm.coupled import ProductBasis
 from heliumjcm.errors import ConfigError, ConvergenceFailure
 from heliumjcm.materials import GHZ, HBAR, FieldConfiguration
 from heliumjcm.spectroscopy import BroadeningModel, absorption_map
-from heliumjcm.vertical import GridSpec, _single_threaded_blas
+from heliumjcm.vertical import _single_threaded_blas
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 PERFBENCH = CONFIG_DIR.parent / "perfbench"
@@ -48,8 +48,6 @@ b_z = 0.65
 [basis]
 n_max = 6
 l_max = 20
-[grid]
-n_points = 2000
 [sweep]
 axis = b_y
 start = 0.0
@@ -71,9 +69,6 @@ temperature = 0.33
 [basis]
 n_max = 4
 l_max = 8
-[grid]
-n_points = 1000
-z_max = 120
 [map]
 sweep_axis = b_y
 sweep_start = 0.0
@@ -100,8 +95,6 @@ b_y = 0.1
 [basis]
 n_max = 6
 l_max = 10
-[grid]
-n_points = 2000
 [crossings]
 pairs = 2,1
 b_z_min = 0.5
@@ -120,8 +113,6 @@ e_perp_v_cm = 15.0
 [basis]
 n_max = 4
 l_max = 6
-[grid]
-n_points = 1500
 [sweep]
 axis = b_z
 start = 0.5
@@ -162,8 +153,6 @@ e_perp_v_cm = 15.0
 [basis]
 n_max = 6
 l_max = 50
-[grid]
-n_points = 2000
 [sweep]
 axis = b_z
 start = 1.0
@@ -257,12 +246,6 @@ def test_each_field_is_the_schema_row_of_one_key():
 
     default = RunConfig()
     assert default.basis() == ProductBasis()
-    # no [grid] key: the library's default, spectral vertical solve
-    assert default.grid() is None
-    assert inspect.signature(absorption_map).parameters["grid"].default \
-        is None
-    assert dataclasses.replace(default, n_points=2000).grid() == \
-        GridSpec(n_points=2000)
     assert default.broadening() == BroadeningModel()
     assert default.temperature == FieldConfiguration(0.0, 0.0).temperature
     assert default.band_ghz == \
@@ -422,9 +405,6 @@ temperature = -1.0
 [basis]
 n_max = 1
 l_max = 0
-[grid]
-z_max = 5.0
-n_points = 100
 [sweep]
 axis = b_x
 start = 0.5
@@ -439,8 +419,6 @@ fields.e_perp_v_cm: must be non-negative
 fields.temperature: must be positive
 basis.n_max: need at least two levels
 basis.l_max: need at least two rungs
-grid.z_max: box must extend past the bound tails
-grid.n_points: too coarse to trust
 sweep.axis: 'b_x' is not b_z or b_y
 sweep.steps: need at least 2
 output.prefix: a file-name prefix, not a path; set directories in output.out_dir
@@ -733,7 +711,7 @@ def test_runtime_blas_pin_holds_every_task(tmp_path, monkeypatch, task):
     # on one BLAS thread. Few configs are large enough for a second thread
     # to move a printed digit, so this reads the thread count at each solve
     # instead of comparing bytes.
-    controls = vertical._openblas_thread_controls()
+    controls = vertical._openblas_functions(vertical._THREAD_GROUPS)
     if not controls:
         pytest.skip("no OpenBLAS loaded")
     saved = [getter() for getter, _ in controls]
@@ -819,7 +797,7 @@ def test_crossings_failures_keep_the_good_rows(tmp_path, monkeypatch):
 
     cfg = load_run_config(path)
     base = cfg.field_config()
-    vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max, cfg.grid())
+    vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max)
     with _single_threaded_blas:
         b_min, want = coupled.minimum_gap(HamiltonianBlocks(vs, cfg.basis()),
                                           base, ((2, 0), (1, 1)))
@@ -916,7 +894,7 @@ def test_rates_include_occupation(tmp_path):
 
     cfg = load_run_config(path)
     vs = solve_vertical(cfg.material(), cfg.field_config().e_perp,
-                        max(cfg.n_max, 2), cfg.grid())
+                        max(cfg.n_max, 2))
     bath = RipplonBath.from_material(vs.material, 1.0)
     quantum = HBAR * cyclotron_frequency(2.8306)
 
@@ -1046,7 +1024,7 @@ def test_cli_import_leaves_scipy_optimize_out():
 
 def test_cli_import_and_validate_load_no_scipy(tmp_path):
     # importing scipy costs about 0.4 s per CLI call; only root finding
-    # needs it, and a vertical solve where numpy's OpenBLAS lacks LAPACK
+    # and the finite-difference reference of the tests need it
     path = _write(tmp_path, SHIFTS_CFG)
     probe = ("import sys; {}; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
@@ -1090,88 +1068,45 @@ def test_config_dataclasses_are_the_task_modules_own():
     # config builds them from materials without numpy; the task modules,
     # and the names the benchmark tracer wraps, hold the same objects
     assert coupled.ProductBasis is materials.ProductBasis
-    assert vertical.GridSpec is materials.GridSpec
     assert spectroscopy.BroadeningModel is materials.BroadeningModel
     assert spectroscopy.DEFAULT_BAND_GHZ is materials.DEFAULT_BAND_GHZ
     assert heliumjcm.ProductBasis is materials.ProductBasis
 
 
 def test_computing_tasks_load_no_scipy(tmp_path):
-    # the vertical solve runs LAPACK from numpy's OpenBLAS, so no task the
-    # command line computes imports scipy
-    if vertical._lapack() is None:
-        pytest.skip("numpy's BLAS exports no dstebz/dstein")
+    # no task the command line computes imports scipy, also where no loaded
+    # OpenBLAS exports dsyevd (the last run) and the dense solve falls back
+    # to numpy; the Laguerre solve builds its quadrature without
+    # numpy.polynomial, whose import alone adds to every run's memory
     runs = [["self-test"]]
     for task, text in (("spectrum-sweep", SMALL_SWEEP_CFG),
                        ("crossings", CROSSINGS_CFG),
                        ("absorption-map", MAP_CFG)):
         runs.append([task, "--config", _write(tmp_path, text, f"{task}.cfg"),
                      "--out", str(tmp_path / task)])
-    # the spectral vertical solve builds its quadrature without
-    # numpy.polynomial, whose import alone adds to every run's memory
-    runs.append(["absorption-map", "--config",
-                 _write(tmp_path, "\n".join(
-                     line for line in MAP_CFG.splitlines()
-                     if not line.startswith(("[grid]", "n_points", "z_max"))),
-                     "spectral.cfg"), "--out", str(tmp_path / "spectral")])
-    probe = ("import sys; from heliumjcm import cli\n"
+    probe = ("import sys; from heliumjcm import cli, vertical\n"
              f"for argv in {runs!r}:\n"
              "    assert cli.main(argv) == 0, argv\n"
+             "vertical._lapack = lambda: None\n"
+             "assert cli.main(['self-test']) == 0\n"
              "print(sorted(m for m in sys.modules if m.startswith('scipy')\n"
              "             or m.startswith('numpy.polynomial')))")
     out = _run_python(["-c", probe])
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize("grid", ["", "[grid]\nz_max = 150\n"])
-def test_vertical_block_names_the_solver(tmp_path, grid):
+def test_vertical_block_names_the_solver(tmp_path):
     # the sidecar says which vertical solver ran, with deterministic values
-    text = "\n".join(line for line in SHIFTS_CFG.splitlines()
-                     if not line.startswith(("[grid]", "n_points", "z_max")))
-    path = _write(tmp_path, text + "\n" + grid)
+    path = _write(tmp_path, SHIFTS_CFG)
     assert cli.main(["shifts", "--config", path, "--out",
                      str(tmp_path / "o")]) == 0
     block = json.loads((tmp_path / "o" / "t_shifts.json").read_text())[
         "vertical"]
-    if grid:
-        assert block == {"solver": "finite-difference", "z_max_r_B": 150.0,
-                         "n_points": 4000}
-    else:
-        assert block["solver"] == "laguerre"
-        assert block["basis_size"] == vertical._laguerre_size(6)
-        low, high = block["scale_r_B"]
-        assert 0.0 < low == high
-        assert 0.0 < block["worst_tail_amplitude"] < vertical._TAIL_AMPLITUDE
-
-
-@pytest.mark.parametrize("grid", ["", "[grid]\nn_points = 8000\n"])
-def test_large_n_max_advisory_only_on_the_grid(tmp_path, capsys, grid):
-    # n_max > 12 strains the finite-difference box, not the Laguerre basis;
-    # and a [grid] key changes which vertical solver runs, so validate says so
-    text = "\n".join(line for line in SHIFTS_CFG.splitlines()
-                     if not line.startswith(("[grid]", "n_points", "z_max")))
-    path = _write(tmp_path, text.replace("n_max = 6", "n_max = 14")
-                  + "\n" + grid)
-    assert cli.main(["validate", "--config", path]) == 0
-    out = capsys.readouterr().out
-    assert ("consider a larger grid.z_max" in out) == bool(grid)
-    assert ("warning: grid: a [grid] key selects the finite-difference "
-            "reference" in out) == bool(grid)
-
-
-GRID_TOO_COARSE_CFG = CROSSINGS_CFG.replace("n_max = 6", "n_max = 51") \
-    .replace("n_points = 2000", "n_points = 200")
-
-
-@pytest.mark.parametrize("task", ["validate", "crossings"])
-def test_grid_too_coarse_for_the_basis_exits_2(tmp_path, capsys, task):
-    # the vertical solve needs four grid points per level
-    path = _write(tmp_path, GRID_TOO_COARSE_CFG)
-    assert cli.main([task, "--config", path, "--out",
-                     str(tmp_path / "o")]) == 2
-    assert "error: grid.n_points: 200 points cannot hold 51 levels; need " \
-        "at least 204\n" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert block["solver"] == "laguerre"
+    assert block["basis_size"] == vertical._laguerre_size(6)
+    low, high = block["scale_r_B"]
+    assert 0.0 < low == high
+    assert 0.0 < block["worst_tail_amplitude"] < vertical._TAIL_AMPLITUDE
 
 
 def test_absorption_map_thread_independent(tmp_path):
@@ -1277,7 +1212,7 @@ def test_shifts_csv_is_full_shift_bit_for_bit(tmp_path, monkeypatch):
     assert cli.main(["shifts", "--config", path, "--out", str(out_dir)]) == 0
     cfg = load_run_config(path)
     base, basis = cfg.field_config(), cfg.basis()
-    vs = solve_vertical(cfg.material(), base.e_perp, basis.n_max, cfg.grid())
+    vs = solve_vertical(cfg.material(), base.e_perp, basis.n_max)
     blocks = HamiltonianBlocks(vs, basis)
     assert [(b_y, l) for b_y, l, _, _ in captured] == [
         (b_y, l) for b_y in (0.0, 0.1, 0.2) for l in (0, 1)]
@@ -1431,7 +1366,7 @@ def test_b_y_spectrum_sweep_rows_are_the_solver_values(tmp_path):
     assert body["sweep_axis"] == "b_y" and body["overlay_b_y"] == [0.0]
     cfg = load_run_config(path)
     base = cfg.field_config()
-    vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max, cfg.grid())
+    vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max)
     blocks = HamiltonianBlocks(vs, cfg.basis())
     rows = [line.split(",") for line in
             _data_lines(out_dir / "t_spectrum.csv")]
@@ -1452,7 +1387,7 @@ def test_spectrum_sweep_csv_cells_are_the_solver_values(tmp_path):
                      "--out", str(out_dir)]) == 0
     cfg = load_run_config(path)
     base = cfg.field_config()
-    vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max, cfg.grid())
+    vs = solve_vertical(cfg.material(), base.e_perp, cfg.n_max)
     blocks = HamiltonianBlocks(vs, cfg.basis())
     want = []
     for b_y in cfg.b_y_values:
@@ -1485,7 +1420,7 @@ def test_absorption_map_csv_cells_are_the_library_map(tmp_path):
         amap = absorption_map(
             cfg.material(), cfg.field_config(), cfg.map_sweep_axis, sweep,
             e_grid, cfg.mw_frequency_ghz, broadening=cfg.broadening(),
-            basis=cfg.basis(), grid=cfg.grid(), l_cut=cfg.l_cut,
+            basis=cfg.basis(), l_cut=cfg.l_cut,
             band_ghz=cfg.band_ghz)
     assert not amap.failures
     want = [",".join(map(_cell, (s, e, amap.intensity[i, j])))
@@ -1502,8 +1437,8 @@ def test_absorption_map_csv_cells_are_the_library_map(tmp_path):
                                        "rows": len(want)}
 
 
-# e_perp = 0 with n_max = 8 on the default grid passes validate, and the one
-# vertical solve fails with GridTooSmall: state n = 8 reaches the box edge
+# e_perp = 0 with n_max = 8 passes validate, and the one vertical solve fails
+# when its Laguerre basis is cut to 12 functions
 UNSOLVED_CFGS = {
     "spectrum-sweep": (SMALL_SWEEP_CFG, "t_spectrum.csv"),
     "shifts": (SHIFTS_CFG, "t_shifts.csv"),
@@ -1514,17 +1449,15 @@ UNSOLVED_CFGS = {
 
 @pytest.mark.parametrize("task", list(UNSOLVED_CFGS))
 def test_failed_vertical_solve_still_writes_artifacts(tmp_path, capsys,
-                                                       task):
+                                                       monkeypatch, task):
     text, csv_name = UNSOLVED_CFGS[task]
     lines = [line for line in text.splitlines()
-             if not line.startswith(("[basis]", "n_max", "l_max", "[grid]",
-                                     "n_points", "z_max"))]
+             if not line.startswith(("[basis]", "n_max", "l_max"))]
     text = "\n".join(lines).replace("e_perp_v_cm = 15.0", "e_perp_v_cm = 0.0")
-    # the finite-difference reference in a 40 r_B box cannot hold n = 8
-    path = _write(tmp_path, text + "\n[basis]\nn_max = 8\nl_max = 20\n"
-                  "[grid]\nz_max = 40\n")
+    path = _write(tmp_path, text + "\n[basis]\nn_max = 8\nl_max = 20\n")
     assert cli.main(["validate", "--config", path]) == 0
     capsys.readouterr()
+    monkeypatch.setattr(vertical, "_laguerre_size", lambda n_max: 12)
     out_dir = tmp_path / "o"
     assert cli.main([task, "--config", path, "--out", str(out_dir)]) == 3
     out = capsys.readouterr().out
@@ -1538,5 +1471,6 @@ def test_failed_vertical_solve_still_writes_artifacts(tmp_path, capsys,
         assert out == f"wrote {csv_path} (0 rows, 1 failed)\n"
     body = json.loads(json_path.read_text())
     [failure] = body["failures"]
-    assert failure["error"].startswith("GridTooSmall: state n=8")
+    assert failure["error"].startswith(
+        "ConvergenceFailure: a state of n <= 8 holds amplitude ")
     assert body["resolved_config"]["n_max"] == 8

@@ -22,8 +22,6 @@ EVERY_KEY = {
     ("fields", "temperature"): ("0.25", 0.25),
     ("basis", "n_max"): ("5", 5),
     ("basis", "l_max"): ("30", 30),
-    ("grid", "z_max"): ("120.0", 120.0),
-    ("grid", "n_points"): ("3000", 3000),
     ("sweep", "axis"): ("b_y", "b_y"),
     ("sweep", "start"): ("0.1", 0.1),
     ("sweep", "stop"): ("0.9", 0.9),
@@ -101,6 +99,8 @@ pairs = {pairs}
 
 @pytest.mark.parametrize("text, message", [
     ("[field]\nb_z = 1.0\n", "unknown section [field]"),
+    # the vertical solve has no grid to set
+    ("[grid]\nn_points = 2000\n", "unknown section [grid]"),
     ("[fields]\nb_z = one\n",
      "bad value for fields.b_z: could not convert string to float: 'one'"),
     ("[broadening]\ninclude_thermal = maybe\n",

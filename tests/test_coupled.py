@@ -66,10 +66,14 @@ def test_trace_preserved(vs15):
 
 
 def test_uncoupled_fan_exact(vs15):
-    # b_y = 0: eigenvalues are exactly E_n + hbar w_c l, sorted
+    # b_y = 0: the dense solve of the assembled matrix gives exactly
+    # E_n + hbar w_c l, sorted (HamiltonianBlocks.solve reads these off the
+    # diagonal with no dense solve, so it would not check the solver)
     cfg = FieldConfiguration.from_v_cm(15.0, 0.584, 0.0)
     basis = ProductBasis(4, 11)
-    spec = HamiltonianBlocks(vs15, basis).solve(cfg)
+    with _single_threaded_blas:
+        spec = diagonalize(
+            assemble_hamiltonian(HamiltonianBlocks(vs15, basis), cfg), basis)
     w_c = cyclotron_frequency(0.584)
     fan = np.sort([vs15.energy(n) + HBAR * w_c * l
                    for n in range(1, 5) for l in range(12)])

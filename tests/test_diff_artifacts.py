@@ -50,6 +50,20 @@ def test_one_moved_cell(tmp_path, tol, status):
     assert "t_map.json: keys differ: vertical.solver\n" in out
 
 
+def test_key_on_one_side_only(tmp_path):
+    # a dropped key is listed even where the other side held null
+    config = {"n_max": 6, "z_max": None, "n_points": None}
+    a = _write(tmp_path / "a", CSV, {"resolved_config": config})
+    b = _write(tmp_path / "b", CSV, {"resolved_config": {"n_max": 6}})
+    status, out = _compare(a, b)
+    assert status == 0
+    assert "t_map.json: keys differ: resolved_config.n_points, " \
+        "resolved_config.z_max\n" in out
+    _, out = _compare(b, a)
+    assert "t_map.json: keys differ: resolved_config.n_points, " \
+        "resolved_config.z_max\n" in out
+
+
 def test_header_mismatch(tmp_path):
     a = _write(tmp_path / "a", CSV, {})
     b = _write(tmp_path / "b", CSV.replace("b_y", "b_z"), {})

@@ -19,9 +19,9 @@ from scipy.constants import (
 from heliumjcm import (
     AbsorptionMap,
     BroadeningModel,
+    ConvergenceFailure,
     DegenerateField,
     FieldConfiguration,
-    GridSpec,
     HamiltonianBlocks,
     ProductBasis,
     absorption_map,
@@ -165,7 +165,7 @@ def small_map(he3):
     return absorption_map(
         he3, base, "b_y", np.array([0.05, 0.08]),
         np.arange(26.0, 33.01, 0.1), 90.0,
-        BroadeningModel(areal_density_cm2=1e7), MAP_BASIS, GridSpec())
+        BroadeningModel(areal_density_cm2=1e7), MAP_BASIS)
 
 
 def test_map_normalization(small_map):
@@ -259,13 +259,13 @@ class _BlasProbe(BroadeningModel):
     seen: list = field(default_factory=list, compare=False)
 
     def width_ghz(self, cfg):
-        self.seen.append([get() for get, _ in
-                          vertical._openblas_thread_controls()])
+        self.seen.append([get() for get, _ in vertical._openblas_functions(
+            vertical._THREAD_GROUPS)])
         return super().width_ghz(cfg)
 
 
 def test_map_pins_blas_and_restores_thread_count(he3):
-    controls = vertical._openblas_thread_controls()
+    controls = vertical._openblas_functions(vertical._THREAD_GROUPS)
     if not controls:
         pytest.skip("no OpenBLAS loaded")
     original = [get() for get, _ in controls]
@@ -288,7 +288,7 @@ def test_map_pins_blas_and_restores_thread_count(he3):
 def test_concurrent_maps_share_one_pin(he3):
     # overlapping maps in several threads: each pixel sees one BLAS thread,
     # and the count in force before the first map is back after the last
-    controls = vertical._openblas_thread_controls()
+    controls = vertical._openblas_functions(vertical._THREAD_GROUPS)
     if not controls:
         pytest.skip("no OpenBLAS loaded")
     original = [get() for get, _ in controls]
@@ -301,8 +301,7 @@ def test_concurrent_maps_share_one_pin(he3):
             for _ in range(3):
                 absorption_map(he3, base, "b_y", np.array([0.0, 0.1]),
                                np.array([28.0, 29.0]), 90.0, probe,
-                               ProductBasis(2, 3), GridSpec(n_points=400),
-                               l_cut=2, threads=2)
+                               ProductBasis(2, 3), l_cut=2, threads=2)
         except Exception as exc:   # reported by the main thread
             errors.append(exc)
 
@@ -346,19 +345,25 @@ def test_map_failed_pixels_recorded_as_nan(he3):
     assert np.isfinite(amap.intensity[1]).all()
 
 
-def test_map_failed_column_recorded_in_every_pixel(he3):
-    # a 40 r_B finite-difference box cannot hold n = 8 at 0 V/cm, so the
-    # vertical solve of column 0 fails and every pixel of that column
+def test_map_failed_column_recorded_in_every_pixel(he3, monkeypatch):
+    # the vertical solve of column 0 fails, and every pixel of that column
     # carries its error
+    solve = spectroscopy.solve_vertical
+
+    def unsolved_at_zero(mat, e_perp, n_max):
+        if e_perp == 0.0:
+            raise ConvergenceFailure("no solve at 0 V/cm")
+        return solve(mat, e_perp, n_max)
+
+    monkeypatch.setattr(spectroscopy, "solve_vertical", unsolved_at_zero)
     base = FieldConfiguration.from_v_cm(15.0, 0.584, temperature=0.33)
     maps = [absorption_map(he3, base, "b_y", np.array([0.0, 0.1]),
                            np.array([0.0, 30.0]), 90.0,
-                           basis=ProductBasis(8, 8), grid=GridSpec(40.0, 2000),
-                           l_cut=5, threads=threads)
+                           basis=ProductBasis(8, 8), l_cut=5, threads=threads)
             for threads in (1, 2)]
     amap = maps[0]
     assert [(i, j) for i, j, _ in amap.failures] == [(0, 0), (1, 0)]
-    assert all(msg.startswith("GridTooSmall: state n=8")
+    assert all(msg == "ConvergenceFailure: no solve at 0 V/cm"
                for _, _, msg in amap.failures)
     assert np.isnan(amap.intensity[:, 0]).all()
     assert (amap.landau_cut[:, 0] == -1).all()
@@ -624,8 +629,7 @@ def test_absorption_map_keeps_traced_lines_as_arrays(he3, traced_memory):
 
     def run(sweep, e_perp):
         return absorption_map(he3, base, "b_z", sweep, e_perp, 90.0,
-                              basis=ProductBasis(3, 40),
-                              grid=GridSpec(n_points=1000, z_max=120.0))
+                              basis=ProductBasis(3, 40))
 
     run(np.array([0.05]), np.array([2.0]))   # one-time allocations
     amap, held, peak = traced_memory(
@@ -720,8 +724,7 @@ def test_map_line_centers_match_the_dict_reference(he3, monkeypatch):
     base = FieldConfiguration.from_v_cm(0.0, 0.2, b_y=0.2, temperature=0.37)
     amap = absorption_map(he3, base, "b_z", np.linspace(0.05, 0.1, 4),
                           np.array([2.0, 30.0, 58.0]), 90.0,
-                          basis=ProductBasis(3, 40),
-                          grid=GridSpec(n_points=1000, z_max=120.0))
+                          basis=ProductBasis(3, 40))
     assert len(rows) == 4
     for pixels, args, centers in rows:
         want = _reference_centers(pixels, *args)

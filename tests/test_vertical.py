@@ -1,5 +1,5 @@
-"""Vertical (image-charge) solver: hydrogenic limit, grid convergence,
-matrix-element quality, Stark utilities."""
+"""Vertical (image-charge) solver: hydrogenic limit, agreement with the
+finite-difference reference, matrix-element quality, Stark utilities."""
 
 import gc
 import io
@@ -10,15 +10,16 @@ from scipy.constants import e as QE
 
 from heliumjcm import (
     ConvergenceFailure,
-    GridSpec,
     GridTooSmall,
+    diagonalize,
     find_transition_field,
     solve_vertical,
     stark_slope,
     truncation_report,
     vertical,
 )
-from heliumjcm.vertical import V_PER_CM
+from heliumjcm.materials import ProductBasis
+from heliumjcm.vertical import V_PER_CM, GridSpec, reference_solve
 
 
 def test_hydrogenic_energies_and_dipoles(he3):
@@ -31,8 +32,8 @@ def test_hydrogenic_energies_and_dipoles(he3):
 
 
 def test_grid_doubling_converged(he3):
-    base = solve_vertical(he3, 1500.0, n_max=6, grid=GridSpec(150.0, 4000))
-    fine = solve_vertical(he3, 1500.0, n_max=6, grid=GridSpec(150.0, 8000))
+    base = reference_solve(he3, 1500.0, n_max=6, grid=GridSpec(150.0, 4000))
+    fine = reference_solve(he3, 1500.0, n_max=6, grid=GridSpec(150.0, 8000))
     shift = np.abs(fine.energies - base.energies) / np.abs(fine.energies)
     assert shift.max() < 1e-5
 
@@ -40,7 +41,7 @@ def test_grid_doubling_converged(he3):
 @pytest.fixture(scope="module")
 def fd15(he3):
     # the finite-difference reference at 15 V/cm, on the default grid
-    return solve_vertical(he3, 1500.0, grid=GridSpec())
+    return reference_solve(he3, 1500.0)
 
 
 def test_orthonormality(fd15):
@@ -101,8 +102,8 @@ def test_spectral_matches_extrapolated_grid(he3, e_v_cm):
     # the (already extrapolated) 32k-point energies
     e_perp = e_v_cm * V_PER_CM
     energies, z, z2, _ = _reduced(solve_vertical(he3, e_perp))
-    fine, finer = (_reduced(solve_vertical(he3, e_perp,
-                                           grid=GridSpec(150.0, n)))
+    fine, finer = (_reduced(reference_solve(he3, e_perp,
+                                            grid=GridSpec(150.0, n)))
                    for n in (16000, 32000))
     assert np.abs(energies - finer[0]).max() < 1e-9
     for k, ours in ((1, z), (2, z2)):
@@ -114,7 +115,7 @@ def test_grid_dvdz_converges_at_second_order(he3):
     # with the wall endpoint of <2/zeta^2>, the grid's dV/dz error falls by
     # about 4 per doubling toward the spectral value
     exact = solve_vertical(he3, 1500.0).dvdz_diag
-    errors = [np.abs(solve_vertical(he3, 1500.0, grid=GridSpec(150.0, n))
+    errors = [np.abs(reference_solve(he3, 1500.0, grid=GridSpec(150.0, n))
                      .dvdz_diag - exact).max() for n in (4000, 8000, 16000)]
     assert errors[0] / errors[1] >= 3.5 and errors[1] / errors[2] >= 3.5
 
@@ -235,47 +236,15 @@ def test_grid_guards(he3):
     with pytest.raises(ValueError):
         solve_vertical(he3, 1500.0, n_max=1)
     with pytest.raises(ValueError):
-        solve_vertical(he3, 1500.0, n_max=6, grid=GridSpec(150.0, 20))
+        reference_solve(he3, 1500.0, n_max=6, grid=GridSpec(150.0, 20))
     # a box shorter than the n = 6 state leaks norm into the tail
     with pytest.raises(GridTooSmall):
-        solve_vertical(he3, 0.0, n_max=6, grid=GridSpec(40.0, 2000))
+        reference_solve(he3, 0.0, n_max=6, grid=GridSpec(40.0, 2000))
 
 
-@pytest.fixture
-def scipy_fallback(monkeypatch):
-    """Hides numpy's dstebz/dstein, as on a numpy without OpenBLAS."""
-    if vertical._lapack() is None:
-        pytest.skip("numpy's BLAS exports no dstebz/dstein")
-    monkeypatch.setattr(vertical, "_lapack", lambda: None)
-
-
-def _solve_or_error(he3, e_v_cm, n_max, n_points):
-    try:
-        vs = solve_vertical(he3, e_v_cm * V_PER_CM, n_max,
-                            GridSpec(n_points=n_points))
-    except GridTooSmall as exc:
-        return str(exc)
-    return [arr.tobytes() for arr in (vs.energies, vs.wavefunctions,
-                                      vs.z_matrix, vs.z2_matrix)]
-
-
-@pytest.mark.parametrize("n_points", [200, 4000])
-def test_solver_paths_bit_identical(he3, request, n_points):
-    # numpy's LAPACK and scipy's eigh_tridiagonal give the same bits
-    cases = [(e, n_max) for e in (0.0, 2.0, 15.0, 29.0, 58.0)
-             for n_max in (2, 6, 8)]
-    direct = [_solve_or_error(he3, e, n_max, n_points) for e, n_max in cases]
-    request.getfixturevalue("scipy_fallback")
-    for (e, n_max), first in zip(cases, direct):
-        assert _solve_or_error(he3, e, n_max, n_points) == first, (e, n_max)
-    assert any(isinstance(first, list) for first in direct)
-
-
-@pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "scipy"])
 @pytest.mark.parametrize("f", [float("nan"), float("inf")])
-def test_non_finite_tilt_is_a_convergence_failure(request, fallback, f):
-    if fallback:
-        request.getfixturevalue("scipy_fallback")
+def test_non_finite_tilt_is_a_convergence_failure(f):
+    # the reference's eigh_tridiagonal error, as a ConvergenceFailure
     with pytest.raises(ConvergenceFailure) as failed:
         vertical._solve_reduced(f, 150.0, 400, 4)
     assert str(failed.value) == ("tridiagonal eigensolver failed: array "
@@ -289,52 +258,31 @@ def test_non_finite_field_is_a_spectral_convergence_failure(he3, e_perp):
         solve_vertical(he3, e_perp)
 
 
-@pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "scipy"])
-def test_more_states_than_points_is_a_convergence_failure(request, fallback):
-    if fallback:
-        request.getfixturevalue("scipy_fallback")
+def test_more_states_than_points_is_a_convergence_failure():
     with pytest.raises(ConvergenceFailure) as failed:
         vertical._solve_reduced(0.0, 150.0, 16, 17)
     assert str(failed.value) == ("tridiagonal eigensolver failed: "
                                  "select_range out of bounds")
 
 
-def test_lapack_solve_leaves_no_reference_cycles(he3):
-    # arrays passed to dstebz/dstein must be freed by reference counting,
-    # not left for the cyclic collector, or peak memory follows its timing
+def test_lapack_solve_leaves_no_reference_cycles():
+    # arrays passed to dsyevd must be freed by reference counting, not
+    # left for the cyclic collector, or peak memory follows its timing
     if vertical._lapack() is None:
-        pytest.skip("numpy's BLAS exports no dstebz/dstein")
-    solve_vertical(he3, 1500.0)
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(20):
-            solve_vertical(he3, 1500.0)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-
-
-@pytest.mark.parametrize("f", [0.0, 0.05, 0.3])
-def test_eigenvalues_alone_match_scipy(f):
-    # the coarse Richardson grid stops after dstebz: its eigenvalues equal
-    # eigh_tridiagonal(eigvals_only=True) and those of the full solve
-    from scipy.linalg import eigh_tridiagonal
-
-    if vertical._lapack() is None:
-        pytest.skip("numpy's BLAS exports no dstebz/dstein")
-    n_points, z_max = 2000, 150.0
-    dz = z_max / (n_points + 1)
-    zeta = dz * np.arange(1, n_points + 1)
-    diag = 2.0 / dz**2 - 2.0 / zeta + f * zeta
-    off = np.full(n_points - 1, -1.0 / dz**2)
-    for k in (1, 6, 12):
-        alone = vertical._lowest_eigenpairs(diag, off, k, eigvals_only=True)
-        want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                select_range=(0, k - 1))
-        assert alone.tobytes() == want.tobytes()
-        vals, _ = vertical._lowest_eigenpairs(diag, off, k)
-        assert alone.tobytes() == vals.tobytes()
+        pytest.skip("numpy's BLAS exports no dsyevd")
+    basis = ProductBasis(4, 8)
+    h = _symmetric(basis.size, np.random.default_rng(5))
+    with vertical._single_threaded_blas:
+        diagonalize(h, basis)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                diagonalize(h, basis)
+                diagonalize(h.copy(), basis, overwrite=True)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _symmetric(n, rng):
@@ -398,8 +346,8 @@ def test_openblas_under_a_path_with_spaces_is_found(tmp_path, monkeypatch):
 
 def test_a_group_is_found_whole_or_not_at_all():
     # a group with one symbol the library lacks yields no entry, and the
-    # next group is tried; _lapack is None or all three LAPACK functions,
-    # each typed as the table says
+    # next group is tried; _lapack is None or dsyevd, typed as the table
+    # says
     _loaded_openblas()
     missing = ("heliumjcm_no_such_symbol", [], None)
     lacking = [group + (missing,) for group in vertical._THREAD_GROUPS]
@@ -407,12 +355,10 @@ def test_a_group_is_found_whole_or_not_at_all():
     assert (len(vertical._openblas_functions(
                 lacking + list(vertical._THREAD_GROUPS)))
             == len(vertical._openblas_functions(vertical._THREAD_GROUPS)))
-    routines = vertical._lapack()
-    if routines is None:
+    syevd = vertical._lapack()
+    if syevd is None:
         return
-    assert len(routines) == len(vertical._LAPACK_GROUP) == 3
-    for func, (name, argtypes, restype) in zip(routines,
-                                               vertical._LAPACK_GROUP):
-        assert func.__name__ == name
-        assert list(func.argtypes) == argtypes
-        assert func.restype is restype
+    [(name, argtypes, restype)] = vertical._LAPACK_GROUP
+    assert syevd.__name__ == name
+    assert list(syevd.argtypes) == argtypes
+    assert syevd.restype is restype
